@@ -149,14 +149,11 @@ class AsymFunction:
     def nth_deriv_at_zero(self, n: int) -> complex:
         """n-th derivative of the evaluator at x = 0.
 
-        Symbolic when an AST is available, Richardson central differences
-        otherwise (the evaluator must then extend smoothly through 0).
+        From the Taylor jet of the AST when there is one, Richardson central
+        differences otherwise (the evaluator must then extend smoothly through 0).
         """
         if self.ast is not None:
-            node = self.ast
-            for _ in range(n):
-                node = ex.diff(node, "x")
-            return ex.evaluate(node, {"x": 0.0})
+            return ex.taylor(self.ast, "x", 0.0, n)[n] * math.factorial(n)
         if n == 0:
             return self.fn(0.0)
         h = 1e-3
@@ -227,13 +224,7 @@ def pure_power(alpha: complex, k: int = 0) -> AsymFunction:
 def schwartz(expr: str | ex.Expr, n_taylor: int = 8, order_inf: float = 40.0) -> AsymFunction:
     """Rapidly decaying smooth function: Taylor terms at 0, nothing at infinity."""
     ast = ex.parse(expr) if isinstance(expr, str) else expr
-    terms = []
-    node = ast
-    for m in range(n_taylor + 1):
-        c = ex.evaluate(node, {"x": 0.0}) / math.factorial(m)
-        if c != 0.0:
-            terms.append((complex(m), LogPolynomial((c,))))
-        node = ex.diff(node, "x")
+    terms = [(m, (c,)) for m, c in enumerate(ex.taylor(ast, "x", 0.0, n_taylor))]
 
     def fn(x: float) -> float:
         return ex.evaluate(ast, {"x": x})
@@ -340,9 +331,9 @@ def primitive(f: AsymFunction, tol: float = DEFAULT_TOL) -> AsymFunction:
     """F(x) = int_1^x f, with expansion data at both ends."""
     c_zero, c_inf = _integration_constants(f, tol)
 
-    zero_terms = [( _antiderivative_term(t).exponent, _antiderivative_term(t).poly) for t in f.exp0.terms]
+    zero_terms = [(a.exponent, a.poly) for a in map(_antiderivative_term, f.exp0.terms)]
     zero_terms.append((0j, LogPolynomial((c_zero,))))
-    inf_terms = [(_antiderivative_term(t).exponent, _antiderivative_term(t).poly) for t in f.exp_inf.terms]
+    inf_terms = [(a.exponent, a.poly) for a in map(_antiderivative_term, f.exp_inf.terms)]
     inf_terms.append((0j, LogPolynomial((c_inf,))))
 
     p_new = max(f.exp0.order + 1.0 - ORDER_EPS, max((a.real for a, _ in zero_terms), default=0.0) + 1.0)

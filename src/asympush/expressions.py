@@ -1,4 +1,4 @@
-"""Small expression language: parser, evaluator, symbolic differentiation.
+"""Small expression language: parser, evaluator, Taylor series, symbolic differentiation.
 
 Grammar (EBNF, see docs/expression-grammar.md):
 
@@ -34,6 +34,7 @@ __all__ = [
     "unparse",
     "evaluate",
     "diff",
+    "taylor",
     "free_vars",
     "substitute",
     "central_fd",
@@ -490,6 +491,92 @@ def diff(node: Expr, var: str) -> Expr:
                 diff(node.left, var),
             )
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = None) -> list[float]:
+    """Taylor coefficients c_0..c_n of node in var at var = at; c_k = (k-th derivative)/k!.
+
+    Truncated series are pushed through the tree by the recurrences of Griewank
+    and Walther, Evaluating Derivatives (2008), ch. 13, at O(n^2) per node.
+    Raises EvalError where evaluate would and DiffError where diff would; a
+    power of a series that vanishes at the point has coefficients only below
+    its exponent, unless that is a non-negative integer.
+    """
+    b = {**(bindings or {}), var: at}
+    ks = range(1, n + 1)
+
+    def mul(u, v):
+        return [sum(u[j] * v[k - j] for j in range(k + 1)) for k in range(n + 1)]
+
+    def dot(u, v, k):  # (1/k) sum_j j u_j v_{k-j}, the chain rule on series
+        return sum(j * u[j] * v[k - j] for j in ks[:k]) / k
+
+    def power(u, c):
+        if u[0] < 0.0 and c != round(c):
+            raise EvalError(f"negative base {u[0]} with non-integer exponent {c}")
+        v = [u[0] ** c if u[0] else 1.0] + [0.0] * n
+        if u[0]:
+            for k in ks:
+                v[k] = ((c + 1.0) * dot(u, v, k) - sum(u[j] * v[k - j] for j in ks[:k])) / u[0]
+        elif c == round(c) and c >= 0.0:  # u^c = O((var - at)^c): n + 1 factors suffice
+            for _ in range(min(int(c), n + 1)):
+                v = mul(v, u)
+        elif n > c:
+            raise EvalError(f"0 raised to {c} has no derivative of order {n}")
+        else:
+            v[0] = 0.0
+        return v
+
+    def jet(nd: Expr) -> list[float]:
+        if var not in free_vars(nd):
+            return [evaluate(nd, b)] + [0.0] * n
+        if isinstance(nd, Var):
+            return [at, 1.0, *[0.0] * n][: n + 1]
+        if isinstance(nd, Neg):
+            return [-c for c in jet(nd.arg)]
+        if isinstance(nd, Call) and nd.func == "step":
+            if n:
+                raise DiffError(f"cannot differentiate step() w.r.t. {var!r}")
+            return [evaluate(nd, b)]
+        if isinstance(nd, Call):
+            u, v = jet(nd.arg), [0.0] * (n + 1)
+            if nd.func == "sqrt":
+                return power(u, 0.5)
+            if nd.func == "exp":
+                v[0] = math.exp(u[0])
+                for k in ks:
+                    v[k] = dot(u, v, k)
+                return v
+            if nd.func == "log":
+                if u[0] <= 0.0:
+                    raise EvalError(f"log of non-positive value {u[0]}")
+                v[0] = math.log(u[0])
+                for k in ks:
+                    v[k] = (u[k] - dot(v, u, k)) / u[0]
+                return v
+            if nd.func not in ("sin", "cos"):
+                raise EvalError(f"unknown function {nd.func!r}")
+            s, c = [math.sin(u[0])] + v[1:], [math.cos(u[0])] + v[1:]
+            for k in ks:
+                s[k], c[k] = dot(u, c, k), -dot(u, s, k)
+            return s if nd.func == "sin" else c
+        u, v = jet(nd.left), jet(nd.right)
+        if nd.op in "+-":
+            return [p + q if nd.op == "+" else p - q for p, q in zip(u, v)]
+        if nd.op == "*":
+            return mul(u, v)
+        if nd.op == "/":
+            if v[0] == 0.0:
+                raise EvalError("division by zero")
+            w = [0.0] * (n + 1)
+            for k in range(n + 1):
+                w[k] = (u[k] - sum(v[j] * w[k - j] for j in ks[:k])) / v[0]
+            return w
+        if n and var in free_vars(nd.right):
+            raise DiffError("'^' exponent depends on the differentiation variable")
+        return power(u, v[0])
+
+    return jet(node)
 
 
 def central_fd(node: Expr, var: str, bindings: Bindings, h: float = 1e-4) -> float:

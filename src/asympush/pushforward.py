@@ -136,13 +136,7 @@ def _axis_restriction(u: Density2D, along: str, j: int) -> ex.Expr:
 
 
 def _boundary_asymfun(node: ex.Expr, upper: float, depth: int) -> AsymFunction:
-    terms = []
-    d = node
-    for k in range(depth + 1):
-        c = ex.evaluate(d, {"x": 0.0}) / factorial(k)
-        if c != 0.0:
-            terms.append((float(k), [c]))
-        d = ex.diff(d, "x")
+    terms = [(k, [c]) for k, c in enumerate(ex.taylor(node, "x", 0.0, depth))]
     return from_expression(
         node, zero_terms=terms, order_zero=depth + 1.0, inf_terms=[],
         order_inf=40.0, support=(0.0, upper),
@@ -153,7 +147,8 @@ def sal_prediction_smooth(u: Density2D, J: int, tol: float = DEFAULT_TOL) -> Exp
     """Predicted expansion of push_xy(u, t) as t -> 0, through order t^J.
 
     Each order j contributes two regularized boundary moments (one per axis)
-    and a log term proportional to the corner derivative d_x^j d_y^j u(0,0).
+    and a log term proportional to the corner derivative d_x^j d_y^j u(0,0),
+    which is j! times the t^j Taylor coefficient of the y-axis restriction.
     """
     if not u.smooth:
         raise ValueError("the boundary-Taylor prediction needs a smooth density")
@@ -170,12 +165,7 @@ def sal_prediction_smooth(u: Density2D, J: int, tol: float = DEFAULT_TOL) -> Exp
             + reg_integral(power_log_multiply(wy, -1.0 - j), tol)
         )
         builder.add(complex(j), 0, coeff)
-        corner = u.ast
-        for _ in range(j):
-            corner = ex.diff(corner, "x")
-        for _ in range(j):
-            corner = ex.diff(corner, "y")
-        builder.add(complex(j), 1, -ex.evaluate(corner, {"x": 0.0, "y": 0.0}) * scale**2)
+        builder.add(complex(j), 1, -wy.exp0.poly_at(j).coefficient(0) * scale)
     return builder.build(J + 1.0, 1)
 
 
@@ -272,9 +262,7 @@ def blowup_matrix() -> ExponentMatrix:
     return ExponentMatrix(("G1", "G2", "G3"), ("t0",), ((1,), (0,), (1,)))
 
 
-def sigma_from_density(
-    d: BlowupDensity, order: int = 3, taylor_depth: int | None = None
-) -> SigmaFunction:
+def sigma_from_density(d: BlowupDensity, order: int = 3) -> SigmaFunction:
     """The fiber integrand sigma(x, zeta) = u_A(x, 1/zeta) / x.
 
     Large-zeta terms come from the Taylor expansion of u_A in its second
@@ -283,7 +271,7 @@ def sigma_from_density(
     defined.
     """
     X, Y = d.box
-    depth = taylor_depth if taylor_depth is not None else order + 9
+    depth = order + 9
     sig_ast = ex.BinOp(
         "/", ex.substitute(d.ast, "y", ex.BinOp("/", ex.Num(1.0), ex.Var("zeta"))),
         ex.Var("x"),
@@ -295,22 +283,15 @@ def sigma_from_density(
     terms = []
     node = d.ast
     for m in range(order + 1):
-        cm = ex.substitute(node, "y", ex.Num(0.0))  # d_y^m u_A(x, 0) / m!
-        coeff_terms = []
-        dk = cm
-        for k in range(depth + 1):
-            c = ex.evaluate(dk, {"x": 0.0}) / (factorial(k) * factorial(m))
-            if c != 0.0:
-                coeff_terms.append((float(k - 1), [c]))
-            dk = ex.diff(dk, "x")
-        if coeff_terms:
+        cm = ex.substitute(node, "y", ex.Num(0.0))  # d_y^m u_A(x, 0)
+        cs = [c / factorial(m) for c in ex.taylor(cm, "x", 0.0, depth)]
+        if any(cs):
             coeff_ast = ex.BinOp(
-                "/", ex.substitute(node, "y", ex.Num(0.0)),
-                ex.BinOp("*", ex.Num(float(factorial(m))), ex.Var("x")),
+                "/", cm, ex.BinOp("*", ex.Num(float(factorial(m))), ex.Var("x"))
             )
             cf = from_expression(
-                coeff_ast, zero_terms=coeff_terms, order_zero=float(depth),
-                inf_terms=[], order_inf=40.0, support=(0.0, X),
+                coeff_ast, zero_terms=[(k - 1, [c]) for k, c in enumerate(cs)],
+                order_zero=float(depth), inf_terms=[], order_inf=40.0, support=(0.0, X),
             )
             terms.append(SigmaTerm(complex(-m), (cf,)))
         node = ex.diff(node, "y")

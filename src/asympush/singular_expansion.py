@@ -100,27 +100,26 @@ class SigmaFunction:
             return 0.0
         return self.fn(x, zeta)
 
-    def _symbolic_ok(self, var: str) -> bool:
-        if self.ast is None:
-            return False
-        try:
-            ex.diff(self.ast, var)
-        except ex.DiffError:
-            return False
-        return True
+    def _x_deriv_ast(self, j: int) -> ex.Expr | None:
+        """d^j sigma / dx^j as an expression; None without an AST free of step(x)."""
+        if j not in self._xderiv_cache:
+            node = self.ast
+            try:
+                for _ in range(j if node is not None else 0):
+                    node = ex.diff(node, "x")
+            except ex.DiffError:
+                node = None
+            self._xderiv_cache[j] = node
+        return self._xderiv_cache[j]
 
     def x_deriv(self, j: int) -> Callable[[float, float], float]:
         """d^j sigma / dx^j as a function of (x, zeta)."""
         if j == 0:
             return self.__call__
-        if j in self._xderiv_cache:
-            return self._xderiv_cache[j]
-        if self._symbolic_ok("x"):
-            node = self.ast
-            for _ in range(j):
-                node = ex.diff(node, "x")
+        node = self._x_deriv_ast(j)
+        if node is not None:
 
-            def deriv(x: float, zeta: float, node=node) -> float:
+            def deriv(x: float, zeta: float) -> float:
                 if self.x_support is not None and not (
                     self.x_support[0] <= x <= self.x_support[1]
                 ):
@@ -148,10 +147,9 @@ class SigmaFunction:
                 coarse, fine = stencil(h), stencil(h / 2.0)
                 return (4.0 * fine - coarse) / 3.0
 
-        self._xderiv_cache[j] = deriv
         return deriv
 
-    def boundary_function(self, j: int, n_taylor: int = 2) -> AsymFunction:
+    def boundary_function(self, j: int) -> AsymFunction:
         """zeta^j/j! * d_x^j sigma(0, zeta) as an AsymFunction of zeta."""
         dj = self.x_deriv(j)
         scale = 1.0 / factorial(j)
@@ -181,23 +179,15 @@ class SigmaFunction:
         if self.zeta_vanishes_below is not None and self.zeta_vanishes_below > 0:
             zero_side = make_side([], 2.0, "zero")
             support = (self.zeta_vanishes_below, math.inf)
-        elif self._symbolic_ok("zeta") and self._symbolic_ok("x"):
-            node = self.ast
-            for _ in range(j):
-                node = ex.diff(node, "x")
-            zero_terms = []
+        elif (node := self._x_deriv_ast(j)) is not None:
             try:
-                for m in range(n_taylor + 1):
-                    c = ex.evaluate(node, {"x": 0.0, "zeta": 0.0}) / factorial(m) * scale
-                    if c != 0.0:
-                        zero_terms.append((complex(j + m), LogPolynomial((c,))))
-                    node = ex.diff(node, "zeta")
-            except ex.EvalError as e:
+                cs = ex.taylor(node, "zeta", 0.0, 2, {"x": 0.0})
+            except (ex.EvalError, ex.DiffError) as e:
                 raise MissingExpansionData(
                     f"small-argument Taylor data for boundary function j={j} "
                     f"is not defined at zero: {e}"
                 ) from e
-            zero_side = make_side(zero_terms, j + n_taylor + 1.0, "zero")
+            zero_side = make_side([(j + m, (c * scale,)) for m, c in enumerate(cs)], j + 3.0, "zero")
             support = None
         else:
             raise MissingExpansionData(
@@ -208,7 +198,7 @@ class SigmaFunction:
             fn=fn,
             exp0=zero_side,
             exp_inf=make_side(inf_terms, max(order_inf, 0.5), "infinity"),
-            support=support if support and support[1] != math.inf else support,
+            support=support,
         )
 
 
@@ -305,21 +295,6 @@ def asymptotic_expansion(
 # separable integrands
 
 
-def _phi_derivs_at_zero(phi: ex.Expr, n: int) -> list[float]:
-    out = []
-    node = phi
-    for _ in range(n + 1):
-        out.append(ex.evaluate(node, {"x": 0.0}))
-        node = ex.diff(node, "x")
-    return out
-
-
-def _phi_power_integral(
-    phi_fun: AsymFunction, beta: complex, log_pow: int, tol: float
-) -> complex:
-    return reg_integral(power_log_multiply(phi_fun, beta, log_pow), tol)
-
-
 def separable_expansion(
     phi: str | ex.Expr, f: AsymFunction, q: float, tol: float = DEFAULT_TOL
 ) -> Expansion:
@@ -330,8 +305,8 @@ def separable_expansion(
             f"requested order q={q} exceeds declared infinity order {f.exp_inf.order}"
         )
     n_top = math.ceil(q) + 1
-    derivs = _phi_derivs_at_zero(phi_ast, n_top + 2)
     phi_fun = schwartz(phi_ast, n_taylor=n_top + 4)
+    phi_taylor = [phi_fun.exp0.poly_at(m).coefficient(0) for m in range(n_top + 3)]
     builder = ExpansionBuilder("t")
 
     # Taylor-moment terms t^j
@@ -339,7 +314,7 @@ def separable_expansion(
         if j >= q:
             break
         mj = reg_integral(power_log_multiply(f, j), tol)
-        builder.add(complex(j), 0, derivs[j] / factorial(j) * mj)
+        builder.add(complex(j), 0, phi_taylor[j] * mj)
 
     for term in f.exp_inf.terms:
         beta, poly = term.exponent, term.poly
@@ -353,7 +328,7 @@ def separable_expansion(
                 val += (
                     comb(i, m)
                     * poly.coefficient(i)
-                    * _phi_power_integral(phi_fun, beta, i - m, tol)
+                    * reg_integral(power_log_multiply(phi_fun, beta, i - m), tol)
                 )
             builder.add(-beta - 1.0, m, (-1) ** m * val)
         # integer beta: log-antiderivative correction
@@ -362,7 +337,7 @@ def separable_expansion(
             if abs(n - round(n)) <= EXPONENT_TOL and 1 <= round(n) <= q + 1:
                 n = int(round(n))
                 anti = poly.antiderivative()
-                pref = derivs[n - 1] / factorial(n - 1)
+                pref = phi_taylor[n - 1]
                 for m, c in enumerate(anti.coeffs):
                     builder.add(-beta - 1.0, m, pref * (-1) ** m * c)
     return builder.build(q)
@@ -383,7 +358,7 @@ def corollary_expansion(
     for a, poly in base.terms:
         for m, c in enumerate(poly.coeffs):
             builder.add(a + 1.0, m, c)
-    derivs = _phi_derivs_at_zero(phi_ast, math.ceil(q) + 2)
+    phi_taylor = ex.taylor(phi_ast, "x", 0.0, math.ceil(q) + 2)
     for term in f.exp0.terms:
         alpha, poly = term.exponent, term.poly
         if abs(alpha.imag) > EXPONENT_TOL:
@@ -393,7 +368,7 @@ def corollary_expansion(
             continue
         n = int(round(n))
         anti = poly.antiderivative()
-        pref = -derivs[n - 1] / factorial(n - 1)
+        pref = -phi_taylor[n - 1]
         for m, c in enumerate(anti.coeffs):
             builder.add(-alpha, m, pref * (-1) ** m * c)
     return builder.build(q + 1.0)
@@ -462,12 +437,11 @@ def check_hypotheses(
         if K == 0:
             return c(x)
         if c.ast is not None:
-            node = c.ast
-            for _ in range(K):
-                node = ex.diff(node, "x")
-            return ex.evaluate(node, {"x": x})
+            return ex.taylor(c.ast, "x", x, K)[K] * factorial(K)
+        if K > 1:
+            raise ex.DiffError(f"no expression for derivative {K} of a term coefficient")
         h = 1e-3
-        return (c(x + h) - c(x - h)) / (2.0 * h) if K == 1 else 0.0
+        return (c(x + h) - c(x - h)) / (2.0 * h)
 
     constants: dict = {}
     zetas = np.geomspace(1.0, zeta_max, n_grid)

@@ -76,6 +76,33 @@ def test_diff_matches_finite_differences():
             assert abs(sym - num) <= 1e-6 * max(1.0, abs(sym)), text
 
 
+def _assert_taylor_matches_diff(node, point, n=4):
+    jet = ex.taylor(node, "x", point["x"], n, point)
+    for k in range(n + 1):
+        ref = ex.evaluate(node, point)
+        err = abs(jet[k] * math.factorial(k) - ref)
+        assert err <= 1e-12 * max(1.0, abs(ref)), (k, ex.unparse(node))
+        node = ex.diff(node, "x")
+
+
+def test_taylor_cases_outside_the_strategy():
+    cases = [
+        ("sin(x)/(1+x^2)", 0.3),
+        ("(1+x)^(-2.5)*log(2+x)", 0.7),
+        ("x^2", 0.0),  # integer power of a series that vanishes at the point
+        ("(x-1)^3/sqrt(1+x)", 1.0),
+        ("x^2.5+x^(-1)", 1.5),
+    ]
+    for text, x in cases:
+        _assert_taylor_matches_diff(ex.parse(text), {"x": x})
+    for text, x in [("log(x)", 0.0), ("sqrt(x)", 0.0), ("x^1.5", -1.0), ("(x-2)^0.5", 2.0)]:
+        with pytest.raises(ex.EvalError):
+            ex.taylor(ex.parse(text), "x", x, 4)
+    with pytest.raises(ex.DiffError):
+        ex.taylor(ex.parse("x*step(1-x)"), "x", 0.5, 1)
+    assert ex.taylor(ex.parse("x*step(1-y)"), "x", 0.5, 2, {"y": 0.0}) == [0.5, 1.0, 0.0]
+
+
 def test_iterated_diff_stays_small():
     node = ex.parse("exp(-x-y)")
     for _ in range(12):
@@ -120,3 +147,4 @@ def test_diff_property(node):
     sym = ex.evaluate(d, point)
     num = ex.central_fd(node, "x", point)
     assert abs(sym - num) <= 1e-5 * max(1.0, abs(sym))
+    _assert_taylor_matches_diff(node, point)

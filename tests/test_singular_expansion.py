@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from asympush.asymfun import from_expression, schwartz
+from asympush.asymfun import AsymFunction, from_expression, schwartz
 from asympush.singular_expansion import (
     HypothesisFailure,
     MissingExpansionData,
@@ -93,6 +93,22 @@ def test_hypothesis_diagnostics_pass():
     diag = check_hypotheses(sig)
     assert diag.ok
     assert all(math.isfinite(v) for v in diag.boundary_integrals.values())
+
+
+def test_remainder_sampler_notes_coefficient_without_second_derivative():
+    # a term coefficient without an expression has no K=2 derivative; the
+    # sampler must note the failed samples rather than read the derivative as 0
+    with_ast = schwartz("exp(-2*x)")
+    bare = AsymFunction(fn=with_ast.fn, exp0=with_ast.exp0, exp_inf=with_ast.exp_inf)
+    notes = []
+    for cf in (with_ast, bare):
+        sig = sigma_from_expression(
+            "exp(-2*x)*(1+zeta)^(-2.5)", order=2, terms=[SigmaTerm(-2.5 + 0j, (cf,))]
+        )
+        notes.append(check_hypotheses(sig).notes)
+    assert not any("remainder sample failed" in n for n in notes[0])
+    assert {f"remainder sample failed at J={J} K=2" for J in range(3)} <= set(notes[1])
+    assert not any("K=1" in n or "K=0" in n for n in notes[1])
 
 
 def test_hypothesis_diagnostics_detect_scaling_divergence():
