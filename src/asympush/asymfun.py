@@ -192,11 +192,8 @@ def from_expression(
     if extra:
         raise ValueError(f"expression has free variables besides x: {sorted(extra)}")
 
-    def fn(x: float) -> float:
-        return ex.evaluate(ast, {"x": x})
-
     return AsymFunction(
-        fn=fn,
+        fn=ex.compile_expr(ast, ("x",)),
         exp0=make_side([(a, LogPolynomial(c)) for a, c in zero_terms], order_zero, "zero"),
         exp_inf=make_side([(a, LogPolynomial(c)) for a, c in inf_terms], order_inf, "infinity"),
         support=support,
@@ -226,11 +223,8 @@ def schwartz(expr: str | ex.Expr, n_taylor: int = 8, order_inf: float = 40.0) ->
     ast = ex.parse(expr) if isinstance(expr, str) else expr
     terms = [(m, (c,)) for m, c in enumerate(ex.taylor(ast, "x", 0.0, n_taylor))]
 
-    def fn(x: float) -> float:
-        return ex.evaluate(ast, {"x": x})
-
     return AsymFunction(
-        fn=fn,
+        fn=ex.compile_expr(ast, ("x",)),
         exp0=make_side(terms, n_taylor + 1.0, "zero"),
         exp_inf=make_side([], order_inf, "infinity"),
         ast=ast,

@@ -1,4 +1,4 @@
-"""Small expression language: parser, evaluator, Taylor series, symbolic differentiation.
+"""Small expression language: parser, evaluator, compiler, Taylor series, symbolic differentiation.
 
 Grammar (EBNF, see docs/expression-grammar.md):
 
@@ -17,8 +17,10 @@ right-continuous Heaviside function (step(0) = 1).
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 __all__ = [
     "Expr",
@@ -33,6 +35,7 @@ __all__ = [
     "parse",
     "unparse",
     "evaluate",
+    "compile_expr",
     "diff",
     "taylor",
     "free_vars",
@@ -306,56 +309,135 @@ def free_vars(node: Expr) -> frozenset[str]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+# Checked primitives shared by evaluate, compile_expr and taylor, so that each
+# domain rule and its message is written once.
+
+
+def _unbound(name: str):
+    raise EvalError(f"unbound variable {name!r}")
+
+
+def _divide(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvalError("division by zero")
+    return a / b
+
+
+def _power(a: float, c: float) -> float:
+    if a == 0.0 and c < 0.0:
+        raise EvalError("0 raised to a negative power")
+    if a < 0.0 and c != round(c):
+        raise EvalError(f"negative base {a} with non-integer exponent {c}")
+    return a**c
+
+
+def _log(a: float) -> float:
+    if a <= 0.0:
+        raise EvalError(f"log of non-positive value {a}")
+    return math.log(a)
+
+
+def _sqrt(a: float) -> float:
+    if a < 0.0:
+        raise EvalError(f"sqrt of negative value {a}")
+    return math.sqrt(a)
+
+
+def _step(a: float) -> float:
+    return 1.0 if a >= 0.0 else 0.0
+
+
+_CALLS = {"exp": math.exp, "log": _log, "sin": math.sin, "cos": math.cos, "sqrt": _sqrt, "step": _step}
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power}
+_EMIT = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_divide({}, {})", "^": "_power({}, {})"}
+# The names compile_expr emits most, kept interned for the life of the process.
+# Otherwise each compilation interns them afresh and frees them with its
+# function, and the churn keeps reallocating the interpreter's table of
+# interned strings, which grew the peak RSS of a run compiling a density per
+# operation by about 85 bytes per operation.
+_NAMES = tuple(sys.intern(f"{p}{i}") for p in "atk" for i in range(256)) + tuple(
+    sys.intern(name) for name in ("compiled", *(f"_{f}" for f in _CALLS))
+)
+
+
 def evaluate(node: Expr, bindings: Bindings | None = None) -> float:
+    """Walk the tree at one point: the reference that compile_expr must match."""
     b = bindings or {}
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
-        try:
-            return float(b[node.name])
-        except KeyError:
-            raise EvalError(f"unbound variable {node.name!r}") from None
+        return float(b[node.name]) if node.name in b else _unbound(node.name)
     if isinstance(node, Neg):
         return -evaluate(node.arg, b)
     if isinstance(node, Call):
         x = evaluate(node.arg, b)
-        if node.func == "exp":
-            return math.exp(x)
-        if node.func == "log":
-            if x <= 0.0:
-                raise EvalError(f"log of non-positive value {x}")
-            return math.log(x)
-        if node.func == "sin":
-            return math.sin(x)
-        if node.func == "cos":
-            return math.cos(x)
-        if node.func == "sqrt":
-            if x < 0.0:
-                raise EvalError(f"sqrt of negative value {x}")
-            return math.sqrt(x)
-        if node.func == "step":
-            return 1.0 if x >= 0.0 else 0.0
-        raise EvalError(f"unknown function {node.func!r}")
-    if isinstance(node, BinOp):
-        lhs = evaluate(node.left, b)
-        rhs = evaluate(node.right, b)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        if node.op == "/":
-            if rhs == 0.0:
-                raise EvalError("division by zero")
-            return lhs / rhs
-        if node.op == "^":
-            if lhs == 0.0 and rhs < 0.0:
-                raise EvalError("0 raised to a negative power")
-            if lhs < 0.0 and rhs != round(rhs):
-                raise EvalError(f"negative base {lhs} with non-integer exponent {rhs}")
-            return lhs**rhs
+        if node.func not in _CALLS:
+            raise EvalError(f"unknown function {node.func!r}")
+        return _CALLS[node.func](x)
+    if isinstance(node, BinOp) and node.op in _BINOPS:
+        return _BINOPS[node.op](evaluate(node.left, b), evaluate(node.right, b))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def compile_expr(node: Expr, params: Sequence[str]) -> Callable[..., float]:
+    """Compile node once into a straight-line function of the positional params.
+
+    The emitted function keeps one temporary per distinct node (by identity),
+    so a subtree that diff shares is computed once per call.  Constants are
+    passed by reference, not written into the source, and '/', '^', log and
+    sqrt go through the checked primitives that evaluate uses.  The function
+    returns what evaluate returns at the same bindings and raises where
+    evaluate raises, at the same node: a name outside params raises EvalError
+    when the function is called, not here.  A call of an unknown function
+    (which parse never builds) is rejected here.
+    """
+    env: dict = {f"_{name}": fn for name, fn in _CALLS.items()}
+    env.update(_unbound=_unbound, _divide=_divide, _power=_power)
+    lines: list[str] = []
+    operand: dict = {}  # id(node), or a variable name, -> its name in the emitted code
+    args = {name: f"a{i}" for i, name in enumerate(params)}
+
+    def key(nd: Expr):
+        return nd.name if isinstance(nd, Var) else id(nd)
+
+    # post-order, left before right, as evaluate visits the nodes; an explicit
+    # stack, so that no recursive closure keeps the emitter's state alive
+    stack = [(node, False)]
+    while stack:
+        nd, kids_done = stack.pop()
+        k = key(nd)
+        if k in operand:
+            continue
+        kids = (nd.left, nd.right) if isinstance(nd, BinOp) else (nd.arg,) if isinstance(nd, (Neg, Call)) else ()
+        if kids and not kids_done:
+            stack.append((nd, True))
+            stack.extend((kid, False) for kid in reversed(kids))
+            continue
+        ops = [operand[key(kid)] for kid in kids]
+        if isinstance(nd, Num):  # by reference: inf and nan have no literal
+            operand[k] = f"k{len(env)}"
+            env[operand[k]] = nd.value
+            continue
+        if isinstance(nd, Var):
+            rhs = f"float({args[nd.name]})" if nd.name in args else f"_unbound({nd.name!r})"
+        elif isinstance(nd, Neg):
+            rhs = f"-{ops[0]}"
+        elif isinstance(nd, Call) and nd.func in _CALLS:
+            rhs = f"_{nd.func}({ops[0]})"
+        elif isinstance(nd, Call):
+            raise EvalError(f"unknown function {nd.func!r}")
+        elif isinstance(nd, BinOp) and nd.op in _BINOPS:
+            rhs = _EMIT[nd.op].format(*ops)
+        else:
+            raise TypeError(f"not an expression node: {nd!r}")
+        operand[k] = f"t{len(lines)}"
+        lines.append(f"    {operand[k]} = {rhs}\n")
+
+    src = f"def compiled({', '.join(args.values())}):\n{''.join(lines)}    return {operand[key(node)]}\n"
+    exec(compile(src, "<compile_expr>", "exec"), env)
+    # the function holds env as its globals; taking it out of env leaves no
+    # reference cycle, so it is freed with its owner instead of by the collector
+    return env.pop("compiled")
 
 
 def substitute(node: Expr, var: str, replacement: Expr) -> Expr:
@@ -512,9 +594,7 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
         return sum(j * u[j] * v[k - j] for j in ks[:k]) / k
 
     def power(u, c):
-        if u[0] < 0.0 and c != round(c):
-            raise EvalError(f"negative base {u[0]} with non-integer exponent {c}")
-        v = [u[0] ** c if u[0] else 1.0] + [0.0] * n
+        v = [_power(u[0], c) if u[0] else 1.0] + [0.0] * n
         if u[0]:
             for k in ks:
                 v[k] = ((c + 1.0) * dot(u, v, k) - sum(u[j] * v[k - j] for j in ks[:k])) / u[0]
@@ -548,9 +628,7 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
                     v[k] = dot(u, v, k)
                 return v
             if nd.func == "log":
-                if u[0] <= 0.0:
-                    raise EvalError(f"log of non-positive value {u[0]}")
-                v[0] = math.log(u[0])
+                v[0] = _log(u[0])
                 for k in ks:
                     v[k] = (u[k] - dot(v, u, k)) / u[0]
                 return v

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,6 +65,7 @@ class Density2D:
     ast: ex.Expr
     box: tuple[float, float] = (1.0, 1.0)
     smooth: bool = True
+    _fn: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X, Y = self.box
@@ -73,12 +74,13 @@ class Density2D:
         extra = ex.free_vars(self.ast) - {"x", "y"}
         if extra:
             raise ValueError(f"density has free variables besides x, y: {sorted(extra)}")
+        object.__setattr__(self, "_fn", ex.compile_expr(self.ast, ("x", "y")))
 
     def __call__(self, x: float, y: float) -> float:
         X, Y = self.box
         if x < 0 or x > X or y < 0 or y > Y:
             return 0.0
-        return ex.evaluate(self.ast, {"x": x, "y": y})
+        return self._fn(x, y)
 
     def swapped(self) -> "Density2D":
         """The density u(y, x) on the transposed box."""
@@ -224,6 +226,7 @@ class BlowupDensity:
     ast: ex.Expr
     family: IndexFamily
     box: tuple[float, float] = (1.0, math.inf)
+    _fn: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         extra = ex.free_vars(self.ast) - {"x", "y"}
@@ -232,12 +235,13 @@ class BlowupDensity:
         missing = [G for G in ("G1", "G2", "G3") if G not in self.family]
         if missing:
             raise ValueError(f"index family must cover faces G1, G2, G3; missing {missing}")
+        object.__setattr__(self, "_fn", ex.compile_expr(self.ast, ("x", "y")))
 
     def __call__(self, x: float, y: float) -> float:
         X, Y = self.box
         if x < 0 or x > X or y < 0 or y > Y:
             return 0.0
-        return ex.evaluate(self.ast, {"x": x, "y": y})
+        return self._fn(x, y)
 
     def u_B(self, zeta: float, t: float) -> float:
         """The same coefficient in the (zeta, t) chart."""

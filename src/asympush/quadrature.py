@@ -49,12 +49,20 @@ def _quad(f, a, b, tol, points=None):
         except Exception:
             continue
     if not is_complex:
+        imag_seen = False
 
         def fr(x):
+            nonlocal imag_seen
             v = f(x)
-            return v.real if isinstance(v, complex) else v
+            if isinstance(v, complex):
+                imag_seen = imag_seen or v.imag != 0.0
+                return v.real
+            return v
 
-        return _quad_real(fr, a, b, tol, points)
+        val, err = _quad_real(fr, a, b, tol, points)
+        if not imag_seen:
+            return val, err
+        # the probes missed an imaginary part: integrate both parts after all
     re, er = _quad_real(lambda x: f(x).real, a, b, tol, points)
     im, ei = _quad_real(lambda x: f(x).imag, a, b, tol, points)
     return complex(re, im), math.hypot(er, ei)

@@ -89,7 +89,7 @@ class SigmaFunction:
     # sigma vanishes for zeta below this cutoff (support hint); when absent
     # and the AST is step-free, small-zeta data is derived by Taylor expansion
     zeta_vanishes_below: float | None = None
-    _xderiv_cache: dict = field(default_factory=dict, repr=False)
+    _xderiv_cache: dict = field(default_factory=dict, repr=False)  # j -> [expression, compiled]
 
     def __call__(self, x: float, zeta: float) -> float:
         if self.x_support is not None:
@@ -109,8 +109,8 @@ class SigmaFunction:
                     node = ex.diff(node, "x")
             except ex.DiffError:
                 node = None
-            self._xderiv_cache[j] = node
-        return self._xderiv_cache[j]
+            self._xderiv_cache[j] = [node, None]
+        return self._xderiv_cache[j][0]
 
     def x_deriv(self, j: int) -> Callable[[float, float], float]:
         """d^j sigma / dx^j as a function of (x, zeta)."""
@@ -118,6 +118,10 @@ class SigmaFunction:
             return self.__call__
         node = self._x_deriv_ast(j)
         if node is not None:
+            entry = self._xderiv_cache[j]  # compiled once, beside its expression
+            if entry[1] is None:
+                entry[1] = ex.compile_expr(node, ("x", "zeta"))
+            compiled = entry[1]
 
             def deriv(x: float, zeta: float) -> float:
                 if self.x_support is not None and not (
@@ -129,23 +133,36 @@ class SigmaFunction:
                     and zeta < self.zeta_vanishes_below
                 ):
                     return 0.0
-                return ex.evaluate(node, {"x": x, "zeta": zeta})
+                return compiled(x, zeta)
 
         else:
             if j > 6:
                 raise ValueError("finite-difference fallback supports at most 6 derivatives")
+            lo, hi = self.x_support or (-math.inf, math.inf)
 
             def deriv(x: float, zeta: float, j=j) -> float:
                 h = 1e-2 / (1 << j)
+                # stencil nodes sit at x + (m + shift) * step, m = 0..j: centred
+                # where that stays inside the support, else one-sided, so that no
+                # node reads the zeros the support cut-off puts outside it
+                shift = -j / 2.0
+                if x - j * h / 2.0 < lo:
+                    shift = 0.0
+                elif x + j * h / 2.0 > hi:
+                    shift = -float(j)
 
                 def stencil(step: float) -> float:
                     return sum(
-                        (-1) ** (j - m) * comb(j, m) * self(x + (m - j / 2.0) * step, zeta)
+                        (-1) ** (j - m) * comb(j, m) * self(x + (m + shift) * step, zeta)
                         for m in range(j + 1)
                     ) / step**j
 
                 coarse, fine = stencil(h), stencil(h / 2.0)
-                return (4.0 * fine - coarse) / 3.0
+                if shift == -j / 2.0:  # centred: the error is even in the step
+                    return (4.0 * fine - coarse) / 3.0
+                # one-sided: Richardson-eliminate the step, then its square
+                finer = stencil(h / 4.0)
+                return (4.0 * (2.0 * finer - fine) - (2.0 * fine - coarse)) / 3.0
 
         return deriv
 
@@ -215,11 +232,8 @@ def sigma_from_expression(
     if extra:
         raise ValueError(f"expression has free variables besides x, zeta: {sorted(extra)}")
 
-    def fn(x: float, zeta: float) -> float:
-        return ex.evaluate(ast, {"x": x, "zeta": zeta})
-
     return SigmaFunction(
-        fn=fn,
+        fn=ex.compile_expr(ast, ("x", "zeta")),
         order=order,
         terms=tuple(terms),
         log_bound=log_bound,
@@ -419,8 +433,8 @@ def check_hypotheses(
     notes: list[str] = []
     ok = True
 
-    def remainder(x: float, zeta: float, K: int) -> float:
-        val = sigma.x_deriv(K)(x, zeta)
+    def remainder(x: float, zeta: float, K: int, dK: Callable[[float, float], float]) -> float:
+        val = dK(x, zeta)
         for term in sigma.terms:
             if term.exponent.real <= -p - 1:
                 continue
@@ -444,17 +458,21 @@ def check_hypotheses(
         return (c(x + h) - c(x - h)) / (2.0 * h)
 
     constants: dict = {}
-    zetas = np.geomspace(1.0, zeta_max, n_grid)
+    samples = [(zeta, x) for zeta in np.geomspace(1.0, zeta_max, n_grid) for x in np.geomspace(1e-3, zeta, 6)]
+    derivs = [sigma.x_deriv(K) for K in range(min(max_jk, p if p > 0 else 0) + 1)]
     for J in range(min(max_jk, max(p, 1)) + 1):
-        for K in range(min(max_jk, p if p > 0 else 0) + 1):
-            worst = 0.0
-            for zeta in zetas:
-                for x in np.geomspace(1e-3, zeta, 6):
-                    bound = zeta ** (-p - 1) * max(abs(math.log(zeta)) ** r, 1.0)
-                    try:
-                        worst = max(worst, abs(x**J * remainder(x, zeta, K)) / bound)
-                    except (ex.EvalError, ex.DiffError):
-                        notes.append(f"remainder sample failed at J={J} K={K}")
+        for K, dK in enumerate(derivs):
+            worst, failed = 0.0, 0
+            for zeta, x in samples:
+                bound = zeta ** (-p - 1) * max(abs(math.log(zeta)) ** r, 1.0)
+                try:
+                    worst = max(worst, abs(x**J * remainder(x, zeta, K, dK)) / bound)
+                except (ex.EvalError, ex.DiffError):
+                    failed += 1
+            if failed:
+                notes.append(f"remainder sample failed at J={J} K={K}")
+            if failed == len(samples):  # no sample bounds the remainder
+                worst, ok = math.nan, False
             constants[(J, K)] = worst
 
     boundary: dict = {}

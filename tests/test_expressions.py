@@ -148,3 +148,71 @@ def test_diff_property(node):
     num = ex.central_fd(node, "x", point)
     assert abs(sym - num) <= 1e-5 * max(1.0, abs(sym))
     _assert_taylor_matches_diff(node, point)
+
+
+def _assert_compiled_matches_evaluate(node, point):
+    """The compiled function returns evaluate's value, or raises its exception type."""
+    params = sorted(point)
+    compiled = ex.compile_expr(node, params)
+    try:
+        want = ex.evaluate(node, point)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            compiled(*(point[p] for p in params))
+        return
+    got = compiled(*(point[p] for p in params))
+    assert got == want or (math.isnan(got) and math.isnan(want)), (ex.unparse(node), point)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_expr, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+def test_compiled_matches_evaluate(node, x, y):
+    _assert_compiled_matches_evaluate(node, {"x": x, "y": y})
+    _assert_compiled_matches_evaluate(ex.diff(ex.diff(node, "x"), "y"), {"x": x, "y": y})
+
+
+def test_compiled_domain_edges():
+    cases = {
+        "x/y": [(1.0, 0.0), (1.0, -0.0), (0.0, 2.0)],
+        "x^2.5": [(0.0, 0.0), (-1.0, 0.0), (2.0, 0.0)],
+        "x^(-1)": [(0.0, 0.0), (-0.0, 0.0), (-2.0, 0.0)],
+        "x^2+y^(-0.5)": [(-1.0, 4.0), (-1.0, 0.0)],
+        "log(x)": [(0.0, 0.0), (-0.0, 0.0), (-1.0, 0.0), (1e-300, 0.0)],
+        "sqrt(x)": [(0.0, 0.0), (-0.0, 0.0), (-1e-300, 0.0), (4.0, 0.0)],
+        "step(x)-step(-y)": [(0.0, 0.0), (-0.0, -0.0), (-1e-300, 1e-300)],
+        "exp(x)*y": [(1000.0, 1.0), (700.0, 0.0)],
+        "sin(x/y)": [(1.0, 0.0)],
+    }
+    for text, points in cases.items():
+        for x, y in points:
+            _assert_compiled_matches_evaluate(ex.parse(text), {"x": x, "y": y})
+
+
+def test_compiled_long_sum_and_constants():
+    # 300 terms nest 300 deep, as deep as evaluate recurses
+    node = ex.parse("+".join(f"{k}*x^{k % 3}" for k in range(300)))
+    _assert_compiled_matches_evaluate(node, {"x": 0.7})
+    inf = ex.BinOp("+", ex.Var("x"), ex.Num(math.inf))  # inf has no literal in the source
+    assert ex.compile_expr(inf, ("x",))(1.0) == math.inf
+    assert math.isnan(ex.compile_expr(ex.BinOp("*", ex.Num(math.inf), ex.Var("x")), ["x"])(0.0))
+    assert ex.compile_expr(ex.Num(2.5), ())() == 2.5
+
+
+def test_compiled_shares_subtrees():
+    node = ex.parse("exp(-x)*exp(-zeta)/(1+x*zeta)")
+    for _ in range(4):
+        node = ex.diff(node, "x")
+    _assert_compiled_matches_evaluate(node, {"x": 0.3, "zeta": 1.7})
+    # 40 doublings of one node: 2^40 leaves to a tree walk, 40 additions compiled
+    dag = ex.Var("x")
+    for _ in range(40):
+        dag = ex.BinOp("+", dag, dag)
+    assert ex.compile_expr(dag, ("x",))(1.0) == 2.0**40
+
+
+def test_compiled_unbound_name_raises_when_called():
+    compiled = ex.compile_expr(ex.parse("x+z"), ("x",))  # compiling does not raise
+    with pytest.raises(ex.EvalError, match="unbound variable 'z'"):
+        compiled(1.0)
+    with pytest.raises(ex.EvalError, match="log of non-positive"):  # the earlier node raises first
+        ex.compile_expr(ex.parse("log(x)+z"), ("x",))(0.0)

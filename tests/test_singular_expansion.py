@@ -97,18 +97,37 @@ def test_hypothesis_diagnostics_pass():
 
 def test_remainder_sampler_notes_coefficient_without_second_derivative():
     # a term coefficient without an expression has no K=2 derivative; the
-    # sampler must note the failed samples rather than read the derivative as 0
+    # sampler must note the failed samples rather than read the derivative as 0,
+    # once per (J, K) pair, and a pair with no sample left has no constant
     with_ast = schwartz("exp(-2*x)")
     bare = AsymFunction(fn=with_ast.fn, exp0=with_ast.exp0, exp_inf=with_ast.exp_inf)
-    notes = []
+    diags = []
     for cf in (with_ast, bare):
         sig = sigma_from_expression(
             "exp(-2*x)*(1+zeta)^(-2.5)", order=2, terms=[SigmaTerm(-2.5 + 0j, (cf,))]
         )
-        notes.append(check_hypotheses(sig).notes)
-    assert not any("remainder sample failed" in n for n in notes[0])
-    assert {f"remainder sample failed at J={J} K=2" for J in range(3)} <= set(notes[1])
-    assert not any("K=1" in n or "K=0" in n for n in notes[1])
+        diags.append(check_hypotheses(sig))
+    assert not any("remainder sample failed" in n for n in diags[0].notes)
+    assert diags[0].ok and not any(math.isnan(c) for c in diags[0].remainder_constants.values())
+    failed = [n for n in diags[1].notes if "remainder sample failed" in n]
+    assert failed == [f"remainder sample failed at J={J} K=2" for J in range(3)]
+    assert not diags[1].ok
+    for (J, K), c in diags[1].remainder_constants.items():
+        assert math.isnan(c) == (K == 2), (J, K)
+
+
+def test_finite_difference_derivative_stays_inside_the_support():
+    # step(5-x) blocks symbolic differentiation; at the edge x=0 of x_support
+    # the stencil must not read the zeros that the support puts at x < 0
+    sig = sigma_from_expression(
+        "exp(-x)*exp(-zeta)*step(5-x)*step(zeta-0.001)", order=2,
+        x_support=(0.0, 5.0), zeta_vanishes_below=0.001,
+    )
+    for x in (0.0, 0.002, 2.0, 5.0):
+        want = -math.exp(-x - 1.0)
+        assert sig.x_deriv(1)(x, 1.0) == pytest.approx(want, rel=1e-4), x
+    # the z^-2 coefficient is the regularized integral of zeta * d_x sigma(0, zeta)
+    assert asymptotic_expansion(sig).expansion.coefficient(-2.0, 0).real == pytest.approx(-1.0, abs=1e-4)
 
 
 def test_hypothesis_diagnostics_detect_scaling_divergence():
