@@ -441,22 +441,34 @@ def compile_expr(node: Expr, params: Sequence[str]) -> Callable[..., float]:
 
 
 def substitute(node: Expr, var: str, replacement: Expr) -> Expr:
-    """Replace every occurrence of the variable by another expression."""
-    if isinstance(node, Num):
-        return node
-    if isinstance(node, Var):
-        return replacement if node.name == var else node
-    if isinstance(node, Neg):
-        return Neg(substitute(node.arg, var, replacement))
-    if isinstance(node, Call):
-        return Call(node.func, substitute(node.arg, var, replacement))
-    if isinstance(node, BinOp):
-        return BinOp(
-            node.op,
-            substitute(node.left, var, replacement),
-            substitute(node.right, var, replacement),
-        )
-    raise TypeError(f"not an expression node: {node!r}")
+    """Replace every occurrence of the variable by another expression.
+
+    A subtree shared in node, as diff shares them, maps to one shared result.
+    """
+    return _substitute(node, var, replacement, {})
+
+
+def _substitute(nd: Expr, var: str, replacement: Expr, memo: dict) -> Expr:
+    out = memo.get(id(nd))  # id of a node of the input -> its substituted copy
+    if out is None:
+        if isinstance(nd, Num):
+            out = nd
+        elif isinstance(nd, Var):
+            out = replacement if nd.name == var else nd
+        elif isinstance(nd, Neg):
+            out = Neg(_substitute(nd.arg, var, replacement, memo))
+        elif isinstance(nd, Call):
+            out = Call(nd.func, _substitute(nd.arg, var, replacement, memo))
+        elif isinstance(nd, BinOp):
+            out = BinOp(
+                nd.op,
+                _substitute(nd.left, var, replacement, memo),
+                _substitute(nd.right, var, replacement, memo),
+            )
+        else:
+            raise TypeError(f"not an expression node: {nd!r}")
+        memo[id(nd)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +587,20 @@ def diff(node: Expr, var: str) -> Expr:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _depends(nd: Expr, var: str, memo: dict[int, bool]) -> bool:
+    """Whether var occurs in nd; records the answer for every node of nd in memo, by id."""
+    d = memo.get(id(nd))
+    if d is None:
+        if isinstance(nd, BinOp):
+            d = _depends(nd.left, var, memo) | _depends(nd.right, var, memo)
+        elif isinstance(nd, (Neg, Call)):
+            d = _depends(nd.arg, var, memo)
+        else:
+            d = isinstance(nd, Var) and nd.name == var
+        memo[id(nd)] = d
+    return d
+
+
 def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = None) -> list[float]:
     """Taylor coefficients c_0..c_n of node in var at var = at; c_k = (k-th derivative)/k!.
 
@@ -586,6 +612,8 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
     """
     b = {**(bindings or {}), var: at}
     ks = range(1, n + 1)
+    dep: dict[int, bool] = {}  # id of each node -> whether its subtree holds var
+    _depends(node, var, dep)
 
     def mul(u, v):
         return [sum(u[j] * v[k - j] for j in range(k + 1)) for k in range(n + 1)]
@@ -608,7 +636,7 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
         return v
 
     def jet(nd: Expr) -> list[float]:
-        if var not in free_vars(nd):
+        if not dep[id(nd)]:
             return [evaluate(nd, b)] + [0.0] * n
         if isinstance(nd, Var):
             return [at, 1.0, *[0.0] * n][: n + 1]
@@ -650,7 +678,7 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
             for k in range(n + 1):
                 w[k] = (u[k] - sum(v[j] * w[k - j] for j in ks[:k])) / v[0]
             return w
-        if n and var in free_vars(nd.right):
+        if n and dep[id(nd.right)]:
             raise DiffError("'^' exponent depends on the differentiation variable")
         return power(u, v[0])
 

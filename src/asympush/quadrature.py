@@ -1,8 +1,12 @@
 """Adaptive quadrature wrappers around scipy's Gauss-Kronrod integrator.
 
 Endpoint behavior on (0, 1] and [1, inf) is tamed by the exponential
-substitutions x = e^{-u} and x = e^{u}.  Integrands may be complex valued;
-real and imaginary parts are integrated separately.
+substitutions x = e^{-u} and x = e^{u}.  Integrands may be complex valued.
+A call takes the complex path only when an integrand value has a nonzero
+imaginary part, at one of three probe points or during the real pass; a
+complex value with a zero imaginary part counts as real.  The complex path
+integrates the real and imaginary parts in two passes that share one
+integrand value per node, held for the length of the call.
 """
 
 from __future__ import annotations
@@ -40,15 +44,15 @@ def _quad_real(f, a, b, tol, points=None):
 
 def _quad(f, a, b, tol, points=None):
     probe_at = [a + (b - a) * s for s in (0.21, 0.5, 0.83)] if math.isfinite(b) else [a + s for s in (0.3, 1.1, 4.7)]
-    is_complex = False
     for x in probe_at:
         try:
-            if isinstance(f(x), complex):
-                is_complex = True
-                break
+            v = f(x)
         except Exception:
             continue
-    if not is_complex:
+        if isinstance(v, complex) and v.imag != 0.0:
+            values = {x: v}
+            break
+    else:
         imag_seen = False
 
         def fr(x):
@@ -63,8 +67,16 @@ def _quad(f, a, b, tol, points=None):
         if not imag_seen:
             return val, err
         # the probes missed an imaginary part: integrate both parts after all
-    re, er = _quad_real(lambda x: f(x).real, a, b, tol, points)
-    im, ei = _quad_real(lambda x: f(x).imag, a, b, tol, points)
+        values = {}
+
+    def fc(x):  # one evaluation per node, shared by both passes
+        v = values.get(x)
+        if v is None:
+            v = values[x] = f(x)
+        return v
+
+    re, er = _quad_real(lambda x: fc(x).real, a, b, tol, points)
+    im, ei = _quad_real(lambda x: fc(x).imag, a, b, tol, points)
     return complex(re, im), math.hypot(er, ei)
 
 

@@ -439,7 +439,7 @@ def check_hypotheses(
             if term.exponent.real <= -p - 1:
                 continue
             L = math.log(zeta)
-            w = zeta**term.exponent.real  # real exponents dominate sampling
+            w = zeta**term.exponent
             coeff = sum(
                 (c.nth_deriv_at_zero(K) if x == 0.0 else _nth_deriv(c, K, x)) * L**i
                 for i, c in enumerate(term.coeffs)

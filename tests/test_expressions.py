@@ -210,6 +210,27 @@ def test_compiled_shares_subtrees():
     assert ex.compile_expr(dag, ("x",))(1.0) == 2.0**40
 
 
+def _distinct_nodes(node) -> int:
+    seen, stack = set(), [node]
+    while stack:
+        nd = stack.pop()
+        if id(nd) not in seen:
+            seen.add(id(nd))
+            stack.extend(getattr(nd, a) for a in ("arg", "left", "right") if hasattr(nd, a))
+    return len(seen)
+
+
+def test_substitute_keeps_shared_subtrees():
+    node = ex.parse("exp(-x-y)/(1+x+2*y)")
+    for _ in range(3):
+        node = ex.diff(node, "y")
+    at_zero = ex.substitute(node, "y", ex.Num(0.0))
+    assert _distinct_nodes(at_zero) <= _distinct_nodes(node)
+    for x in (0.0, 0.7, 3.0):
+        _assert_compiled_matches_evaluate(at_zero, {"x": x})
+        assert ex.evaluate(at_zero, {"x": x}) == ex.evaluate(node, {"x": x, "y": 0.0})
+
+
 def test_compiled_unbound_name_raises_when_called():
     compiled = ex.compile_expr(ex.parse("x+z"), ("x",))  # compiling does not raise
     with pytest.raises(ex.EvalError, match="unbound variable 'z'"):

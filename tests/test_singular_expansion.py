@@ -116,6 +116,20 @@ def test_remainder_sampler_notes_coefficient_without_second_derivative():
         assert math.isnan(c) == (K == 2), (J, K)
 
 
+def test_remainder_sampler_keeps_the_imaginary_part_of_exponents():
+    # zeta^-1.5 cos(2 ln zeta) is the sum of the conjugate terms zeta^(-1.5 +- 2i)/2,
+    # so sigma equals its declared terms and every sampled remainder is 0
+    cf = schwartz("0.5*exp(-x)")
+    sig = sigma_from_expression(
+        "exp(-x)*zeta^(-1.5)*cos(2*log(zeta))", order=1,
+        terms=[SigmaTerm(complex(-1.5, s), (cf,)) for s in (2.0, -2.0)],
+        zeta_vanishes_below=1.0,
+    )
+    diag = check_hypotheses(sig)
+    assert diag.ok and diag.remainder_constants
+    assert all(abs(c) < 1e-9 for c in diag.remainder_constants.values())
+
+
 def test_finite_difference_derivative_stays_inside_the_support():
     # step(5-x) blocks symbolic differentiation; at the edge x=0 of x_support
     # the stencil must not read the zeros that the support puts at x < 0
