@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from . import expressions as ex
@@ -49,6 +49,7 @@ __all__ = [
     "mellin_finite_part",
     "rescale",
     "scale_reg_integral",
+    "scaling_rule",
     "power_log_multiply",
     "check_expansion_consistency",
 ]
@@ -70,23 +71,31 @@ class ExpansionSide:
     terms: tuple[Term, ...]
     order: float
     side: str  # "zero" | "infinity"
+    # (exponent, coefficients from the top power down) per term, for evaluation
+    _table: tuple[tuple[complex, tuple[complex, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.side not in ("zero", "infinity"):
             raise ValueError(f"side must be 'zero' or 'infinity', got {self.side!r}")
-        res = [t.exponent.real for t in self.terms]
+        # terms run from the leading one; terms of equal Re, such as a
+        # conjugate pair, must differ in Im
+        exps = [t.exponent for t in self.terms]
+        sign = 1.0 if self.side == "zero" else -1.0
+        for a, b in zip(exps, exps[1:]):
+            if sign * (b.real - a.real) < 0 or b == a:
+                raise ValueError(
+                    f"{self.side}-side exponents must run from the leading term and differ, "
+                    f"got {a} before {b}"
+                )
+        res = [e.real for e in exps]
         if self.side == "zero":
-            if any(b - a <= 0 for a, b in zip(res, res[1:])):
-                raise ValueError("zero-side exponents must have strictly increasing Re")
             if res and res[-1] > self.order - 1 + EXPONENT_TOL:
                 raise ValueError(
                     f"zero-side exponent {res[-1]} exceeds order-1 = {self.order - 1}"
                 )
         else:
-            if any(a - b <= 0 for a, b in zip(res, res[1:])):
-                raise ValueError(
-                    "infinity-side exponents must have strictly decreasing Re"
-                )
             if res and res[-1] < -self.order - 1 - EXPONENT_TOL:
                 raise ValueError(
                     f"infinity-side exponent {res[-1]} below -order-1 = {-self.order - 1}"
@@ -94,6 +103,9 @@ class ExpansionSide:
         for t in self.terms:
             if t.poly.is_zero:
                 raise ValueError(f"term at exponent {t.exponent} has zero polynomial")
+        object.__setattr__(
+            self, "_table", tuple((t.exponent, t.poly.coeffs[::-1]) for t in self.terms)
+        )
 
     def poly_at(self, exponent: complex) -> LogPolynomial:
         for t in self.terms:
@@ -102,12 +114,28 @@ class ExpansionSide:
         return LogPolynomial()
 
     def __call__(self, x: float) -> complex:
-        if not self.terms:
+        if not self._table:
             return 0j
-        L = math.log(x)
-        return sum(
-            cmath.exp(t.exponent * L) * t.poly(L) for t in self.terms
-        )
+        return self.at_log(math.log(x))
+
+    def at_log(self, L: float) -> complex:
+        """The expansion at x = e^L.
+
+        The same operations in the same order as summing
+        ``cmath.exp(t.exponent * L) * t.poly(L)`` over the terms with ``sum``,
+        so the value is identical to the last bit; pure-power cancellation
+        in the subtracted integrands depends on that.
+        """
+        if not self._table:
+            return 0j
+        exp = cmath.exp
+        total = 0
+        for alpha, coeffs in self._table:
+            acc = 0j
+            for c in coeffs:
+                acc = acc * L + c
+            total += exp(alpha * L) * acc
+        return total
 
     @property
     def exponents(self) -> tuple[complex, ...]:
@@ -392,21 +420,26 @@ def mellin(f: AsymFunction, z: complex, tol: float = DEFAULT_TOL) -> MellinResul
     if any(abs(z - pole.location) <= EXPONENT_TOL for pole in poles):
         return MellinResult(None, poles)
 
-    def weight(x: float) -> complex:
-        return cmath.exp((z - 1.0) * math.log(x))
-
     # decay rates of the subtracted integrands in the transformed variable;
     # cap the range so the x^{z-1} weight cannot amplify cancellation noise
     lam0 = p + min(z.real, 1.0)
     lam_inf = q + 1.0 - max(z.real - 1.0, 0.0)
     u0 = min(max(1.5 * math.log(1.0 / tol) / lam0 + 10.0, 25.0), 200.0)
     u1 = min(max(1.5 * math.log(1.0 / tol) / lam_inf + 10.0, 25.0), 200.0)
-    low, _ = quad_01(
-        lambda x: (f(x) - f.exp0(x)) * weight(x), tol, points=f.quad_points(), u_max=u0
-    )
-    high, _ = quad_1inf(
-        lambda x: (f(x) - f.exp_inf(x)) * weight(x), tol, points=f.quad_points(), u_max=u1
-    )
+    zm1 = z - 1.0
+    at0, at_inf = f.exp0.at_log, f.exp_inf.at_log
+
+    # one log per node, shared by the subtracted side and the weight x^{z-1}
+    def low_fn(x: float) -> complex:
+        L = math.log(x)
+        return (f(x) - at0(L)) * cmath.exp(zm1 * L)
+
+    def high_fn(x: float) -> complex:
+        L = math.log(x)
+        return (f(x) - at_inf(L)) * cmath.exp(zm1 * L)
+
+    low, _ = quad_01(low_fn, tol, points=f.quad_points(), u_max=u0)
+    high, _ = quad_1inf(high_fn, tol, points=f.quad_points(), u_max=u1)
     val = low + high
     for t in f.exp0.terms:
         for k, c in enumerate(t.poly.coeffs):
@@ -468,14 +501,25 @@ def rescale(f: AsymFunction, t: float) -> AsymFunction:
     )
 
 
-def scale_reg_integral(f: AsymFunction, t: float, tol: float = DEFAULT_TOL) -> complex:
-    """Regularized integral of x -> f(t x) via the closed-form scaling rule."""
+def scaling_rule(f: AsymFunction, t: float, base: complex) -> complex:
+    """Regularized integral of x -> f(t x) from ``base``, the one of f itself.
+
+    Callers that scale one function by many t compute ``reg_integral(f)``
+    once and pass it here for each t.
+    """
     if t <= 0:
         raise ValueError("scale factor must be positive")
     lt = math.log(t)
     q_anti = f.exp_inf.poly_at(-1).antiderivative()
     p_anti = f.exp0.poly_at(-1).antiderivative()
-    return (reg_integral(f, tol) + q_anti(lt) - p_anti(lt)) / t
+    return (base + q_anti(lt) - p_anti(lt)) / t
+
+
+def scale_reg_integral(f: AsymFunction, t: float, tol: float = DEFAULT_TOL) -> complex:
+    """Regularized integral of x -> f(t x) via the closed-form scaling rule."""
+    if t <= 0:
+        raise ValueError("scale factor must be positive")
+    return scaling_rule(f, t, reg_integral(f, tol))
 
 
 def power_log_multiply(f: AsymFunction, alpha: complex, j: int = 0) -> AsymFunction:
@@ -485,8 +529,12 @@ def power_log_multiply(f: AsymFunction, alpha: complex, j: int = 0) -> AsymFunct
     def shift(side: ExpansionSide) -> list[tuple[complex, LogPolynomial]]:
         return [(t.exponent + alpha, t.poly.times_log_power(j)) for t in side.terms]
 
+    def fn(x: float) -> complex:
+        L = math.log(x)
+        return f(x) * cmath.exp(alpha * L) * L**j
+
     return AsymFunction(
-        fn=lambda x: f(x) * cmath.exp(alpha * math.log(x)) * math.log(x) ** j,
+        fn=fn,
         exp0=make_side(shift(f.exp0), f.exp0.order + alpha.real, "zero"),
         exp_inf=make_side(shift(f.exp_inf), f.exp_inf.order - alpha.real, "infinity"),
         support=f.support,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .asymfun import (
     mellin_finite_part,
     reg_integral,
     rescale,
-    scale_reg_integral,
+    scaling_rule,
 )
 from .indexsets import (
     DEFAULT_TRUNCATION,
@@ -141,10 +142,11 @@ def _run_mellin(payload, args):
 
 def _run_substitution(payload, args):
     f = from_json(_require(payload, "function", "substitution"))
+    ts = [float(t) for t in _require(payload, "t", "substitution")]
+    base = reg_integral(f) if ts else None
     rows = []
-    for t in _require(payload, "t", "substitution"):
-        t = float(t)
-        scaled = scale_reg_integral(f, t)
+    for t in ts:
+        scaled = scaling_rule(f, t, base)
         direct = reg_integral(rescale(f, t))
         rows.append(
             {
@@ -176,6 +178,19 @@ def _sigma_from_json(d: dict) -> SigmaFunction:
     return sig
 
 
+def _diagnostics_json(diag) -> dict:
+    return {
+        "ok": diag.ok,
+        "growthModel": diag.growth_model,
+        "growthExponent": diag.growth_exponent,
+        "notes": list(diag.notes),
+        "boundaryIntegrals": {str(j): v for j, v in diag.boundary_integrals.items()},
+        "remainderConstants": {
+            f"{J},{K}": c for (J, K), c in diag.remainder_constants.items()
+        },
+    }
+
+
 def _run_sal(payload, args):
     sigma = _sigma_from_json(_require(payload, "sigma", "sal"))
     run_diag = bool(payload.get("diagnostics", False))
@@ -191,12 +206,7 @@ def _run_sal(payload, args):
         failure = e
         rep = None
     if diag is not None:
-        report["diagnostics"] = {
-            "ok": diag.ok,
-            "growthModel": diag.growth_model,
-            "notes": list(diag.notes),
-            "boundaryIntegrals": {str(j): v for j, v in diag.boundary_integrals.items()},
-        }
+        report["diagnostics"] = _diagnostics_json(diag)
     if rep is not None and payload.get("verifyGrid"):
         vr = verify_expansion(rep.expansion, sigma, [float(z) for z in payload["verifyGrid"]])
         report["verification"] = {
@@ -315,11 +325,22 @@ _HANDLERS = {
 }
 
 
+def _strict_json(v):
+    """``v`` with each non-finite float replaced by "inf", "-inf" or "nan"."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else str(float(v))
+    if isinstance(v, dict):
+        return {k: _strict_json(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict_json(x) for x in v]
+    return v
+
+
 def _write_report(report: dict, out_dir: Path, stem: str, rows, args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{stem}.report.json"
     with path.open("w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     if rows is not None and not args.json_only:
         digits = args.precision
@@ -362,11 +383,7 @@ def _cmd_run(args) -> int:
         report = {
             "kind": spec.get("kind"),
             "error": str(e),
-            "diagnostics": {
-                "ok": e.diagnostics.ok,
-                "growthModel": e.diagnostics.growth_model,
-                "notes": list(e.diagnostics.notes),
-            },
+            "diagnostics": _diagnostics_json(e.diagnostics),
         }
         _write_report(report, out_dir, stem, None, args)
         print(f"hypothesis diagnostics failed: {e}", file=sys.stderr)

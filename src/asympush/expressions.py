@@ -20,7 +20,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence
 
 __all__ = [
     "Expr",
@@ -90,7 +90,7 @@ class Call:
     arg: "Expr"
 
 
-Expr = Union[Num, Var, Neg, BinOp, Call]
+Expr = Num | Var | Neg | BinOp | Call
 Bindings = Mapping[str, float]
 
 

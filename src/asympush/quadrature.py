@@ -110,9 +110,12 @@ def quad_01(f, tol: float = DEFAULT_TOL, points=None, u_max: float = U_MAX):
     pts = [u for u in _U_SPLITS if u < u_max]
     if points:
         pts += [-math.log(p) for p in points if math.exp(-u_max) < p < 1.0]
-    val, err = _quad(
-        lambda u: f(math.exp(-u)) * math.exp(-u), 0.0, u_max, tol, points=pts
-    )
+
+    def g(u):
+        x = math.exp(-u)
+        return f(x) * x
+
+    val, err = _quad(g, 0.0, u_max, tol, points=pts)
     return _check(val, err, tol, "(0, 1]")
 
 
@@ -121,7 +124,10 @@ def quad_1inf(f, tol: float = DEFAULT_TOL, points=None, u_max: float = U_MAX):
     pts = [u for u in _U_SPLITS if u < u_max]
     if points:
         pts += [math.log(p) for p in points if 1.0 < p < math.exp(u_max)]
-    val, err = _quad(
-        lambda u: f(math.exp(u)) * math.exp(u), 0.0, u_max, tol, points=pts
-    )
+
+    def g(u):
+        x = math.exp(u)
+        return f(x) * x
+
+    val, err = _quad(g, 0.0, u_max, tol, points=pts)
     return _check(val, err, tol, "[1, inf)")

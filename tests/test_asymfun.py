@@ -2,9 +2,12 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asympush.asymfun import (
     AsymFunction,
+    ExpansionSide,
+    Term,
     from_expression,
     from_json,
     lim_inf,
@@ -40,6 +43,22 @@ def test_side_validation():
         make_side([(5.0, LogPolynomial((1.0,)))], 2.0, "zero")
     with pytest.raises(ValueError):
         make_side([(-5.0, LogPolynomial((1.0,)))], 2.0, "infinity")
+
+
+def test_side_admits_a_conjugate_pair_and_rejects_a_wrong_order():
+    pair = [(complex(-1.5, s), LogPolynomial((0.5,))) for s in (2.0, -2.0)]
+    for side, order in (("zero", 1.0), ("infinity", 0.5)):
+        expansion = make_side(pair, order, side)
+        assert len(expansion.terms) == 2
+        x = 3.0
+        assert expansion(x) == pytest.approx(x**-1.5 * math.cos(2.0 * math.log(x)), rel=1e-14)
+    one = LogPolynomial((1.0,))
+    with pytest.raises(ValueError):
+        ExpansionSide((Term(1j, one), Term(-0.5, one)), 2.0, "zero")
+    with pytest.raises(ValueError):
+        ExpansionSide((Term(1j, one), Term(1j, one)), 2.0, "zero")
+    with pytest.raises(ValueError):
+        ExpansionSide((Term(-2.0, one), Term(-1.0, one)), 4.0, "infinity")
 
 
 def test_pure_power_reg_is_zero():
@@ -187,3 +206,33 @@ def test_complex_exponent_reg():
     f = pure_power(alpha, 1)
     assert abs(reg_integral(f)) <= 1e-12
     assert isinstance(f(2.0), complex)
+
+
+_term = st.tuples(
+    st.floats(0.05, 1.5),  # step of Re(exponent) from the previous term
+    st.sampled_from([0.0, 0.0, 0.75, -2.0]),  # Im(exponent)
+    st.lists(  # coefficients of ln^0 .. ln^3
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(lambda c: complex(*c)),
+        min_size=1, max_size=4,
+    ).filter(lambda cs: cs[-1] != 0),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_term, min_size=1, max_size=5), st.floats(1e-6, 1e6))
+def test_side_evaluation_is_bit_identical_to_the_term_sum(raw, x):
+    re, terms = -4.0, []
+    for step, im, coeffs in raw:
+        re += step
+        terms.append((complex(re, im), LogPolynomial(coeffs)))
+    side = make_side(terms, re + 1.0, "zero")
+    L = math.log(x)
+    want = sum(cmath.exp(t.exponent * L) * t.poly(L) for t in side.terms)
+    for got in (side(x), side.at_log(L)):
+        assert got.real == want.real and got.imag == want.imag
+
+
+def test_empty_side_evaluates_to_complex_zero():
+    side = make_side([], 1.0, "infinity")
+    assert side(2.0) == 0j and isinstance(side(2.0), complex)
+    assert side.at_log(0.5) == 0j and isinstance(side.at_log(0.5), complex)

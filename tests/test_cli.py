@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from asympush import asymfun, cli
+from asympush.asymfun import from_json, scale_reg_integral
 from asympush.cli import main
 
 
@@ -67,27 +69,29 @@ def test_indexset_push_spec(tmp_path):
     assert got == [(float(n), 0.0, k) for n in range(5) for k in (0, 1)]
 
 
+ONE_OVER_ONE_PLUS_X = {
+    "expr": "1/(1+x)",
+    "zero": {
+        "order": 8.0,
+        "terms": [
+            {"exponent": [float(m), 0.0], "logCoeffs": [[(-1.0) ** m, 0.0]]}
+            for m in range(8)
+        ],
+    },
+    "infinity": {
+        "order": 7.0,
+        "terms": [
+            {"exponent": [-float(m), 0.0], "logCoeffs": [[(-1.0) ** (m + 1), 0.0]]}
+            for m in range(1, 8)
+        ],
+    },
+}
+
+
 def test_substitution_spec(tmp_path):
-    one_over = {
-        "expr": "1/(1+x)",
-        "zero": {
-            "order": 8.0,
-            "terms": [
-                {"exponent": [float(m), 0.0], "logCoeffs": [[(-1.0) ** m, 0.0]]}
-                for m in range(8)
-            ],
-        },
-        "infinity": {
-            "order": 7.0,
-            "terms": [
-                {"exponent": [-float(m), 0.0], "logCoeffs": [[(-1.0) ** (m + 1), 0.0]]}
-                for m in range(1, 8)
-            ],
-        },
-    }
     spec = write_spec(
         tmp_path / "sub.json",
-        {"kind": "substitution", "function": one_over, "t": [0.5, 2.0]},
+        {"kind": "substitution", "function": ONE_OVER_ONE_PLUS_X, "t": [0.5, 2.0]},
     )
     assert main(["run", spec, "--json-only"]) == 0
     rep = read_report(tmp_path, "sub")
@@ -95,6 +99,43 @@ def test_substitution_spec(tmp_path):
         t = row["t"]
         assert row["value"][0] == pytest.approx(math.log(t) / t, abs=1e-8)
         assert row["agreement"] <= 1e-8
+
+
+def test_substitution_rows_match_the_scaling_rule_and_share_one_reg_integral(tmp_path, monkeypatch):
+    ts = [0.25, 0.5, 2.0, 7.0]
+    spec = write_spec(
+        tmp_path / "sub.json",
+        {"kind": "substitution", "function": ONE_OVER_ONE_PLUS_X, "t": ts},
+    )
+    calls = []
+    real_reg = asymfun.reg_integral
+
+    def counting_reg(f, *a, **kw):
+        calls.append(f)
+        return real_reg(f, *a, **kw)
+
+    monkeypatch.setattr(asymfun, "reg_integral", counting_reg)
+    monkeypatch.setattr(cli, "reg_integral", counting_reg)
+    assert main(["run", spec, "--json-only"]) == 0
+    # one call on the spec's function (it carries its AST), one per rescaled copy
+    assert sum(f.ast is not None for f in calls) == 1
+    assert len(calls) == 1 + len(ts)
+    monkeypatch.undo()
+    f = from_json(ONE_OVER_ONE_PLUS_X)
+    rows = read_report(tmp_path, "sub")["values"]
+    assert [row["t"] for row in rows] == ts
+    for row in rows:
+        want = scale_reg_integral(f, row["t"])
+        assert row["value"] == [want.real, want.imag]
+
+
+def test_substitution_rejects_nonpositive_t(tmp_path, capsys):
+    spec = write_spec(
+        tmp_path / "sub.json",
+        {"kind": "substitution", "function": ONE_OVER_ONE_PLUS_X, "t": [1.0, 0.0]},
+    )
+    assert main(["run", spec, "--json-only"]) == 2
+    assert "invalid spec" in capsys.readouterr().err
 
 
 def test_sal_spec_with_verification(tmp_path):
@@ -185,3 +226,72 @@ def test_selftest_filter(capsys):
 
 def test_selftest_unknown_filter(capsys):
     assert main(["selftest", "--filter", "42"]) == 2
+
+
+def _schwartz_json(expr: str, scale: float, n: int = 8) -> dict:
+    """scale * exp(-x) with its Taylor terms at 0 and nothing at infinity."""
+    return {
+        "expr": expr,
+        "zero": {
+            "order": n + 1.0,
+            "terms": [
+                {"exponent": [float(m), 0.0], "logCoeffs": [[scale * (-1.0) ** m / math.factorial(m), 0.0]]}
+                for m in range(n + 1)
+            ],
+        },
+        "infinity": {"order": 40.0, "terms": []},
+    }
+
+
+def test_sal_report_carries_all_diagnostics(tmp_path):
+    # zeta^-1.5 cos(2 ln zeta) is the sum of the conjugate terms zeta^(-1.5 +- 2i)/2,
+    # so sigma equals its declared terms and every sampled remainder is 0
+    cf = _schwartz_json("0.5*exp(-x)", 0.5)
+    spec = write_spec(
+        tmp_path / "sal.json",
+        {
+            "kind": "sal",
+            "sigma": {
+                "expr": "exp(-x)*zeta^(-1.5)*cos(2*log(zeta))",
+                "order": 1,
+                "terms": [{"exponent": [-1.5, s], "coeffs": [cf]} for s in (2.0, -2.0)],
+                "zetaVanishesBelow": 1.0,
+            },
+            "diagnostics": True,
+        },
+    )
+    assert main(["run", spec, "--json-only"]) == 0
+    diag = read_report(tmp_path, "sal")["diagnostics"]
+    assert diag["ok"] is True
+    assert set(diag) == {
+        "ok", "growthModel", "growthExponent", "notes", "boundaryIntegrals", "remainderConstants",
+    }
+    consts = diag["remainderConstants"]
+    assert consts and all(k.count(",") == 1 for k in consts)
+    assert all(abs(c) < 1e-9 for c in consts.values())
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report holds the non-JSON token {name}")
+
+
+def test_failed_diagnostics_report_is_strict_json(tmp_path):
+    # the theta-scan integral of 1/(x + zeta) diverges: growth exponent inf
+    spec = write_spec(
+        tmp_path / "diag.json",
+        {"kind": "sal", "sigma": {"expr": "1/(x+zeta)", "order": 0}, "diagnostics": True},
+    )
+    assert main(["run", spec, "--json-only"]) == 4
+    text = (tmp_path / "diag.report.json").read_text()
+    diag = json.loads(text, parse_constant=_reject_constant)["diagnostics"]
+    assert diag["ok"] is False
+    assert diag["growthExponent"] == "inf"
+    assert diag["boundaryIntegrals"] == {}
+    assert set(diag["remainderConstants"]) == {"0,0", "1,0"}
+
+
+def test_strict_json_spells_out_non_finite_numbers():
+    report = {"a": [math.inf, -math.inf, (math.nan, 1.5)], "b": {"c": 2, "d": None}}
+    assert cli._strict_json(report) == {
+        "a": ["inf", "-inf", ["nan", 1.5]], "b": {"c": 2, "d": None},
+    }

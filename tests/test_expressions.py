@@ -1,4 +1,8 @@
+import gc
+import importlib
 import math
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,3 +241,23 @@ def test_compiled_unbound_name_raises_when_called():
         compiled(1.0)
     with pytest.raises(ex.EvalError, match="log of non-positive"):  # the earlier node raises first
         ex.compile_expr(ex.parse("log(x)+z"), ("x",))(0.0)
+
+
+def test_reimported_module_is_freed():
+    # a re-imported copy of the module must not be kept alive by a
+    # process-wide cache (as typing's Union cache did with the node classes)
+    saved = {k: m for k, m in sys.modules.items() if k.split(".")[0] == "asympush"}
+    try:
+        for k in saved:
+            del sys.modules[k]
+        fresh = importlib.import_module("asympush.expressions")
+        assert fresh.Num is not ex.Num
+        fresh.compile_expr(fresh.parse("x*exp(-x)"), ("x",))(1.0)
+        ref = weakref.ref(fresh.Num)
+        del fresh
+    finally:
+        for k in [k for k in sys.modules if k.split(".")[0] == "asympush"]:
+            del sys.modules[k]
+        sys.modules.update(saved)
+    gc.collect()
+    assert ref() is None
