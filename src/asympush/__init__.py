@@ -15,6 +15,7 @@ The package turns three pieces of asymptotic analysis into computations:
 from .asymfun import (
     AsymFunction,
     ExpansionSide,
+    HigherOrderPoleError,
     Term,
     from_expression,
     from_json,

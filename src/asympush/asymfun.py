@@ -36,6 +36,7 @@ __all__ = [
     "AsymFunction",
     "MellinPole",
     "MellinResult",
+    "HigherOrderPoleError",
     "make_side",
     "from_expression",
     "pure_power",
@@ -394,17 +395,24 @@ class MellinResult:
     poles: tuple[MellinPole, ...]
 
 
+class HigherOrderPoleError(ValueError):
+    """A finite part asked for at a Mellin pole of order 2 or more."""
+
+
 def _poles_in_strip(f: AsymFunction) -> tuple[MellinPole, ...]:
+    """Poles of the continuation in its strip; where both sides put a pole, the larger order."""
     lo, hi = 1.0 - f.exp0.order, 1.0 + f.exp_inf.order
-    poles = []
-    for t in f.exp0.terms:
-        z0 = -t.exponent
-        if lo < z0.real < hi:
-            poles.append(MellinPole(z0, t.poly.degree + 1))
-    for t in f.exp_inf.terms:
-        z0 = -t.exponent
-        if lo < z0.real < hi and not any(abs(p.location - z0) <= EXPONENT_TOL for p in poles):
-            poles.append(MellinPole(z0, t.poly.degree + 1))
+    poles: list[MellinPole] = []
+    for t in (*f.exp0.terms, *f.exp_inf.terms):
+        z0, order = -t.exponent, t.poly.degree + 1
+        if not lo < z0.real < hi:
+            continue
+        for i, p in enumerate(poles):
+            if abs(p.location - z0) <= EXPONENT_TOL:
+                poles[i] = MellinPole(p.location, max(p.order, order))
+                break
+        else:
+            poles.append(MellinPole(z0, order))
     return tuple(sorted(poles, key=lambda p: (p.location.real, p.location.imag)))
 
 
@@ -461,8 +469,16 @@ def mellin_finite_part(
     """Zeroth Laurent coefficient at z0 by symmetric sampling plus Richardson.
 
     The symmetric average cancels odd-order pole parts; the Richardson step
-    removes the leading quadratic error of the analytic remainder.
+    removes the leading quadratic error of the analytic remainder.  Within
+    EXPONENT_TOL of a pole of order 2 or more the even-order part would
+    swamp the result, so HigherOrderPoleError is raised there instead.
     """
+    for pole in _poles_in_strip(f):
+        if pole.order >= 2 and abs(z0 - pole.location) <= EXPONENT_TOL:
+            raise HigherOrderPoleError(
+                f"finite part at z0 = {z0}: pole of order {pole.order} at {pole.location}; "
+                "symmetric sampling cancels simple poles only"
+            )
     e1, e2 = eps
 
     def sym(e: float) -> complex:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from asympush.asymfun import (
     AsymFunction,
     ExpansionSide,
+    HigherOrderPoleError,
     Term,
     from_expression,
     from_json,
@@ -155,6 +156,52 @@ def test_finite_part_at_regular_point_is_value():
     f = power_log_multiply(schwartz("exp(-x)", n_taylor=12), -0.5)
     # no pole at 1: the transform there is just the convergent integral
     assert mellin_finite_part(f, 1.0) == pytest.approx(math.gamma(0.5), abs=1e-7)
+
+
+# x^0 ln x e^(-x) with its Taylor data at 0: its Mellin transform is Gamma'(z),
+# with a double pole at 0 whose finite part is gamma^2/2 + pi^2/12
+LOG_EXP_JSON = {
+    "expr": "x^(0.0)*exp(-1.0*x)*log(x)",
+    "zero": {
+        "order": 8.5,
+        "terms": [
+            {"exponent": [float(m), 0.0], "logCoeffs": [[0.0, 0.0], [(-1.0) ** m / math.factorial(m), 0.0]]}
+            for m in range(8)
+        ],
+    },
+    "infinity": {"order": 40.0, "terms": []},
+}
+
+
+def test_finite_part_at_double_pole_raises():
+    f = from_json(LOG_EXP_JSON)
+    assert any(abs(p.location) < 1e-12 and p.order == 2 for p in mellin(f, 0.0).poles)
+    for z0 in (0.0, 1e-12):  # on the pole, and within EXPONENT_TOL of it
+        with pytest.raises(HigherOrderPoleError, match="order 2") as info:
+            mellin_finite_part(f, z0)
+        assert isinstance(info.value, ValueError)
+
+
+def test_finite_part_at_simple_pole_and_regular_point_unchanged():
+    # Gamma(z) = 1/z - gamma + O(z) at its simple pole 0
+    assert mellin_finite_part(schwartz("exp(-x)", n_taylor=10), 0.0) == pytest.approx(-EULER_GAMMA, abs=1e-6)
+    # Gamma'(1/2) = Gamma(1/2) psi(1/2), a regular point of the double-pole function
+    f = from_json(LOG_EXP_JSON)
+    want = math.gamma(0.5) * (-EULER_GAMMA - 2.0 * math.log(2.0))
+    assert mellin_finite_part(f, 0.5) == pytest.approx(want, abs=1e-6)
+
+
+def test_pole_order_is_the_larger_of_the_two_sides():
+    # zero side x^0, infinity side x^0 (1 + ln x): both put a pole at 0,
+    # simple from the zero side and double from the infinity side
+    f = from_expression(
+        "1+log(1+x)",
+        zero_terms=[(0.0, [1.0]), (1.0, [1.0])], order_zero=2.0,
+        inf_terms=[(0.0, [1.0, 1.0])], order_inf=1.0,
+    )
+    assert [(p.location, p.order) for p in mellin(f, 0.0).poles] == [(0j, 2)]
+    with pytest.raises(HigherOrderPoleError, match="order 2"):
+        mellin_finite_part(f, 0.0)
 
 
 def test_power_log_multiply_shifts_data():

@@ -176,6 +176,28 @@ def test_separable_spec(tmp_path):
     assert const[0]["logCoeffs"][0][0] == pytest.approx(-0.5772156649015329, abs=1e-8)
 
 
+def test_finite_part_at_double_pole_exits_2(tmp_path, capsys):
+    # x^0 ln x e^(-x): its Mellin transform Gamma'(z) has a double pole at 0
+    log_exp = {
+        "expr": "exp(-x)*log(x)",
+        "zero": {
+            "order": 6.5,
+            "terms": [
+                {"exponent": [float(m), 0.0], "logCoeffs": [[0.0, 0.0], [(-1.0) ** m / math.factorial(m), 0.0]]}
+                for m in range(6)
+            ],
+        },
+        "infinity": {"order": 40.0, "terms": []},
+    }
+    spec = write_spec(
+        tmp_path / "mel.json",
+        {"kind": "mellin", "function": log_exp, "points": [[0.5, 1.0]], "finitePartAt": 0.0},
+    )
+    assert main(["run", spec, "--json-only"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and "pole of order 2" in err
+
+
 def test_invalid_kind_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path / "bad.json", {"kind": "nonsense"})
     assert main(["run", spec]) == 2

@@ -243,6 +243,41 @@ def test_compiled_unbound_name_raises_when_called():
         ex.compile_expr(ex.parse("log(x)+z"), ("x",))(0.0)
 
 
+def test_compiled_shape_is_compiled_once(monkeypatch):
+    sources = []
+
+    def counting_compile(src, *args):
+        sources.append(src)
+        return compile(src, *args)
+
+    monkeypatch.setattr(ex, "compile", counting_compile, raising=False)
+    ex._code.cache_clear()
+    f = ex.compile_expr(ex.parse("2.5*x+1"), ("x",))
+    g = ex.compile_expr(ex.parse("0.5*x+7"), ("x",))  # same shape, other constants
+    assert f(2.0) == 6.0 and g(2.0) == 8.0 and f(2.0) == 6.0
+    assert len(sources) == 1
+    assert ex._code.cache_info().hits == 1
+
+
+def test_compiled_shape_unbound_name_raises_when_called():
+    ex._code.cache_clear()
+    fs = [ex.compile_expr(ex.parse(text), ("x",)) for text in ("2*x+z", "3*x+z")]  # no raise
+    assert ex._code.cache_info().currsize == 1
+    for f in fs:
+        with pytest.raises(ex.EvalError, match="unbound variable 'z'"):
+            f(1.0)
+
+
+def test_compiled_shape_cache_is_bounded():
+    ex._code.cache_clear()
+    node = ex.Var("x")
+    for k in range(ex._CODE_CACHE_SIZE + 20):  # each sum one term longer: a new shape
+        node = ex.BinOp("+", node, ex.Num(float(k)))
+        assert ex.compile_expr(node, ("x",))(0.5) == 0.5 + k * (k + 1) / 2
+        assert ex._code.cache_info().currsize <= ex._CODE_CACHE_SIZE
+    assert ex._code.cache_info().currsize == ex._CODE_CACHE_SIZE
+
+
 def test_reimported_module_is_freed():
     # a re-imported copy of the module must not be kept alive by a
     # process-wide cache (as typing's Union cache did with the node classes)
