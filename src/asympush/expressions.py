@@ -10,8 +10,9 @@ Grammar (EBNF, see docs/expression-grammar.md):
 
 "^" is right-associative and binds tighter than unary minus; its exponent
 must be a constant expression so that differentiation stays inside the
-language.  Known functions: exp, log, sin, cos, sqrt, step.  step(s) is the
-right-continuous Heaviside function (step(0) = 1).
+language.  Parentheses, calls, unary minus signs and exponents nest at most
+MAX_NESTING deep.  Known functions: exp, log, sin, cos, sqrt, step.  step(s)
+is the right-continuous Heaviside function (step(0) = 1).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -41,6 +43,7 @@ __all__ = [
     "free_vars",
     "substitute",
     "central_fd",
+    "MAX_NESTING",
 ]
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "step")
@@ -96,152 +99,143 @@ Bindings = Mapping[str, float]
 
 # ---------------------------------------------------------------------------
 # tokenizer / parser
+#
+# A token is a tuple (kind, text, offset).  The kind of an operator or a
+# parenthesis is its own character; the others are "num", "name" and "end".
+
+MAX_NESTING = 100  # parentheses, unary minus signs and '^' exponents open inside one another
+
+# The lexical classes are those of str: whitespace is isspace(), a digit is
+# isdigit(), a name starts with isalpha() or "_" and goes on with isalnum() or
+# "_".  In a str pattern, \s and \w are exactly the first and the last of
+# these, but \d is isdecimal(); the digits that are not decimal (superscripts,
+# circled digits) and the numerals that are neither letters nor digits are
+# added to the pattern for a text that holds them.
+_TOKEN = (
+    r"([-+*/^()])"  # 1: operator or parenthesis
+    r"|((?:[{d}]|\.[{d}])[{d}.]*(?:[eE][+-]?[{d}]+)?)"  # 2: number
+    r"|({a}\w*)"  # 3: name
+    r"|\s+"
+    r"|(.)"  # 4: anything else
+)
+_SCAN = re.compile(_TOKEN.format(d=r"\d", a=r"[^\W\d]")).finditer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num", "name", "op", "lparen", "rparen", "end"
-    text: str
-    offset: int
+def _scanner(text: str):
+    """finditer of the token pattern, with the odd digits and numerals of text added if it has any."""
+    if text.isascii():
+        return _SCAN
+    odd = "".join({c for c in text if c.isalnum() and not (c.isalpha() or c.isdecimal())})
+    if not odd:
+        return _SCAN
+    digits = re.escape("".join(c for c in odd if c.isdigit()))
+    return re.compile(_TOKEN.format(d=r"\d" + digits, a="(?![" + re.escape(odd) + r"])[^\W\d]")).finditer
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of text, from one scan, and an "end" token."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lit = text[i:j]
+    for m in _scanner(text)(text):
+        kind, lit, i = m.lastindex, m[0], m.start()
+        if kind == 1:
+            tokens.append((lit, lit, i))
+        elif kind == 2:
             try:
                 float(lit)
             except ValueError:
                 raise ExprSyntaxError(f"malformed number {lit!r}", i) from None
-            tokens.append(_Token("num", lit, i))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-        elif c in "+-*/^":
-            tokens.append(_Token("op", c, i))
-            i += 1
-        elif c == "(":
-            tokens.append(_Token("lparen", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(_Token("rparen", c, i))
-            i += 1
-        else:
-            raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+            tokens.append(("num", lit, i))
+        elif kind == 3:
+            tokens.append(("name", lit, i))
+        elif kind == 4:
+            raise ExprSyntaxError(f"unexpected character {lit!r}", i)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+# Each rule takes the token list, the index of its first token and the
+# nesting depth, and returns its node and the index of the token after it.
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _nest(depth: int, tok: tuple) -> int:
+    if depth == MAX_NESTING:
+        raise ExprSyntaxError(f"expression nested more than {MAX_NESTING} deep", tok[2])
+    return depth + 1
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(
-                f"expected {what}, found {tok.text or 'end of input'!r}", tok.offset
-            )
-        return self.next()
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            node = BinOp(op, node, self.parse_term())
-        return node
+def _expect_rparen(tokens: list, i: int) -> int:
+    kind, lit, offset = tokens[i]
+    if kind != ")":
+        raise ExprSyntaxError(f"expected ')', found {lit or 'end of input'!r}", offset)
+    return i + 1
 
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            node = BinOp(op, node, self.parse_factor())
-        return node
 
-    def parse_factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
-            return Neg(self.parse_factor())
-        return self.parse_power()
+def _parse_expr(tokens: list, i: int, depth: int) -> tuple[Expr, int]:
+    node, i = _parse_term(tokens, i, depth)
+    op = tokens[i][0]
+    while op == "+" or op == "-":
+        right, i = _parse_term(tokens, i + 1, depth)
+        node = BinOp(op, node, right)
+        op = tokens[i][0]
+    return node, i
 
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.next()
-            exponent = self.parse_factor()  # right-associative
-            if free_vars(exponent):
-                raise ExprSyntaxError(
-                    "exponent of '^' must be a constant expression", tok.offset
-                )
-            return BinOp("^", base, exponent)
-        return base
 
-    def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.next()
-            return Num(float(tok.text))
-        if tok.kind == "name":
-            self.next()
-            if self.peek().kind == "lparen":
-                if tok.text not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.offset)
-                self.next()
-                arg = self.parse_expr()
-                self.expect("rparen", "')'")
-                return Call(tok.text, arg)
-            return Var(tok.text)
-        if tok.kind == "lparen":
-            self.next()
-            node = self.parse_expr()
-            self.expect("rparen", "')'")
-            return node
-        raise ExprSyntaxError(
-            f"expected number, name or '(', found {tok.text or 'end of input'!r}",
-            tok.offset,
-        )
+def _parse_term(tokens: list, i: int, depth: int) -> tuple[Expr, int]:
+    node, i = _parse_factor(tokens, i, depth)
+    op = tokens[i][0]
+    while op == "*" or op == "/":
+        right, i = _parse_factor(tokens, i + 1, depth)
+        node = BinOp(op, node, right)
+        op = tokens[i][0]
+    return node, i
+
+
+def _parse_factor(tokens: list, i: int, depth: int) -> tuple[Expr, int]:
+    tok = tokens[i]
+    if tok[0] == "-":
+        arg, i = _parse_factor(tokens, i + 1, _nest(depth, tok))
+        return Neg(arg), i
+    return _parse_power(tokens, i, depth)
+
+
+def _parse_power(tokens: list, i: int, depth: int) -> tuple[Expr, int]:
+    base, i = _parse_atom(tokens, i, depth)
+    tok = tokens[i]
+    if tok[0] != "^":
+        return base, i
+    exponent, i = _parse_factor(tokens, i + 1, _nest(depth, tok))  # right-associative
+    if free_vars(exponent):
+        raise ExprSyntaxError("exponent of '^' must be a constant expression", tok[2])
+    return BinOp("^", base, exponent), i
+
+
+def _parse_atom(tokens: list, i: int, depth: int) -> tuple[Expr, int]:
+    kind, lit, offset = tokens[i]
+    if kind == "num":
+        return Num(float(lit)), i + 1
+    if kind == "name":
+        paren = tokens[i + 1]
+        if paren[0] != "(":
+            return Var(lit), i + 1
+        if lit not in FUNCTIONS:
+            raise ExprSyntaxError(f"unknown function {lit!r}", offset)
+        arg, i = _parse_expr(tokens, i + 2, _nest(depth, paren))
+        return Call(lit, arg), _expect_rparen(tokens, i)
+    if kind == "(":
+        node, i = _parse_expr(tokens, i + 1, _nest(depth, tokens[i]))
+        return node, _expect_rparen(tokens, i)
+    raise ExprSyntaxError(f"expected number, name or '(', found {lit or 'end of input'!r}", offset)
 
 
 def parse(text: str) -> Expr:
+    """The tree of text.  ExprSyntaxError, with the offset, for text outside the grammar."""
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.offset)
+    tokens = _tokenize(text)
+    node, i = _parse_expr(tokens, 0, 0)
+    kind, lit, offset = tokens[i]
+    if kind != "end":
+        raise ExprSyntaxError(f"trailing input {lit!r}", offset)
     return node
 
 
@@ -296,17 +290,25 @@ def unparse(node: Expr) -> str:
 
 
 def free_vars(node: Expr) -> frozenset[str]:
-    if isinstance(node, Num):
-        return frozenset()
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, Neg):
-        return free_vars(node.arg)
-    if isinstance(node, Call):
-        return free_vars(node.arg)
-    if isinstance(node, BinOp):
-        return free_vars(node.left) | free_vars(node.right)
-    raise TypeError(f"not an expression node: {node!r}")
+    """The variable names in node, from a walk with an explicit stack that visits a shared subtree once."""
+    names: set[str] = set()
+    seen: set[int] = set()
+    stack = [node]
+    while stack:
+        nd = stack.pop()
+        cls = type(nd)
+        if cls is Var:
+            names.add(nd.name)
+        elif cls is BinOp or cls is Neg or cls is Call:
+            if id(nd) not in seen:
+                seen.add(id(nd))
+                if cls is BinOp:
+                    stack += (nd.left, nd.right)
+                else:
+                    stack.append(nd.arg)
+        elif cls is not Num:
+            raise TypeError(f"not an expression node: {nd!r}")
+    return frozenset(names)
 
 
 # Checked primitives shared by evaluate, compile_expr and taylor, so that each
@@ -350,6 +352,10 @@ def _step(a: float) -> float:
 _CALLS = {"exp": math.exp, "log": _log, "sin": math.sin, "cos": math.cos, "sqrt": _sqrt, "step": _step}
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power}
 _EMIT = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_divide({}, {})", "^": "_power({}, {})"}
+# the names an emitted function finds in its globals, besides its constants
+_ENV = {f"_{name}": fn for name, fn in _CALLS.items()}
+_ENV.update(_unbound=_unbound, _divide=_divide, _power=_power)
+_POST = object()  # compile_expr's stack marker
 
 
 def evaluate(node: Expr, bindings: Bindings | None = None) -> float:
@@ -406,49 +412,59 @@ def compile_expr(node: Expr, params: Sequence[str]) -> Callable[..., float]:
     push-sweep, 48 on spec-mix and 45 on hard-depth, of which 20, 17 and 24
     are distinct, so each pass after the first compiles nothing.
     """
-    env: dict = {f"_{name}": fn for name, fn in _CALLS.items()}
-    env.update(_unbound=_unbound, _divide=_divide, _power=_power)
-    lines: list[str] = []
-    operand: dict = {}  # id(node), or a variable name, -> its name in the emitted code
+    env = _ENV.copy()
     args = {name: f"a{i}" for i, name in enumerate(params)}
-
-    def key(nd: Expr):
-        return nd.name if isinstance(nd, Var) else id(nd)
+    lines: list[str] = []
+    # id of each visited node, and each variable name, -> its name in the emitted code
+    operand: dict = {}
 
     # post-order, left before right, as evaluate visits the nodes; an explicit
-    # stack, so that no recursive closure keeps the emitter's state alive
-    stack = [(node, False)]
+    # stack, on which _POST above a node marks that node's children as done
+    stack = [node]
+    pop, push = stack.pop, stack.append
     while stack:
-        nd, kids_done = stack.pop()
-        k = key(nd)
-        if k in operand:
-            continue
-        kids = (nd.left, nd.right) if isinstance(nd, BinOp) else (nd.arg,) if isinstance(nd, (Neg, Call)) else ()
-        if kids and not kids_done:
-            stack.append((nd, True))
-            stack.extend((kid, False) for kid in reversed(kids))
-            continue
-        ops = [operand[key(kid)] for kid in kids]
-        if isinstance(nd, Num):  # by reference: inf and nan have no literal
-            operand[k] = f"k{len(env)}"
-            env[operand[k]] = nd.value
-            continue
-        if isinstance(nd, Var):
-            rhs = f"float({args[nd.name]})" if nd.name in args else f"_unbound({nd.name!r})"
-        elif isinstance(nd, Neg):
-            rhs = f"-{ops[0]}"
-        elif isinstance(nd, Call) and nd.func in _CALLS:
-            rhs = f"_{nd.func}({ops[0]})"
-        elif isinstance(nd, Call):
-            raise EvalError(f"unknown function {nd.func!r}")
-        elif isinstance(nd, BinOp) and nd.op in _BINOPS:
-            rhs = _EMIT[nd.op].format(*ops)
+        nd = pop()
+        if nd is _POST:
+            nd = pop()
+            cls = type(nd)
+            if cls is BinOp:
+                if nd.op not in _EMIT:
+                    raise TypeError(f"not an expression node: {nd!r}")
+                rhs = _EMIT[nd.op].format(operand[id(nd.left)], operand[id(nd.right)])
+            elif cls is Neg:
+                rhs = f"-{operand[id(nd.arg)]}"
+            elif nd.func in _CALLS:
+                rhs = f"_{nd.func}({operand[id(nd.arg)]})"
+            else:
+                raise EvalError(f"unknown function {nd.func!r}")
         else:
-            raise TypeError(f"not an expression node: {nd!r}")
-        operand[k] = f"t{len(lines)}"
-        lines.append(f"    {operand[k]} = {rhs}\n")
+            k = id(nd)
+            if k in operand:
+                continue
+            cls = type(nd)
+            if cls is BinOp:
+                push(nd), push(_POST), push(nd.right), push(nd.left)
+                continue
+            if cls is Neg or cls is Call:
+                push(nd), push(_POST), push(nd.arg)
+                continue
+            if cls is Num:  # by reference: inf and nan have no literal
+                operand[k] = name = f"k{len(env)}"
+                env[name] = nd.value
+                continue
+            if cls is not Var:
+                raise TypeError(f"not an expression node: {nd!r}")
+            name = nd.name
+            if name in operand:  # one temporary per variable name
+                operand[k] = operand[name]
+                continue
+            rhs = f"float({args[name]})" if name in args else f"_unbound({name!r})"
+        operand[id(nd)] = temp = f"t{len(lines)}"
+        if cls is Var:
+            operand[nd.name] = temp
+        lines.append(f"    {temp} = {rhs}\n")
 
-    src = f"def compiled({', '.join(args.values())}):\n{''.join(lines)}    return {operand[key(node)]}\n"
+    src = f"def compiled({', '.join(args.values())}):\n{''.join(lines)}    return {operand[id(node)]}\n"
     exec(_code(src), env)
     # the function holds env as its globals; taking it out of env leaves no
     # reference cycle, so it is freed with its owner instead of by the collector

@@ -113,9 +113,13 @@ def push_xy(u: Density2D, t: float, tol: float = DEFAULT_TOL) -> float:
         return 0.0
     lo, hi = math.log(t / Y), math.log(X)
     pts = [s for s in (math.log(t), 0.0, 0.5 * math.log(t)) if lo < s < hi]
+    fn, exp = u._fn, math.exp
 
-    def g(s: float) -> float:
-        return u(math.exp(s), t * math.exp(-s))
+    def g(s: float) -> float:  # u(e^s, t e^-s); x, y >= 0, so only the upper box edges cut
+        x, y = exp(s), t * exp(-s)
+        if x > X or y > Y:
+            return 0.0
+        return fn(x, y)
 
     val, _ = quad_interval(g, lo, hi, tol, points=pts)
     return val
@@ -321,10 +325,14 @@ def F_pushforward(d: BlowupDensity, t: float, tol: float = DEFAULT_TOL) -> float
     if t <= 0:
         raise ValueError("t must be positive")
     X, Y = d.box
+    fn, exp = d._fn, math.exp
 
     def g(s: float) -> float:  # x = e^s, dx/x = ds; integrand sigma(x, x/t) x ds / x
-        x = math.exp(s)
-        return d(x, t / x)
+        x = exp(s)
+        y = t / x
+        if x > X or y > Y:  # d(x, y) with x, y >= 0: only the upper box edges cut
+            return 0.0
+        return fn(x, y)
 
     hi = math.log(X)
     if math.isfinite(Y):

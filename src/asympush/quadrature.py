@@ -4,9 +4,13 @@ Endpoint behavior on (0, 1] and [1, inf) is tamed by the exponential
 substitutions x = e^{-u} and x = e^{u}.  Integrands may be complex valued.
 A call takes the complex path only when an integrand value has a nonzero
 imaginary part, at one of three probe points or during the real pass; a
-complex value with a zero imaginary part counts as real.  The complex path
-integrates the real and imaginary parts in two passes that share one
-integrand value per node, held for the length of the call.
+complex value with a zero imaginary part counts as real.  When the three
+probes all return a float, the real pass gives the integrand to QUADPACK
+with no wrapper; a complex value at a later node stops that pass, and the
+call starts over with a wrapper that takes real parts and watches for
+imaginary ones.  The complex path integrates the real and imaginary parts
+in two passes that share one integrand value per node, held for the length
+of the call.
 """
 
 from __future__ import annotations
@@ -15,6 +19,11 @@ import math
 import warnings
 
 import scipy.integrate as _si
+
+try:
+    from numpy.exceptions import ComplexWarning
+except ImportError:  # numpy < 1.25
+    from numpy import ComplexWarning
 
 __all__ = ["QuadratureError", "quad_interval", "quad_01", "quad_1inf", "DEFAULT_TOL"]
 
@@ -30,9 +39,12 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-def _quad_real(f, a, b, tol, points=None):
+def _quad_real(f, a, b, tol, points=None, strict=False):
+    """QUADPACK on f; strict: a complex value of f raises instead of losing its imaginary part."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _si.IntegrationWarning)
+        if strict:  # a Python complex raises TypeError by itself
+            warnings.simplefilter("error", ComplexWarning)
         kwargs = dict(epsabs=tol, epsrel=tol, limit=300)
         if points is not None and math.isfinite(a) and math.isfinite(b):
             pts = sorted(p for p in points if a < p < b)
@@ -44,6 +56,7 @@ def _quad_real(f, a, b, tol, points=None):
 
 def _quad(f, a, b, tol, points=None):
     probe_at = [a + (b - a) * s for s in (0.21, 0.5, 0.83)] if math.isfinite(b) else [a + s for s in (0.3, 1.1, 4.7)]
+    floats = 0
     for x in probe_at:
         try:
             v = f(x)
@@ -52,7 +65,15 @@ def _quad(f, a, b, tol, points=None):
         if isinstance(v, complex) and v.imag != 0.0:
             values = {x: v}
             break
+        floats += isinstance(v, float)
     else:
+        if floats == len(probe_at):
+            # all probes real: QUADPACK takes f itself, and a complex value at
+            # a later node makes the call start over on the wrapped path
+            try:
+                return _quad_real(f, a, b, tol, points, strict=True)
+            except (TypeError, ComplexWarning):
+                pass
         imag_seen = False
 
         def fr(x):

@@ -296,3 +296,140 @@ def test_reimported_module_is_freed():
         sys.modules.update(saved)
     gc.collect()
     assert ref() is None
+
+
+# (text, message, offset) of every kind of ExprSyntaxError, as the tokenizer
+# and parser have always reported them
+SYNTAX_ERRORS = [
+    ("1.2.3", "malformed number '1.2.3'", 0),
+    ("x + 1.2.3e5", "malformed number '1.2.3e5'", 4),
+    ("1..5", "malformed number '1..5'", 0),
+    ("1e²", "malformed number '1e²'", 0),  # a superscript is a digit, not a decimal
+    ("²", "malformed number '²'", 0),
+    ("1²", "malformed number '1²'", 0),
+    ("①", "malformed number '①'", 0),
+    ("2*x $ 1", "unexpected character '$'", 4),
+    ("x # y", "unexpected character '#'", 2),
+    ("½", "unexpected character '½'", 0),  # a numeral that is not a digit
+    ("x y 1.2.3", "malformed number '1.2.3'", 4),  # the whole text is tokenized first
+    ("tan(x)", "unknown function 'tan'", 0),
+    ("(x+1", "expected ')', found 'end of input'", 4),
+    ("exp(x", "expected ')', found 'end of input'", 5),
+    ("(x+1))", "trailing input ')'", 5),
+    ("x y", "trailing input 'y'", 2),
+    ("2e+", "trailing input 'e'", 1),
+    ("2ex", "trailing input 'ex'", 1),
+    ("", "empty expression", 0),
+    ("   ", "empty expression", 0),
+    ("x^y", "exponent of '^' must be a constant expression", 1),
+    ("2^(x+1)", "exponent of '^' must be a constant expression", 1),
+    ("x^(1-y)^2", "exponent of '^' must be a constant expression", 1),
+    ("x + * 2", "expected number, name or '(', found '*'", 4),
+    ("()", "expected number, name or '(', found ')'", 1),
+    ("exp()", "expected number, name or '(', found ')'", 4),
+    ("x+", "expected number, name or '(', found 'end of input'", 2),
+]
+
+
+@pytest.mark.parametrize("text, message, offset", SYNTAX_ERRORS)
+def test_syntax_error_message_and_offset(text, message, offset):
+    with pytest.raises(ex.ExprSyntaxError) as exc:
+        ex.parse(text)
+    assert str(exc.value) == f"{message} (at offset {offset})"
+    assert exc.value.offset == offset
+
+
+def test_lexical_classes():
+    N, V, B = ex.Num, ex.Var, ex.BinOp
+    cases = {
+        ".5+5.": B("+", N(0.5), N(5.0)),
+        "1e-3*2E+2": B("*", N(0.001), N(200.0)),
+        "x_1+_y": B("+", V("x_1"), V("_y")),
+        "x²": V("x²"),  # a name goes on with any letter, digit or numeral
+        "x½": V("x½"),
+        "é+1": B("+", V("é"), N(1.0)),
+        "٣+x": B("+", N(3.0), V("x")),  # Arabic-Indic three is a decimal digit
+        "\x1cx ": V("x"),  # both are whitespace to str.isspace
+    }
+    for text, node in cases.items():
+        assert ex.parse(text) == node, text
+
+
+DEEP = {
+    "parentheses": ("(" * 1000 + "x" + ")" * 1000, lambda k: k),
+    "calls": ("sin(" * 1000 + "x" + ")" * 1000, lambda k: 4 * k + 3),
+    "unary minus": ("-" * 1000 + "x", lambda k: k),
+    "powers": ("1^" * 1000 + "1", lambda k: 2 * k + 1),
+}
+
+
+@pytest.mark.parametrize("construct", DEEP)
+def test_deep_nesting_is_a_syntax_error(construct):
+    text, opener = DEEP[construct]
+    with pytest.raises(ex.ExprSyntaxError, match="nested more than 100 deep") as exc:
+        ex.parse(text)
+    # the offset is that of the opener after MAX_NESTING others
+    assert exc.value.offset == opener(ex.MAX_NESTING)
+
+
+@pytest.mark.parametrize("construct", DEEP)
+def test_expression_at_the_nesting_bound(construct):
+    text = {
+        "parentheses": "(" * ex.MAX_NESTING + "x" + ")" * ex.MAX_NESTING,
+        "calls": "sin(" * ex.MAX_NESTING + "x" + ")" * ex.MAX_NESTING,
+        "unary minus": "-" * ex.MAX_NESTING + "x",
+        "powers": "x^" + "1^" * (ex.MAX_NESTING - 1) + "1",
+    }[construct]
+    node = ex.parse(text)  # everything that walks the tree still works
+    assert ex.parse(ex.unparse(node)) == node
+    want = ex.evaluate(node, {"x": 0.5})
+    assert ex.compile_expr(node, ("x",))(0.5) == want
+    assert ex.taylor(node, "x", 0.5, 2)[0] == want
+    assert ex.evaluate(ex.diff(node, "x"), {"x": 0.5}) == pytest.approx(ex.central_fd(node, "x", {"x": 0.5}))
+
+
+def test_free_vars_of_long_sums():
+    # the left spine of a sum is as long as the sum; parse and compile_expr
+    # already walk it without recursion
+    node = ex.parse("+".join(f"x*y{k % 7}" for k in range(5000)))
+    assert ex.free_vars(node) == {"x"} | {f"y{k}" for k in range(7)}
+    dag = ex.Var("x")
+    for _ in range(60):  # 2^60 paths to the leaf, 61 distinct nodes
+        dag = ex.BinOp("*", dag, ex.Neg(dag))
+    assert ex.free_vars(dag) == {"x"}
+    with pytest.raises(TypeError):
+        ex.free_vars(ex.BinOp("+", ex.Var("x"), 2.0))
+
+
+def _emitted_source(monkeypatch, node, params):
+    sources = []
+    code = ex._code
+    monkeypatch.setattr(ex, "_code", lambda src: sources.append(src) or code(src))
+    ex.compile_expr(node, params)
+    monkeypatch.undo()
+    return sources[0]
+
+
+def test_compiled_source_is_unchanged(monkeypatch):
+    density = ex.parse("exp(-0.5*x-1.2*y)*(1+0.3*x+0.7*x*y+1.1*y^2)")
+    assert _emitted_source(monkeypatch, density, ("x", "y")) == (
+        "def compiled(a0, a1):\n    t0 = -k9\n    t1 = float(a0)\n    t2 = t0 * t1\n"
+        "    t3 = float(a1)\n    t4 = k10 * t3\n    t5 = t2 - t4\n    t6 = _exp(t5)\n"
+        "    t7 = k12 * t1\n    t8 = k11 + t7\n    t9 = k13 * t1\n    t10 = t9 * t3\n"
+        "    t11 = t8 + t10\n    t12 = _power(t3, k15)\n    t13 = k14 * t12\n"
+        "    t14 = t11 + t13\n    t15 = t6 * t14\n    return t15\n"
+    )
+    shared = ex.diff(ex.parse("x*log(x)/sqrt(1+y)-step(y)*z"), "x")
+    assert _emitted_source(monkeypatch, shared, ("x", "y")) == (
+        "def compiled(a0, a1):\n    t0 = float(a0)\n    t1 = _log(t0)\n"
+        "    t2 = _divide(k9, t0)\n    t3 = t0 * t2\n    t4 = t1 + t3\n    t5 = float(a1)\n"
+        "    t6 = k10 + t5\n    t7 = _sqrt(t6)\n    t8 = t4 * t7\n    t9 = _power(t7, k11)\n"
+        "    t10 = _divide(t8, t9)\n    return t10\n"
+    )
+    unbound = ex.parse("step(x)*z+sin(x)-cos(y)/x+x")
+    assert _emitted_source(monkeypatch, unbound, ("x", "y")) == (
+        "def compiled(a0, a1):\n    t0 = float(a0)\n    t1 = _step(t0)\n"
+        "    t2 = _unbound('z')\n    t3 = t1 * t2\n    t4 = _sin(t0)\n    t5 = t3 + t4\n"
+        "    t6 = float(a1)\n    t7 = _cos(t6)\n    t8 = _divide(t7, t0)\n    t9 = t5 - t8\n"
+        "    t10 = t9 + t0\n    return t10\n"
+    )

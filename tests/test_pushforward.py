@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from asympush.asymfun import from_expression
 from asympush.indexsets import complete, nullfaces
 from asympush.pushforward import (
     DivergentIntegral,
@@ -16,6 +18,8 @@ from asympush.pushforward import (
     sal_prediction_smooth,
     sigma_from_density,
 )
+from asympush.quadrature import quad_interval
+from asympush.singular_expansion import sigma_from_expression
 
 
 def smooth_family(g2_generator):
@@ -214,3 +218,54 @@ def test_condition_check_vacuous_below_support_cutoff():
 
 def test_blowup_nullface():
     assert nullfaces(blowup_matrix()) == {"G2"}
+
+
+# densities from the grammar: sums, differences and products of exp, sin and
+# cos of such terms, in x, y and constants
+_atom = st.one_of(st.sampled_from(["x", "y"]), st.floats(0.1, 2.0).map(lambda v: repr(round(v, 3))))
+_density = st.recursive(
+    _atom,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        st.tuples(st.sampled_from(["exp", "sin", "cos"]), inner).map(lambda t: f"{t[0]}(-{t[1]})"),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    _density,
+    st.floats(0.5, 2.0),
+    st.floats(0.5, 2.0),
+    st.one_of(st.floats(1e-8, 0.999), st.sampled_from([1.0 - 1e-9, 1.0 - 2.0**-52])),
+)
+def test_push_xy_is_the_quadrature_of_the_density(text, X, Y, frac):
+    u = density_from_expression(text, box=(X, Y))
+    d = blowup_density_from_expression(text, smooth_family((1, 0)), box=(X, Y))
+    t = frac * X * Y  # up to the last float below X * Y
+    if not 0 < t < X * Y:
+        return
+    lo, hi = math.log(t / Y), math.log(X)
+    pts = [s for s in (math.log(t), 0.0, 0.5 * math.log(t)) if lo < s < hi]
+    want, _ = quad_interval(lambda s: u(math.exp(s), t * math.exp(-s)), lo, hi, points=pts)
+    assert push_xy(u, t) == want  # the same nodes, the same values, bit for bit
+    if lo < hi:
+        pts = [s for s in (math.log(t), 0.0) if lo < s < hi]
+        want, _ = quad_interval(lambda s: d(math.exp(s), t / math.exp(s)), lo, hi, points=pts)
+        assert F_pushforward(d, t) == want
+
+
+def test_push_xy_of_a_2000_term_density():
+    text = "+".join(["x*y"] * 2000)
+    u = density_from_expression(text)
+    t = 0.25
+    value = 2000 * t * math.log(1 / t)  # u(x, t/x) = 2000 t on [t, 1]
+    assert push_xy(u, t) == pytest.approx(value, rel=1e-12)
+    # u_A = x y u with u = 2000: t push_xy(2000, t), which is the same value
+    d = blowup_density_from_expression(text, smooth_family((1, 0)), box=(1.0, 1.0))
+    assert F_pushforward(d, t) == pytest.approx(value, rel=1e-12)
+    f = from_expression(text.replace("y", "x"))
+    assert f(0.5) == pytest.approx(500.0, rel=1e-12)
+    sigma = sigma_from_expression(text.replace("y", "zeta"), order=0)
+    assert sigma(0.5, 2.0) == pytest.approx(2000.0, rel=1e-12)

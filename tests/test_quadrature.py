@@ -1,9 +1,13 @@
 import cmath
 import math
+import warnings
 from collections import Counter
 
+import numpy as np
+import pytest
+
 from asympush import quadrature
-from asympush.quadrature import quad_01, quad_interval
+from asympush.quadrature import quad_01, quad_1inf, quad_interval
 
 
 def test_imaginary_part_missed_by_the_probes_is_kept():
@@ -67,3 +71,31 @@ def test_raising_probe_still_finds_the_complex_integrand():
     val, _ = quad_interval(g, 0.0, 1.0)
     assert abs(val - complex(0.5, 1.0 / 3.0)) < 1e-12
     assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("late", [lambda x: complex(x, 1.0), lambda x: np.complex128(complex(x, 1.0))])
+def test_complex_value_after_real_probes_keeps_its_imaginary_part(late):
+    # the three probes and every node below 0.9 see a float
+    def f(x):
+        return x if x < 0.9 else late(x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning gets out either
+        val, _ = quad_interval(f, 0.0, 1.0)
+        assert abs(val - complex(0.5, 0.1)) < 1e-12
+        val, _ = quad_01(lambda x: 2.0 * x if x > 0.05 else late(x))
+        assert abs(val - complex(1.0 - 0.05**2 / 2, 0.05)) < 1e-9
+        val, _ = quad_interval(lambda x: x if x < 0.9 else late(x).real + 0j, 0.0, 1.0)
+        assert val == 0.5 and isinstance(val, float)
+
+
+def test_real_integrand_calls_are_unchanged():
+    # probes included: QUADPACK calls f at the same nodes with or without a
+    # wrapper around it
+    def f(x):
+        return math.exp(-x) * math.sin(5 * x)
+
+    for integrate, args, calls in [(quad_interval, (0.0, 3.0), 66), (quad_01, (), 150), (quad_1inf, (), 612)]:
+        g, counts = _counted(f)
+        val, err = integrate(g, *args)
+        assert sum(counts.values()) == calls and isinstance(val, float)
