@@ -14,14 +14,11 @@ The package turns three pieces of asymptotic analysis into computations:
 
 from .asymfun import (
     AsymFunction,
-    ExpansionSide,
     HigherOrderPoleError,
-    Term,
     from_expression,
     from_json,
     lim_inf,
     lim_zero,
-    make_side,
     mellin,
     mellin_finite_part,
     power_log_multiply,
@@ -32,7 +29,7 @@ from .asymfun import (
     scale_reg_integral,
     schwartz,
 )
-from .expansions import Expansion, ExpansionBuilder
+from .expansions import Expansion, Term, make_side
 from .indexsets import (
     ExponentMatrix,
     IndexEntry,

@@ -18,7 +18,6 @@ from . import expressions as ex
 from .asymfun import (
     AsymFunction,
     from_expression,
-    make_side,
     mellin,
     mellin_finite_part,
     power_log_multiply,
@@ -28,6 +27,7 @@ from .asymfun import (
     scale_reg_integral,
     schwartz,
 )
+from .expansions import make_side
 from .indexsets import (
     ExponentMatrix,
     IndexSet,

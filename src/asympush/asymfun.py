@@ -2,13 +2,15 @@
 
 An :class:`AsymFunction` couples a pointwise evaluator with finite expansions
 
-    f(x) = sum_j x^a_j p_j(ln x) + O(x^p)        as x -> 0
-         = sum_j x^b_j q_j(ln x) + O(x^-q)       as x -> infinity
+    f(x) = sum_j x^a_j p_j(ln x) + O(x^(p-1))        as x -> 0
+         = sum_j x^b_j q_j(ln x) + O(x^(-q-1))       as x -> infinity
 
-and everything in this module works off that data: the limit-in-the-mean at
-either end, the primitive with its two integration constants, the regularized
-integral, the meromorphically continued Mellin transform, and the scaling rule
-that picks up log corrections from exponent -1 terms.
+where p and q are the orders of the two sides (the convention of
+:mod:`asympush.expansions`).  Everything in this module works off that data:
+the limit-in-the-mean at either end, the primitive with its two integration
+constants, the regularized integral, the meromorphically continued Mellin
+transform, and the scaling rule that picks up log corrections from exponent
+-1 terms.
 
 Declared expansions are trusted inputs; :func:`check_expansion_consistency`
 offers a sampled sanity check, not a proof.
@@ -18,10 +20,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import expressions as ex
+from .expansions import Expansion, Term, make_side
 from .logpoly import (
     EXPONENT_TOL,
     LogPolynomial,
@@ -31,13 +34,10 @@ from .logpoly import (
 from .quadrature import DEFAULT_TOL, quad_01, quad_1inf, quad_interval
 
 __all__ = [
-    "Term",
-    "ExpansionSide",
     "AsymFunction",
     "MellinPole",
     "MellinResult",
     "HigherOrderPoleError",
-    "make_side",
     "from_expression",
     "pure_power",
     "schwartz",
@@ -60,111 +60,10 @@ ORDER_EPS = 0.01
 
 
 @dataclass(frozen=True)
-class Term:
-    exponent: complex
-    poly: LogPolynomial
-
-
-@dataclass(frozen=True)
-class ExpansionSide:
-    """Finite expansion at one end; ``order`` is p at zero, q at infinity."""
-
-    terms: tuple[Term, ...]
-    order: float
-    side: str  # "zero" | "infinity"
-    # (exponent, coefficients from the top power down) per term, for evaluation
-    _table: tuple[tuple[complex, tuple[complex, ...]], ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        if self.side not in ("zero", "infinity"):
-            raise ValueError(f"side must be 'zero' or 'infinity', got {self.side!r}")
-        # terms run from the leading one; terms of equal Re, such as a
-        # conjugate pair, must differ in Im
-        exps = [t.exponent for t in self.terms]
-        sign = 1.0 if self.side == "zero" else -1.0
-        for a, b in zip(exps, exps[1:]):
-            if sign * (b.real - a.real) < 0 or b == a:
-                raise ValueError(
-                    f"{self.side}-side exponents must run from the leading term and differ, "
-                    f"got {a} before {b}"
-                )
-        res = [e.real for e in exps]
-        if self.side == "zero":
-            if res and res[-1] > self.order - 1 + EXPONENT_TOL:
-                raise ValueError(
-                    f"zero-side exponent {res[-1]} exceeds order-1 = {self.order - 1}"
-                )
-        else:
-            if res and res[-1] < -self.order - 1 - EXPONENT_TOL:
-                raise ValueError(
-                    f"infinity-side exponent {res[-1]} below -order-1 = {-self.order - 1}"
-                )
-        for t in self.terms:
-            if t.poly.is_zero:
-                raise ValueError(f"term at exponent {t.exponent} has zero polynomial")
-        object.__setattr__(
-            self, "_table", tuple((t.exponent, t.poly.coeffs[::-1]) for t in self.terms)
-        )
-
-    def poly_at(self, exponent: complex) -> LogPolynomial:
-        for t in self.terms:
-            if abs(t.exponent - exponent) <= EXPONENT_TOL:
-                return t.poly
-        return LogPolynomial()
-
-    def __call__(self, x: float) -> complex:
-        if not self._table:
-            return 0j
-        return self.at_log(math.log(x))
-
-    def at_log(self, L: float) -> complex:
-        """The expansion at x = e^L.
-
-        The same operations in the same order as summing
-        ``cmath.exp(t.exponent * L) * t.poly(L)`` over the terms with ``sum``,
-        so the value is identical to the last bit; pure-power cancellation
-        in the subtracted integrands depends on that.
-        """
-        if not self._table:
-            return 0j
-        exp = cmath.exp
-        total = 0
-        for alpha, coeffs in self._table:
-            acc = 0j
-            for c in coeffs:
-                acc = acc * L + c
-            total += exp(alpha * L) * acc
-        return total
-
-    @property
-    def exponents(self) -> tuple[complex, ...]:
-        return tuple(t.exponent for t in self.terms)
-
-
-def make_side(terms: Sequence[tuple[complex, LogPolynomial]], order: float, side: str) -> ExpansionSide:
-    """Merge coincident exponents (within tolerance), drop zeros, sort."""
-    merged: list[tuple[complex, LogPolynomial]] = []
-    for alpha, poly in terms:
-        if not isinstance(poly, LogPolynomial):
-            poly = LogPolynomial(poly)
-        for i, (a, p) in enumerate(merged):
-            if abs(a - alpha) <= EXPONENT_TOL:
-                merged[i] = (a, p + poly)
-                break
-        else:
-            merged.append((complex(alpha), poly))
-    merged = [(a, p) for a, p in merged if not p.is_zero]
-    merged.sort(key=lambda t: (t[0].real, t[0].imag), reverse=(side == "infinity"))
-    return ExpansionSide(tuple(Term(a, p) for a, p in merged), order, side)
-
-
-@dataclass(frozen=True)
 class AsymFunction:
     fn: Callable[[float], complex]
-    exp0: ExpansionSide
-    exp_inf: ExpansionSide
+    exp0: Expansion
+    exp_inf: Expansion
     support: tuple[float, float] | None = None
     ast: ex.Expr | None = None
 
@@ -360,7 +259,8 @@ def primitive(f: AsymFunction, tol: float = DEFAULT_TOL) -> AsymFunction:
     inf_terms.append((0j, LogPolynomial((c_inf,))))
 
     p_new = max(f.exp0.order + 1.0 - ORDER_EPS, max((a.real for a, _ in zero_terms), default=0.0) + 1.0)
-    q_new = f.exp_inf.order + 1.0 - ORDER_EPS
+    # int_x^inf of an O(t^(-q-1)) remainder is O(x^-q)
+    q_new = f.exp_inf.order - 1.0
 
     def F(x: float) -> complex:
         val, _ = quad_interval(f, 1.0, x, tol) if x >= 1.0 else quad_interval(f, x, 1.0, tol)
@@ -500,7 +400,7 @@ def rescale(f: AsymFunction, t: float) -> AsymFunction:
         raise ValueError("scale factor must be positive")
     lt = math.log(t)
 
-    def remap(side: ExpansionSide) -> list[tuple[complex, LogPolynomial]]:
+    def remap(side: Expansion) -> list[tuple[complex, LogPolynomial]]:
         return [
             (trm.exponent, trm.poly.shift(lt).scale(cmath.exp(trm.exponent * lt)))
             for trm in side.terms
@@ -542,7 +442,7 @@ def power_log_multiply(f: AsymFunction, alpha: complex, j: int = 0) -> AsymFunct
     """The function x -> x^alpha ln^j x * f(x), expansions transformed exactly."""
     alpha = complex(alpha)
 
-    def shift(side: ExpansionSide) -> list[tuple[complex, LogPolynomial]]:
+    def shift(side: Expansion) -> list[tuple[complex, LogPolynomial]]:
         return [(t.exponent + alpha, t.poly.times_log_power(j)) for t in side.terms]
 
     def fn(x: float) -> complex:
@@ -570,20 +470,21 @@ def check_expansion_consistency(
 ) -> dict:
     """Sampled remainder-bound check on geometric grids toward 0 and infinity.
 
-    Returns the fitted constants C such that |f - declared terms| <= C x^{p-delta}
-    (and the mirror bound at infinity) over the sampled grid.
+    Returns the fitted constants C such that |f - declared terms| is at most
+    C x^(p-1-delta) toward 0 and C x^(-q-1+delta) toward infinity over the
+    sampled grid, p and q being the declared orders.
     """
     out = {}
     ratios0 = []
     for i in range(n_points):
         x = 1.0 * (x_min / 1.0) ** ((i + 1) / n_points)
         rem = abs(f(x) - f.exp0(x))
-        ratios0.append(rem / x ** (f.exp0.order - delta))
+        ratios0.append(rem / x ** (f.exp0.order - 1.0 - delta))
     out["C_zero"] = max(ratios0)
     ratios_inf = []
     for i in range(n_points):
         x = 1.0 * (x_max / 1.0) ** ((i + 1) / n_points)
         rem = abs(f(x) - f.exp_inf(x))
-        ratios_inf.append(rem * x ** (f.exp_inf.order - delta))
+        ratios_inf.append(rem * x ** (f.exp_inf.order + 1.0 - delta))
     out["C_inf"] = max(ratios_inf)
     return out

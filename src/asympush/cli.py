@@ -73,11 +73,17 @@ def _cnum(v) -> list[float]:
 
 
 def _expansion_json(e) -> dict:
+    """A result expansion: in t at zero, in z at infinity; rows by ascending exponent."""
+    zero = e.side == "zero"
+    rows = [
+        {"exponent": _cnum(t.exponent), "logCoeffs": [_cnum(c) for c in t.poly.coeffs]}
+        for t in (e.terms if zero else e.terms[::-1])
+    ]
     return {
-        "variable": e.variable,
-        "terms": e.as_rows(),
-        "remainderOrder": e.remainder_order,
-        "remainderLogPower": e.remainder_log_power,
+        "variable": "t" if zero else "z",
+        "terms": rows,
+        "remainderOrder": e.order - 1 if zero else -e.order - 1,
+        "remainderLogPower": e.log_power,
     }
 
 

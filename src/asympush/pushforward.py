@@ -21,7 +21,7 @@ import numpy as np
 
 from . import expressions as ex
 from .asymfun import AsymFunction, from_expression, power_log_multiply, reg_integral
-from .expansions import Expansion, ExpansionBuilder
+from .expansions import Expansion, make_side
 from .indexsets import (
     ExponentMatrix,
     IndexFamily,
@@ -161,7 +161,7 @@ def sal_prediction_smooth(u: Density2D, J: int, tol: float = DEFAULT_TOL) -> Exp
     if J > 6:
         raise ValueError("prediction depth J must be at most 6")
     X, Y = u.box
-    builder = ExpansionBuilder("t")
+    terms = []
     for j in range(J + 1):
         scale = 1.0 / factorial(j)
         wx = _boundary_asymfun(_axis_restriction(u, "x", j), X, j + 9)
@@ -170,9 +170,9 @@ def sal_prediction_smooth(u: Density2D, J: int, tol: float = DEFAULT_TOL) -> Exp
             reg_integral(power_log_multiply(wx, -1.0 - j), tol)
             + reg_integral(power_log_multiply(wy, -1.0 - j), tol)
         )
-        builder.add(complex(j), 0, coeff)
-        builder.add(complex(j), 1, -wy.exp0.poly_at(j).coefficient(0) * scale)
-    return builder.build(J + 1.0, 1)
+        terms.append((complex(j), (coeff,)))
+        terms.append((complex(j), (0, -wy.exp0.coefficient(j) * scale)))
+    return make_side(terms, J + 2.0, "zero", 1)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def _quad(f, a, b, tol, points=None):
             v = f(x)
         except Exception:
             continue
-        if isinstance(v, complex) and v.imag != 0.0:
+        if not isinstance(v, float) and v.imag != 0:  # numpy complex types too
             values = {x: v}
             break
         floats += isinstance(v, float)
@@ -79,10 +79,10 @@ def _quad(f, a, b, tol, points=None):
         def fr(x):
             nonlocal imag_seen
             v = f(x)
-            if isinstance(v, complex):
-                imag_seen = imag_seen or v.imag != 0.0
-                return v.real
-            return v
+            if isinstance(v, float):
+                return v
+            imag_seen = imag_seen or v.imag != 0
+            return v.real
 
         val, err = _quad_real(fr, a, b, tol, points)
         if not imag_seen:

@@ -32,12 +32,11 @@ import numpy as np
 from . import expressions as ex
 from .asymfun import (
     AsymFunction,
-    make_side,
     power_log_multiply,
     reg_integral,
     schwartz,
 )
-from .expansions import Expansion, ExpansionBuilder
+from .expansions import Expansion, make_side
 from .logpoly import EXPONENT_TOL, LogPolynomial
 from .quadrature import DEFAULT_TOL, QuadratureError, quad_interval
 
@@ -113,7 +112,11 @@ class SigmaFunction:
         return self._xderiv_cache[j][0]
 
     def x_deriv(self, j: int) -> Callable[[float, float], float]:
-        """d^j sigma / dx^j as a function of (x, zeta)."""
+        """d^j sigma / dx^j as a function of (x, zeta).
+
+        Without an expression to differentiate, finite differences answer
+        for j <= 2 only: from j = 3 on their error is no longer small.
+        """
         if j == 0:
             return self.__call__
         node = self._x_deriv_ast(j)
@@ -136,8 +139,11 @@ class SigmaFunction:
                 return compiled(x, zeta)
 
         else:
-            if j > 6:
-                raise ValueError("finite-difference fallback supports at most 6 derivatives")
+            if j > 2:
+                raise MissingExpansionData(
+                    f"x-derivative of order {j} needs a step-free expression; "
+                    "finite differences support at most 2"
+                )
             lo, hi = self.x_support or (-math.inf, math.inf)
 
             def deriv(x: float, zeta: float, j=j) -> float:
@@ -254,6 +260,14 @@ class ExpansionReport:
     notes: tuple[str, ...] = ()
 
 
+def _minus_integer(alpha: complex) -> int | None:
+    """n when alpha is the integer -n to within EXPONENT_TOL, else None."""
+    n = round(-alpha.real)
+    if abs(alpha.imag) <= EXPONENT_TOL and abs(-alpha.real - n) <= EXPONENT_TOL:
+        return n
+    return None
+
+
 def asymptotic_expansion(
     sigma: SigmaFunction,
     tol: float = DEFAULT_TOL,
@@ -261,13 +275,13 @@ def asymptotic_expansion(
 ) -> ExpansionReport:
     """Expansion of int_0^inf sigma(x, x z) dx in the large variable z."""
     p = sigma.order
-    builder = ExpansionBuilder("z")
+    terms = []
     notes: list[str] = []
 
     # (i) boundary terms z^{-j-1}
     for j in range(p):
         g = sigma.boundary_function(j)
-        builder.add(complex(-j - 1), 0, reg_integral(g, tol))
+        terms.append((complex(-j - 1), (reg_integral(g, tol),)))
 
     # (ii) declared terms, re-expanded in ln z
     for term in sigma.terms:
@@ -275,30 +289,28 @@ def asymptotic_expansion(
             notes.append(f"declared term at {term.exponent} below cutoff; skipped")
             continue
         top = len(term.coeffs) - 1
+        vals = []
         for m in range(top + 1):
             val = 0j
             for i in range(m, top + 1):
                 inner = power_log_multiply(term.coeffs[i], term.exponent, i - m)
                 val += comb(i, m) * reg_integral(inner, tol)
-            builder.add(term.exponent, m, val)
+            vals.append(val)
+        terms.append((term.exponent, vals))
 
     # (iii) integer-exponent log terms
     for term in sigma.terms:
-        a = term.exponent
-        if abs(a.imag) > EXPONENT_TOL:
-            continue
-        n = -a.real
-        if abs(n - round(n)) > EXPONENT_TOL:
-            continue
-        n = int(round(n))
-        if not (1 <= n <= p):
+        n = _minus_integer(term.exponent)
+        if n is None or not 1 <= n <= p:
             continue
         m_dx = n - 1
-        for i, cf in enumerate(term.coeffs):
-            c = cf.nth_deriv_at_zero(m_dx) / ((i + 1) * factorial(m_dx))
-            builder.add(a, i + 1, c)
+        logs = [
+            cf.nth_deriv_at_zero(m_dx) / ((i + 1) * factorial(m_dx))
+            for i, cf in enumerate(term.coeffs)
+        ]
+        terms.append((term.exponent, [0, *logs]))
 
-    expansion = builder.build(-p - 1.0, sigma.log_bound + 1)
+    expansion = make_side(terms, float(p), "infinity", sigma.log_bound + 1)
     diagnostics = check_hypotheses(sigma) if run_diagnostics else None
     if diagnostics is not None and not diagnostics.ok:
         raise HypothesisFailure(diagnostics)
@@ -320,15 +332,15 @@ def separable_expansion(
         )
     n_top = math.ceil(q) + 1
     phi_fun = schwartz(phi_ast, n_taylor=n_top + 4)
-    phi_taylor = [phi_fun.exp0.poly_at(m).coefficient(0) for m in range(n_top + 3)]
-    builder = ExpansionBuilder("t")
+    phi_taylor = [phi_fun.exp0.coefficient(m) for m in range(n_top + 3)]
+    terms = []
 
     # Taylor-moment terms t^j
     for j in range(n_top):
         if j >= q:
             break
         mj = reg_integral(power_log_multiply(f, j), tol)
-        builder.add(complex(j), 0, phi_taylor[j] * mj)
+        terms.append((complex(j), (phi_taylor[j] * mj,)))
 
     for term in f.exp_inf.terms:
         beta, poly = term.exponent, term.poly
@@ -336,6 +348,7 @@ def separable_expansion(
             continue
         top = poly.degree
         # phi-weighted moments of x^beta q_beta(ln x - ln t)
+        vals = []
         for m in range(top + 1):
             val = 0j
             for i in range(m, top + 1):
@@ -344,17 +357,15 @@ def separable_expansion(
                     * poly.coefficient(i)
                     * reg_integral(power_log_multiply(phi_fun, beta, i - m), tol)
                 )
-            builder.add(-beta - 1.0, m, (-1) ** m * val)
+            vals.append((-1) ** m * val)
+        terms.append((-beta - 1.0, vals))
         # integer beta: log-antiderivative correction
-        if abs(beta.imag) <= EXPONENT_TOL:
-            n = -beta.real
-            if abs(n - round(n)) <= EXPONENT_TOL and 1 <= round(n) <= q + 1:
-                n = int(round(n))
-                anti = poly.antiderivative()
-                pref = phi_taylor[n - 1]
-                for m, c in enumerate(anti.coeffs):
-                    builder.add(-beta - 1.0, m, pref * (-1) ** m * c)
-    return builder.build(q)
+        n = _minus_integer(beta)
+        if n is not None and 1 <= n <= q + 1:
+            pref = phi_taylor[n - 1]
+            logs = [pref * (-1) ** m * c for m, c in enumerate(poly.antiderivative().coeffs)]
+            terms.append((-beta - 1.0, logs))
+    return make_side(terms, q + 1.0, "zero")
 
 
 def corollary_expansion(
@@ -368,24 +379,16 @@ def corollary_expansion(
     """
     phi_ast = ex.parse(phi) if isinstance(phi, str) else phi
     base = separable_expansion(phi_ast, f, q, tol)
-    builder = ExpansionBuilder("t")
-    for a, poly in base.terms:
-        for m, c in enumerate(poly.coeffs):
-            builder.add(a + 1.0, m, c)
+    terms = [(t.exponent + 1.0, t.poly) for t in base.terms]
     phi_taylor = ex.taylor(phi_ast, "x", 0.0, math.ceil(q) + 2)
     for term in f.exp0.terms:
-        alpha, poly = term.exponent, term.poly
-        if abs(alpha.imag) > EXPONENT_TOL:
+        n = _minus_integer(term.exponent)
+        if n is None or not 1 <= n <= q + 1:
             continue
-        n = -alpha.real
-        if abs(n - round(n)) > EXPONENT_TOL or not (1 <= round(n) <= q + 1):
-            continue
-        n = int(round(n))
-        anti = poly.antiderivative()
         pref = -phi_taylor[n - 1]
-        for m, c in enumerate(anti.coeffs):
-            builder.add(-alpha, m, pref * (-1) ** m * c)
-    return builder.build(q + 1.0)
+        logs = [pref * (-1) ** m * c for m, c in enumerate(term.poly.antiderivative().coeffs)]
+        terms.append((-term.exponent, logs))
+    return make_side(terms, q + 2.0, "zero")
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from asympush.asymfun import (
     AsymFunction,
-    ExpansionSide,
     HigherOrderPoleError,
-    Term,
+    check_expansion_consistency,
     from_expression,
     from_json,
     lim_inf,
     lim_zero,
-    make_side,
     mellin,
     mellin_finite_part,
     power_log_multiply,
@@ -24,6 +22,7 @@ from asympush.asymfun import (
     scale_reg_integral,
     schwartz,
 )
+from asympush.expansions import Expansion, Term, make_side
 from asympush.logpoly import LogPolynomial
 from asympush.quadrature import quad_interval
 
@@ -55,11 +54,11 @@ def test_side_admits_a_conjugate_pair_and_rejects_a_wrong_order():
         assert expansion(x) == pytest.approx(x**-1.5 * math.cos(2.0 * math.log(x)), rel=1e-14)
     one = LogPolynomial((1.0,))
     with pytest.raises(ValueError):
-        ExpansionSide((Term(1j, one), Term(-0.5, one)), 2.0, "zero")
+        Expansion((Term(1j, one), Term(-0.5, one)), 2.0, "zero")
     with pytest.raises(ValueError):
-        ExpansionSide((Term(1j, one), Term(1j, one)), 2.0, "zero")
+        Expansion((Term(1j, one), Term(1j, one)), 2.0, "zero")
     with pytest.raises(ValueError):
-        ExpansionSide((Term(-2.0, one), Term(-1.0, one)), 4.0, "infinity")
+        Expansion((Term(-2.0, one), Term(-1.0, one)), 4.0, "infinity")
 
 
 def test_pure_power_reg_is_zero():
@@ -78,6 +77,36 @@ def test_reg_integral_one_over_one_plus_x():
     F = primitive(f)
     assert lim_zero(F) == pytest.approx(-math.log(2.0), abs=1e-10)
     assert lim_inf(F) == pytest.approx(-math.log(2.0), abs=1e-10)
+
+
+def test_primitive_declares_the_infinity_order_of_its_remainder():
+    # f = 1/(1+x)^2 = x^-2 - 2 x^-3 + O(x^-4); its primitive from 1 is
+    # F = 1/2 - 1/(1+x), and F minus its terms is -1/(x^2 (1+x)) = O(x^-3)
+    f = from_expression(
+        "1/(1+x)^2", zero_terms=[(0.0, [1.0]), (1.0, [-2.0])], order_zero=3.0,
+        inf_terms=[(-2.0, [1.0]), (-3.0, [-2.0])], order_inf=3.0,
+    )
+    F = primitive(f)
+    assert F.exp_inf.order == 2.0
+    for x in (10.0, 100.0, 1000.0):
+        assert (F(x) - F.exp_inf(x)).real == pytest.approx(-1.0 / (x * x * (1.0 + x)), rel=1e-2)
+
+
+def test_consistency_check_bounds_the_remainder_at_the_declared_orders():
+    # four terms at each end: the remainders are O(x^4) and O(x^-5), orders 5 and 4
+    def one_over_one_plus_x(order_zero, order_inf):
+        return from_expression(
+            "1/(1+x)", zero_terms=[(float(m), [(-1.0) ** m]) for m in range(4)],
+            order_zero=order_zero,
+            inf_terms=[(-float(m), [(-1.0) ** (m + 1)]) for m in range(1, 5)],
+            order_inf=order_inf,
+        )
+
+    true = check_expansion_consistency(one_over_one_plus_x(5.0, 4.0))
+    assert true["C_zero"] < 2.0 and true["C_inf"] < 2.0
+    raised = check_expansion_consistency(one_over_one_plus_x(6.0, 5.0))
+    assert raised["C_zero"] > 100.0 * true["C_zero"]
+    assert raised["C_inf"] > 100.0 * true["C_inf"]
 
 
 def test_reg_integral_linearity():

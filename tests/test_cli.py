@@ -149,8 +149,10 @@ def test_sal_spec_with_verification(tmp_path):
     )
     assert main(["run", spec, "--json-only"]) == 0
     rep = read_report(tmp_path, "sal")
-    exps = {tuple(t["exponent"]) for t in rep["expansion"]["terms"]}
-    assert (-1.0, 0.0) in exps
+    exps = [tuple(t["exponent"]) for t in rep["expansion"]["terms"]]
+    assert (-1.0, 0.0) in exps and exps == sorted(exps)
+    assert rep["expansion"]["variable"] == "z"
+    assert rep["expansion"]["remainderOrder"] == -4.0
     assert rep["verification"]["decayExponent"] == pytest.approx(-4.0, abs=0.4)
 
 
@@ -172,6 +174,8 @@ def test_separable_spec(tmp_path):
     )
     assert main(["run", spec, "--json-only"]) == 0
     rep = read_report(tmp_path, "sep")
+    assert rep["expansion"]["variable"] == "t"
+    assert rep["expansion"]["remainderOrder"] == 1.5
     const = [t for t in rep["expansion"]["terms"] if t["exponent"] == [0.0, 0.0]]
     assert const[0]["logCoeffs"][0][0] == pytest.approx(-0.5772156649015329, abs=1e-8)
 
@@ -224,6 +228,17 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     spec = write_spec(tmp_path / "num.json", {"kind": "reginteg", "function": bad})
     assert main(["run", spec]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_sal_past_the_finite_difference_limit_exits_3(tmp_path, capsys):
+    # step(5-x) blocks diff, so the z^-4 boundary term needs a 3rd finite difference
+    sigma = {
+        "expr": "exp(-x)*exp(-zeta)*step(5-x)*step(zeta-0.001)", "order": 4,
+        "xSupport": [0.0, 5.0], "zetaVanishesBelow": 0.001,
+    }
+    spec = write_spec(tmp_path / "fd.json", {"kind": "sal", "sigma": sigma})
+    assert main(["run", spec]) == 3
+    assert "finite differences support at most 2" in capsys.readouterr().err
 
 
 def test_failed_diagnostics_exit_4_with_report(tmp_path, capsys):

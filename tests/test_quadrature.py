@@ -18,6 +18,15 @@ def test_imaginary_part_missed_by_the_probes_is_kept():
     assert val == 0.5 and isinstance(val, float)  # zero imaginary parts stay on the real path
 
 
+@pytest.mark.parametrize("wrap", [np.complex64, np.array], ids=["complex64", "0-d array"])
+def test_numpy_complex_values_keep_their_imaginary_part(wrap):
+    # at the probes, and at nodes beyond them
+    val, _ = quad_interval(lambda x: wrap(x + 1j), 0.0, 1.0)
+    assert val == pytest.approx(0.5 + 1j, abs=1e-8)
+    val, _ = quad_interval(lambda x: x if x < 0.9 else wrap(x + 1j), 0.0, 1.0)
+    assert val == pytest.approx(0.5 + 0.1j, abs=1e-8)
+
+
 def _counted(f):
     calls = Counter()
 

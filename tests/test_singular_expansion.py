@@ -144,6 +144,18 @@ def test_finite_difference_derivative_stays_inside_the_support():
     assert asymptotic_expansion(sig).expansion.coefficient(-2.0, 0).real == pytest.approx(-1.0, abs=1e-4)
 
 
+def test_finite_difference_derivative_stops_at_the_second():
+    # past j = 2 the stencil's error is no longer small: at (2, 1) it read
+    # 0.0679 for j = 4 against exp(-3) = 0.0498
+    sig = sigma_from_expression(
+        "exp(-x)*exp(-zeta)*step(5-x)*step(zeta-0.001)", order=4,
+        x_support=(0.0, 5.0), zeta_vanishes_below=0.001,
+    )
+    assert sig.x_deriv(2)(2.0, 1.0) == pytest.approx(math.exp(-3.0), rel=1e-8)
+    with pytest.raises(MissingExpansionData, match="order 3"):
+        sig.x_deriv(3)
+
+
 def test_hypothesis_diagnostics_detect_scaling_divergence():
     # 1/(x + zeta) is bounded by 1/zeta but its scaled integrals blow up
     sig = sigma_from_expression("1/(x+zeta)", order=0)
