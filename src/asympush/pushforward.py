@@ -203,10 +203,13 @@ def fit_asymptotics(
         raise ValueError("sample points must be positive")
     L = np.log(ts)
     A = np.column_stack([ts**a * L**b for a, b in basis])
-    coef, res, rank, _ = np.linalg.lstsq(A, vals, rcond=None)
-    if rank < len(basis):
+    # one SVD gives the rank (lstsq's default cutoff), the 2-norm condition
+    # number and the least-squares coefficients
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    if np.count_nonzero(s > s[0] * np.finfo(float).eps * max(A.shape)) < len(basis):
         raise ValueError("design matrix is rank deficient for this grid")
-    cond = float(np.linalg.cond(A))
+    coef = Vt.T @ ((U.T @ vals) / s)
+    cond = float(s[0] / s[-1])
     if cond > condition_warn:
         warnings.warn(f"ill-conditioned design matrix (condition {cond:.2e})")
     rms = float(np.sqrt(np.mean((A @ coef - vals) ** 2)))
