@@ -14,7 +14,6 @@ The package turns three pieces of asymptotic analysis into computations:
 
 from .asymfun import (
     AsymFunction,
-    HigherOrderPoleError,
     from_expression,
     from_json,
     lim_inf,

@@ -111,8 +111,11 @@ def _criterion_3() -> tuple[bool, str]:
     return ok, f"closed-form worst {worst_cf:.2e}, rescale agreement worst {worst_agree:.2e} (<=1e-8)"
 
 
-def _mellin_suite() -> list[tuple[str, AsymFunction, complex, int]]:
-    """(label, function, pole to probe, expected pole order)."""
+EULER_GAMMA = 0.5772156649015329
+
+
+def _mellin_suite() -> list[tuple[str, AsymFunction, complex, complex, int]]:
+    """(label, function, finite part at 1, pole to probe, expected pole order)."""
     exp_f = schwartz("exp(-x)", n_taylor=10)
 
     def piecewise(x: float) -> float:
@@ -124,11 +127,11 @@ def _mellin_suite() -> list[tuple[str, AsymFunction, complex, int]]:
         exp_inf=make_side([], 40.0, "infinity"),
     )
     return [
-        ("exp(-x)", exp_f, 0j, 1),
-        ("1/(1+x)", one_over_one_plus_x(), 0j, 1),
-        ("1/x then exp(-x)", pw, 1.0 + 0j, 1),
-        ("x^-1/2 exp(-x)", power_log_multiply(exp_f, -0.5), 0.5 + 0j, 1),
-        ("ln x exp(-x)", power_log_multiply(exp_f, 0.0, 1), 0j, 2),
+        ("exp(-x)", exp_f, 1.0, 0j, 1),  # Gamma(1)
+        ("1/(1+x)", one_over_one_plus_x(), 0.0, 0j, 1),  # pi/sin(pi z) + 1/(z - 1) -> 0
+        ("1/x then exp(-x)", pw, math.exp(-1.0), 1.0 + 0j, 1),  # 0 on (0, 1] plus e^-1
+        ("x^-1/2 exp(-x)", power_log_multiply(exp_f, -0.5), math.sqrt(math.pi), 0.5 + 0j, 1),
+        ("ln x exp(-x)", power_log_multiply(exp_f, 0.0, 1), -EULER_GAMMA, 0j, 2),  # Gamma'(1)
     ]
 
 
@@ -136,10 +139,8 @@ def _criterion_4() -> tuple[bool, str]:
     worst_fp = 0.0
     worst_order = 0.0
     ok = True
-    for label, f, pole, expected in _mellin_suite():
-        fp = mellin_finite_part(f, 1.0)
-        diff = abs(fp - reg_integral(f))
-        worst_fp = max(worst_fp, diff)
+    for label, f, want, pole, expected in _mellin_suite():
+        worst_fp = max(worst_fp, abs(mellin_finite_part(f, 1.0) - want))
         vals = []
         for eps in (1e-2, 1e-3):
             r = mellin(f, pole + eps)
@@ -151,7 +152,7 @@ def _criterion_4() -> tuple[bool, str]:
             ok = False
     ok = ok and worst_fp <= 1e-6
     return ok, (
-        f"finite part vs reg worst {worst_fp:.2e} (<=1e-6), "
+        f"finite part at 1 vs closed form worst {worst_fp:.2e} (<=1e-6), "
         f"pole-order fit worst deviation {worst_order:.2f} (rounds to expected)"
     )
 

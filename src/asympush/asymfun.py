@@ -9,11 +9,16 @@ where p and q are the orders of the two sides (the convention of
 :mod:`asympush.expansions`).  Everything in this module works off that data:
 the limit-in-the-mean at either end, the primitive with its two integration
 constants, the regularized integral, the meromorphically continued Mellin
-transform, and the scaling rule that picks up log corrections from exponent
--1 terms.
+transform with its finite part at a pole of any order, and the scaling rule
+that picks up log corrections from exponent -1 terms.
 
-Declared expansions are trusted inputs; :func:`check_expansion_consistency`
-offers a sampled sanity check, not a proof.
+One routine computes the Mellin continuation: the constant Laurent
+coefficients at z of the integrals over (0, 1] and [1, inf), each a
+subtracted integral plus closed-form moments.  The regularized integral is
+their sum at z = 1, the primitive's constants are the two halves there, and
+the finite part at a pole is their sum at the pole.
+
+Declared expansions are trusted inputs.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ __all__ = [
     "AsymFunction",
     "MellinPole",
     "MellinResult",
-    "HigherOrderPoleError",
     "from_expression",
     "pure_power",
     "schwartz",
@@ -52,7 +56,6 @@ __all__ = [
     "scale_reg_integral",
     "scaling_rule",
     "power_log_multiply",
-    "check_expansion_consistency",
 ]
 
 # bookkeeping epsilon for remainder orders of the primitive
@@ -210,48 +213,71 @@ def _antiderivative_term(t: Term) -> Term:
     return Term(alpha + 1, LogPolynomial(tuple(r)))
 
 
-def _integration_constants(f: AsymFunction, tol: float) -> tuple[complex, complex]:
-    """Constants of F(x) = int_1^x f at 0 and infinity (its LIMs)."""
+def _cutoff(decay: float, growth: float, tol: float) -> float:
+    """Transformed range of a subtracted integral decaying like e^{-decay u}.
+
+    Cancellation noise of f - terms, amplified by steep powers in the terms
+    and by the weight, grows like e^{growth u}; when it grows, the range
+    balances truncation error against that noise.
+    """
+    if growth > 0.0:
+        return 16.0 * math.log(10.0) / (decay + growth)
+    return min(max(1.6 * math.log(1.0 / tol) / decay + 10.0, 25.0), 200.0)
+
+
+def _halves(f: AsymFunction, z: complex, tol: float) -> tuple[complex, complex]:
+    """Constant Laurent coefficients at z of int_0^1 x^{z-1} f and int_1^inf x^{z-1} f.
+
+    Each is the integral of f minus its declared terms, analytic on the
+    strip, plus the closed-form moment of every term.  A moment whose
+    exponent sits on -1 is a pure pole c (-1)^k k!/(z - z0)^(k+1), with no
+    constant part, so it is skipped.
+    """
     p, q = f.exp0.order, f.exp_inf.order
-    if p <= 0 or q <= 0:
-        raise ValueError(f"primitive needs positive orders, got p={p}, q={q}")
+    if not 1.0 - p < z.real < 1.0 + q:
+        raise ValueError(f"z = {z} outside the continuation strip ({1.0 - p}, {1.0 + q})")
+    zm1 = z - 1.0
+    at0, at_inf = f.exp0.at_log, f.exp_inf.at_log
 
-    t0_at_1 = sum(
-        _antiderivative_term(t).poly(0.0)
-        for t in f.exp0.terms
-        if abs(t.exponent + 1) > EXPONENT_TOL
-    )
-    # cap the range so cancellation noise of f - terms (amplified by steep
-    # negative powers x^-s) cannot swamp the x^p remainder tail; the cutoff
-    # balances truncation error e^{-p u} against noise growth e^{(s-1) u}
-    s0 = max(0.0, -min((t.exponent.real for t in f.exp0.terms), default=0.0))
-    if s0 > 1.0:
-        u0 = 16.0 * math.log(10.0) / max(p + s0 - 1.0, p)
-    else:
-        u0 = min(max(1.6 * math.log(1.0 / tol) / p + 10.0, 25.0), 200.0)
-    rem0, _ = quad_01(lambda x: f(x) - f.exp0(x), tol, points=f.quad_points(), u_max=u0)
-    c_zero = -t0_at_1 - rem0
+    # one log per node, shared by the subtracted side and the weight x^{z-1}
+    def low_fn(x: float) -> complex:
+        L = math.log(x)
+        return (f(x) - at0(L)) * cmath.exp(zm1 * L)
 
-    tinf_at_1 = sum(
-        _antiderivative_term(t).poly(0.0)
-        for t in f.exp_inf.terms
-        if abs(t.exponent + 1) > EXPONENT_TOL
-    )
-    s1 = max(0.0, max((t.exponent.real for t in f.exp_inf.terms), default=0.0))
-    if s1 > 1.0:
-        u1 = 16.0 * math.log(10.0) / max(q + s1 - 1.0, q)
-    else:
-        u1 = min(max(1.6 * math.log(1.0 / tol) / q + 10.0, 25.0), 200.0)
-    rem_inf, _ = quad_1inf(
-        lambda x: f(x) - f.exp_inf(x), tol, points=f.quad_points(), u_max=u1
-    )
-    c_inf = -tinf_at_1 + rem_inf
-    return c_zero, c_inf
+    def high_fn(x: float) -> complex:
+        L = math.log(x)
+        return (f(x) - at_inf(L)) * cmath.exp(zm1 * L)
+
+    # noise grows only on a side with terms: x^-s0 at zero, x^s1 at infinity
+    g0 = g1 = 0.0
+    if f.exp0.terms:
+        g0 = max(0.0, -min(t.exponent.real for t in f.exp0.terms)) - z.real
+    if f.exp_inf.terms:
+        g1 = max(0.0, max(t.exponent.real for t in f.exp_inf.terms)) + z.real - 2.0
+    u0 = _cutoff(p - 1.0 + z.real, g0, tol)
+    u1 = _cutoff(q + 1.0 - z.real, g1, tol)
+    low, _ = quad_01(low_fn, tol, points=f.quad_points(), u_max=u0)
+    high, _ = quad_1inf(high_fn, tol, points=f.quad_points(), u_max=u1)
+    for t in f.exp0.terms:
+        a = t.exponent + zm1
+        if abs(a + 1.0) > EXPONENT_TOL:
+            for k, c in enumerate(t.poly.coeffs):
+                if c != 0:
+                    low += c * moment_unit_interval(a, k)
+    for t in f.exp_inf.terms:
+        a = t.exponent + zm1
+        if abs(a + 1.0) > EXPONENT_TOL:
+            for k, c in enumerate(t.poly.coeffs):
+                if c != 0:
+                    high += c * moment_tail(a, k)
+    return low, high
 
 
 def primitive(f: AsymFunction, tol: float = DEFAULT_TOL) -> AsymFunction:
     """F(x) = int_1^x f, with expansion data at both ends."""
-    c_zero, c_inf = _integration_constants(f, tol)
+    low, high = _halves(f, 1.0 + 0j, tol)
+    # F's LIM at zero is -int_0^1 f and at infinity int_1^inf f (finite parts)
+    c_zero, c_inf = -low, high
 
     zero_terms = [(a.exponent, a.poly) for a in map(_antiderivative_term, f.exp0.terms)]
     zero_terms.append((0j, LogPolynomial((c_zero,))))
@@ -274,9 +300,12 @@ def primitive(f: AsymFunction, tol: float = DEFAULT_TOL) -> AsymFunction:
 
 
 def reg_integral(f: AsymFunction, tol: float = DEFAULT_TOL) -> complex:
-    """Regularized integral: LIM at infinity minus LIM at zero of the primitive."""
-    c_zero, c_inf = _integration_constants(f, tol)
-    return c_inf - c_zero
+    """Regularized integral: LIM at infinity minus LIM at zero of the primitive.
+
+    That is the finite part of the Mellin transform at z = 1.
+    """
+    low, high = _halves(f, 1.0 + 0j, tol)
+    return low + high
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +322,6 @@ class MellinPole:
 class MellinResult:
     value: complex | None  # None when z sits on a pole
     poles: tuple[MellinPole, ...]
-
-
-class HigherOrderPoleError(ValueError):
-    """A finite part asked for at a Mellin pole of order 2 or more."""
 
 
 def _poles_in_strip(f: AsymFunction) -> tuple[MellinPole, ...]:
@@ -319,75 +344,26 @@ def _poles_in_strip(f: AsymFunction) -> tuple[MellinPole, ...]:
 def mellin(f: AsymFunction, z: complex, tol: float = DEFAULT_TOL) -> MellinResult:
     """Meromorphic continuation of int_0^inf x^{z-1} f(x) dx on the strip."""
     z = complex(z)
-    p, q = f.exp0.order, f.exp_inf.order
-    if not (1.0 - p < z.real < 1.0 + q):
-        raise ValueError(
-            f"z = {z} outside the continuation strip ({1.0 - p}, {1.0 + q})"
-        )
     poles = _poles_in_strip(f)
     if any(abs(z - pole.location) <= EXPONENT_TOL for pole in poles):
         return MellinResult(None, poles)
-
-    # decay rates of the subtracted integrands in the transformed variable;
-    # cap the range so the x^{z-1} weight cannot amplify cancellation noise
-    lam0 = p + min(z.real, 1.0)
-    lam_inf = q + 1.0 - max(z.real - 1.0, 0.0)
-    u0 = min(max(1.5 * math.log(1.0 / tol) / lam0 + 10.0, 25.0), 200.0)
-    u1 = min(max(1.5 * math.log(1.0 / tol) / lam_inf + 10.0, 25.0), 200.0)
-    zm1 = z - 1.0
-    at0, at_inf = f.exp0.at_log, f.exp_inf.at_log
-
-    # one log per node, shared by the subtracted side and the weight x^{z-1}
-    def low_fn(x: float) -> complex:
-        L = math.log(x)
-        return (f(x) - at0(L)) * cmath.exp(zm1 * L)
-
-    def high_fn(x: float) -> complex:
-        L = math.log(x)
-        return (f(x) - at_inf(L)) * cmath.exp(zm1 * L)
-
-    low, _ = quad_01(low_fn, tol, points=f.quad_points(), u_max=u0)
-    high, _ = quad_1inf(high_fn, tol, points=f.quad_points(), u_max=u1)
-    val = low + high
-    for t in f.exp0.terms:
-        for k, c in enumerate(t.poly.coeffs):
-            if c != 0:
-                val += c * moment_unit_interval(t.exponent + z - 1.0, k)
-    for t in f.exp_inf.terms:
-        for k, c in enumerate(t.poly.coeffs):
-            if c != 0:
-                val += c * moment_tail(t.exponent + z - 1.0, k)
-    return MellinResult(val, poles)
+    low, high = _halves(f, z, tol)
+    return MellinResult(low + high, poles)
 
 
-def mellin_finite_part(
-    f: AsymFunction,
-    z0: complex = 1.0,
-    eps: tuple[float, float] = (1e-2, 1e-3),
-    tol: float = DEFAULT_TOL,
-) -> complex:
-    """Zeroth Laurent coefficient at z0 by symmetric sampling plus Richardson.
+def mellin_finite_part(f: AsymFunction, z0: complex = 1.0, tol: float = DEFAULT_TOL) -> complex:
+    """Zeroth Laurent coefficient of the Mellin transform at z0, at a pole of any order.
 
-    The symmetric average cancels odd-order pole parts; the Richardson step
-    removes the leading quadratic error of the analytic remainder.  Within
-    EXPONENT_TOL of a pole of order 2 or more the even-order part would
-    swamp the result, so HigherOrderPoleError is raised there instead.
+    The principal part at a pole is exactly the moments of the terms whose
+    exponent is -z0, so the finite part is the rest of the transform at z0.
+    A pole within EXPONENT_TOL of z0 counts as sitting at z0.
     """
+    z0 = complex(z0)
     for pole in _poles_in_strip(f):
-        if pole.order >= 2 and abs(z0 - pole.location) <= EXPONENT_TOL:
-            raise HigherOrderPoleError(
-                f"finite part at z0 = {z0}: pole of order {pole.order} at {pole.location}; "
-                "symmetric sampling cancels simple poles only"
-            )
-    e1, e2 = eps
-
-    def sym(e: float) -> complex:
-        a = mellin(f, z0 + e, tol).value
-        b = mellin(f, z0 - e, tol).value
-        return (a + b) / 2.0
-
-    s1, s2 = sym(e1), sym(e2)
-    return (s2 * e1**2 - s1 * e2**2) / (e1**2 - e2**2)
+        if abs(z0 - pole.location) <= EXPONENT_TOL:
+            z0 = pole.location
+    low, high = _halves(f, z0, tol)
+    return low + high
 
 
 # ---------------------------------------------------------------------------
@@ -455,36 +431,3 @@ def power_log_multiply(f: AsymFunction, alpha: complex, j: int = 0) -> AsymFunct
         exp_inf=make_side(shift(f.exp_inf), f.exp_inf.order - alpha.real, "infinity"),
         support=f.support,
     )
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def check_expansion_consistency(
-    f: AsymFunction,
-    delta: float = 0.25,
-    n_points: int = 24,
-    x_min: float = 1e-4,
-    x_max: float = 1e4,
-) -> dict:
-    """Sampled remainder-bound check on geometric grids toward 0 and infinity.
-
-    Returns the fitted constants C such that |f - declared terms| is at most
-    C x^(p-1-delta) toward 0 and C x^(-q-1+delta) toward infinity over the
-    sampled grid, p and q being the declared orders.
-    """
-    out = {}
-    ratios0 = []
-    for i in range(n_points):
-        x = 1.0 * (x_min / 1.0) ** ((i + 1) / n_points)
-        rem = abs(f(x) - f.exp0(x))
-        ratios0.append(rem / x ** (f.exp0.order - 1.0 - delta))
-    out["C_zero"] = max(ratios0)
-    ratios_inf = []
-    for i in range(n_points):
-        x = 1.0 * (x_max / 1.0) ** ((i + 1) / n_points)
-        rem = abs(f(x) - f.exp_inf(x))
-        ratios_inf.append(rem * x ** (f.exp_inf.order + 1.0 - delta))
-    out["C_inf"] = max(ratios_inf)
-    return out

@@ -180,7 +180,7 @@ def test_separable_spec(tmp_path):
     assert const[0]["logCoeffs"][0][0] == pytest.approx(-0.5772156649015329, abs=1e-8)
 
 
-def test_finite_part_at_double_pole_exits_2(tmp_path, capsys):
+def test_finite_part_at_double_pole_is_reported(tmp_path):
     # x^0 ln x e^(-x): its Mellin transform Gamma'(z) has a double pole at 0
     log_exp = {
         "expr": "exp(-x)*log(x)",
@@ -197,9 +197,13 @@ def test_finite_part_at_double_pole_exits_2(tmp_path, capsys):
         tmp_path / "mel.json",
         {"kind": "mellin", "function": log_exp, "points": [[0.5, 1.0]], "finitePartAt": 0.0},
     )
-    assert main(["run", spec, "--json-only"]) == 2
-    err = capsys.readouterr().err
-    assert "invalid spec" in err and "pole of order 2" in err
+    assert main(["run", spec, "--json-only"]) == 0
+    rep = read_report(tmp_path, "mel")
+    assert {"location": [0.0, 0.0], "order": 2} in rep["points"][0]["poles"]
+    # the finite part of Gamma' at 0
+    gamma = 0.5772156649015329
+    assert rep["finitePart"]["value"][0] == pytest.approx(gamma**2 / 2.0 + math.pi**2 / 12.0, abs=1e-12)
+    assert rep["finitePart"]["value"][1] == 0.0
 
 
 def test_invalid_kind_exits_2(tmp_path, capsys):

@@ -158,6 +158,21 @@ def test_quadrature_error_names_why_the_call_stopped():
     assert exc.value.reason == STOP_REASONS[5] and "divergent" in str(exc.value)
 
 
+@pytest.mark.parametrize("power", [1.5, 1.1])
+def test_divergent_integral_raises_despite_a_small_error_estimate(power):
+    # QUADPACK stops x^-p on (0, 1] with ier 5 and an error estimate near
+    # 1e-13, its value being the finite part 1/(1 - p)
+    with pytest.raises(QuadratureError) as exc:
+        quad_interval(lambda x: x**-power, 0.0, 1.0)
+    assert exc.value.ier == 5 and exc.value.error < 1e-10
+
+
+def test_nan_result_raises():
+    with pytest.raises(QuadratureError) as exc:
+        quad_interval(lambda x: math.nan if x < 0.5 else 1.0, 0.0, 1.0)
+    assert math.isnan(exc.value.error)
+
+
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(asympush.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
