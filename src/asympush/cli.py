@@ -5,14 +5,15 @@ the engines and writes a ``*.report.json`` (plus a ``*.samples.csv`` for
 sampled push-forward grids) next to the spec or into ``--out``.  ``asympush
 selftest`` runs the acceptance suite and prints a pass/fail matrix.
 
-Exit codes: 0 success, 2 invalid spec, 3 numerical failure, 4 failed
-hypothesis diagnostics (the report is still written).
+Exit codes: 0 success, 2 invalid spec or unwritable report, 3 numerical
+failure, 4 failed hypothesis diagnostics (the report is still written).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -345,9 +346,9 @@ def _strict_json(v):
 def _write_report(report: dict, out_dir: Path, stem: str, rows, args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{stem}.report.json"
-    with path.open("w") as fh:
-        json.dump(_strict_json(report), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    # one encode and one write: json.dump would stream the indented text
+    # through thousands of small writes
+    path.write_text(json.dumps(_strict_json(report), indent=2, sort_keys=True, allow_nan=False) + "\n")
     if rows is not None and not args.json_only:
         digits = args.precision
         csv_path = out_dir / f"{stem}.samples.csv"
@@ -380,7 +381,10 @@ def _cmd_run(args) -> int:
 
     out_dir = Path(args.out) if args.out else spec_path.parent
     stem = spec_path.stem
+    code, failure = 0, None
     try:
+        if not isinstance(spec, dict):
+            raise SpecError(f"a spec is a JSON object, not {type(spec).__name__}")
         kind = spec.get("kind")
         if kind not in KINDS:
             raise SpecError(f"spec kind must be one of {KINDS}, got {kind!r}")
@@ -391,9 +395,7 @@ def _cmd_run(args) -> int:
             "error": str(e),
             "diagnostics": _diagnostics_json(e.diagnostics),
         }
-        _write_report(report, out_dir, stem, None, args)
-        print(f"hypothesis diagnostics failed: {e}", file=sys.stderr)
-        return 4
+        rows, code, failure = None, 4, f"hypothesis diagnostics failed: {e}"
     except (
         QuadratureError,
         DivergentIntegral,
@@ -410,8 +412,14 @@ def _cmd_run(args) -> int:
     except (SpecError, KeyError, TypeError, ValueError, ex.ExprSyntaxError) as e:
         print(f"invalid spec: {e}", file=sys.stderr)
         return 2
-    _write_report(report, out_dir, stem, rows, args)
-    return 0
+    try:
+        _write_report(report, out_dir, stem, rows, args)
+    except OSError as e:
+        print(f"cannot write report: {e}", file=sys.stderr)
+        return 2
+    if failure is not None:
+        print(failure, file=sys.stderr)
+    return code
 
 
 def _cmd_selftest(args) -> int:
@@ -438,7 +446,9 @@ def _cmd_selftest(args) -> int:
     return 0 if all_ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main call and shared by the later ones."""
     parser = argparse.ArgumentParser(
         prog="asympush",
         description="regularized integrals, singular expansions and push-forwards",
@@ -457,8 +467,11 @@ def main(argv: list[str] | None = None) -> int:
     p_self = sub.add_parser("selftest", help="run the acceptance suite")
     p_self.add_argument("--filter", help="comma-separated criterion numbers")
     p_self.set_defaults(fn=_cmd_selftest)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

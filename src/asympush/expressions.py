@@ -253,7 +253,28 @@ def _prec(node: Expr) -> int:
     return _PREC["atom"]
 
 
+def _sum_spine(node: Expr) -> tuple[list[BinOp], Expr]:
+    """The '+'/'-' nodes down the left spine of node, top first, and the operand below them.
+
+    A parsed sum of n terms is n - 1 such nodes deep, so unparse and evaluate
+    walk it with this loop instead of one recursive call per term.
+    """
+    spine = []
+    while type(node) is BinOp and (node.op == "+" or node.op == "-"):
+        spine.append(node)
+        node = node.left
+    return spine, node
+
+
 def unparse(node: Expr) -> str:
+    spine, node = _sum_spine(node)
+    if spine:
+        # the bottom operand binds tighter than '+', so only a '+'/'-' right operand needs parentheses
+        parts = [unparse(node)]
+        for nd in reversed(spine):
+            right = unparse(nd.right)
+            parts.append(f"{nd.op}({right})" if _prec(nd.right) <= _PREC["+"] else f"{nd.op}{right}")
+        return "".join(parts)
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
@@ -373,6 +394,12 @@ def evaluate(node: Expr, bindings: Bindings | None = None) -> float:
             raise EvalError(f"unknown function {node.func!r}")
         return _CALLS[node.func](x)
     if isinstance(node, BinOp) and node.op in _BINOPS:
+        if node.op == "+" or node.op == "-":
+            spine, node = _sum_spine(node)
+            acc = evaluate(node, b)
+            for nd in reversed(spine):
+                acc = _BINOPS[nd.op](acc, evaluate(nd.right, b))
+            return acc
         return _BINOPS[node.op](evaluate(node.left, b), evaluate(node.right, b))
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -481,7 +508,16 @@ def substitute(node: Expr, var: str, replacement: Expr) -> Expr:
 
 def _substitute(nd: Expr, var: str, replacement: Expr, memo: dict) -> Expr:
     out = memo.get(id(nd))  # id of a node of the input -> its substituted copy
-    if out is None:
+    if out is None and type(nd) is BinOp and (nd.op == "+" or nd.op == "-"):
+        # down the left spine of a sum in a loop, as far as the first node already copied
+        spine = []
+        while type(nd) is BinOp and (nd.op == "+" or nd.op == "-") and id(nd) not in memo:
+            spine.append(nd)
+            nd = nd.left
+        out = _substitute(nd, var, replacement, memo)
+        for s in reversed(spine):
+            out = memo[id(s)] = BinOp(s.op, out, _substitute(s.right, var, replacement, memo))
+    elif out is None:
         if isinstance(nd, Num):
             out = nd
         elif isinstance(nd, Var):

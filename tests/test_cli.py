@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import asympush
 from asympush import asymfun, cli
 from asympush.asymfun import from_json, scale_reg_integral
 from asympush.cli import main
@@ -336,3 +340,71 @@ def test_strict_json_spells_out_non_finite_numbers():
     assert cli._strict_json(report) == {
         "a": ["inf", "-inf", ["nan", 1.5]], "b": {"c": 2, "d": None},
     }
+
+
+def test_spec_that_is_not_an_object_exits_2(tmp_path, capsys):
+    for i, payload in enumerate(([1, 2], "x", 3)):
+        spec = write_spec(tmp_path / f"notobj{i}.json", payload)
+        assert main(["run", spec]) == 2
+        assert "invalid spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, code",
+    [
+        ({"kind": "reginteg", "function": EXP_FUNCTION}, 0),
+        ({"kind": "sal", "sigma": {"expr": "1/(x+zeta)", "order": 0}, "diagnostics": True}, 4),
+    ],
+)
+def test_unwritable_report_exits_2(tmp_path, capsys, payload, code):
+    spec = write_spec(tmp_path / "spec.json", payload)
+    assert main(["run", spec, "--out", str(tmp_path / "out"), "--json-only"]) == code
+    capsys.readouterr()
+    taken = tmp_path / "taken"
+    taken.write_text("")  # --out names a file, so the report directory cannot be made
+    assert main(["run", spec, "--out", str(taken), "--json-only"]) == 2
+    assert "cannot write report" in capsys.readouterr().err
+
+
+def _python(code: str) -> str:
+    """Stdout of a fresh interpreter that imports this checkout's asympush."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(asympush.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout
+
+
+def test_main_shares_one_parser_across_calls(tmp_path, capsys):
+    spec = write_spec(
+        tmp_path / "push.json",
+        {"kind": "pushforward", "density": {"expr": "exp(-x-y)", "box": [1, 1]}, "tGrid": [0.1, 0.3]},
+    )
+
+    def check_value_column(digits):
+        values = read_report(tmp_path, "push")["values"]
+        rows = list(csv.DictReader((tmp_path / "push.samples.csv").open()))
+        assert [row["value"] for row in rows] == [f"{v:.{digits}g}" for v in values]
+
+    assert main(["run", spec, "--precision", "5"]) == 0
+    check_value_column(5)
+    assert main(["run", spec]) == 0  # the default is back: nothing carries over
+    check_value_column(12)
+    with pytest.raises(SystemExit) as err:
+        main(["run", spec, "--no-such-flag"])
+    assert err.value.code == 2
+    assert main(["run", spec, "--json-only"]) == 0
+    capsys.readouterr()
+    fresh = tmp_path / "fresh"
+    _python(f"from asympush.cli import main; main(['run', {spec!r}, '--out', {str(fresh)!r}])")
+    assert (fresh / "push.report.json").read_bytes() == (tmp_path / "push.report.json").read_bytes()
+
+
+def test_selftest_loads_no_numpy_random():
+    code = (
+        "import contextlib, io, sys\n"
+        "from asympush.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['selftest'])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    assert _python(code).strip() == "0 []"

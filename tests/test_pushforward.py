@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asympush import expressions as ex
 from asympush.asymfun import from_expression
 from asympush.indexsets import complete, nullfaces
 from asympush.pushforward import (
@@ -269,3 +270,15 @@ def test_push_xy_of_a_2000_term_density():
     assert f(0.5) == pytest.approx(500.0, rel=1e-12)
     sigma = sigma_from_expression(text.replace("y", "zeta"), order=0)
     assert sigma(0.5, 2.0) == pytest.approx(2000.0, rel=1e-12)
+
+
+def test_unparse_evaluate_and_swap_of_a_2000_term_density():
+    # each walks the 1999 '+' nodes of the left spine in a loop, not by recursion
+    text = "+".join(["x*y"] * 2000)
+    u = density_from_expression(text)
+    assert ex.unparse(u.ast) == text
+    assert ex.evaluate(u.ast, {"x": 0.5, "y": 0.25}) == 250.0
+    v = u.swapped()
+    assert v.box == (1.0, 1.0)
+    assert ex.unparse(v.ast) == "+".join(["y*x"] * 2000)
+    assert v(0.25, 0.5) == u(0.5, 0.25) == 250.0
