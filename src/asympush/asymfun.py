@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Sequence
 
 from . import expressions as ex
@@ -40,6 +41,8 @@ from .quadrature import DEFAULT_TOL, quad_01, quad_1inf, quad_interval
 
 __all__ = [
     "AsymFunction",
+    "MissingExpansionData",
+    "finite_difference",
     "MellinPole",
     "MellinResult",
     "from_expression",
@@ -62,6 +65,48 @@ __all__ = [
 ORDER_EPS = 0.01
 
 
+class MissingExpansionData(ValueError):
+    """The integrand lacks declared data needed to regularize an integral."""
+
+
+def finite_difference(fun: Callable[..., complex], j: int, support: tuple[float, float]):
+    """deriv(x, *rest): d^j fun / dx^j in its first argument, by finite differences.
+
+    For j <= 2 only; beyond, MissingExpansionData, as the error is no longer
+    small.  The stencil nodes sit at x + (m + shift) * step, m = 0..j: centred
+    where that stays inside ``support``, else one-sided, so that none is outside.
+    """
+    if j > 2:
+        raise MissingExpansionData(
+            f"x-derivative of order {j} needs a step-free expression; "
+            "finite differences support at most 2"
+        )
+    lo, hi = support
+    h = 1e-2 / (1 << j)
+
+    def deriv(x: float, *rest) -> complex:
+        shift = -j / 2.0
+        if x - j * h / 2.0 < lo:
+            shift = 0.0
+        elif x + j * h / 2.0 > hi:
+            shift = -float(j)
+
+        def stencil(step: float) -> complex:
+            return sum(
+                (-1) ** (j - m) * comb(j, m) * fun(x + (m + shift) * step, *rest)
+                for m in range(j + 1)
+            ) / step**j
+
+        coarse, fine = stencil(h), stencil(h / 2.0)
+        if shift == -j / 2.0:  # centred: the error is even in the step
+            return (4.0 * fine - coarse) / 3.0
+        # one-sided: Richardson-eliminate the step, then its square
+        finer = stencil(h / 4.0)
+        return (4.0 * (2.0 * finer - fine) - (2.0 * fine - coarse)) / 3.0
+
+    return deriv
+
+
 @dataclass(frozen=True)
 class AsymFunction:
     fn: Callable[[float], complex]
@@ -80,27 +125,14 @@ class AsymFunction:
     def nth_deriv_at_zero(self, n: int) -> complex:
         """n-th derivative of the evaluator at x = 0.
 
-        From the Taylor jet of the AST when there is one, Richardson central
-        differences otherwise (the evaluator must then extend smoothly through 0).
+        From the Taylor jet of the AST when there is one, else from one-sided
+        finite differences on x >= 0 (:func:`finite_difference`, n <= 2).
         """
         if self.ast is not None:
             return ex.taylor(self.ast, "x", 0.0, n)[n] * math.factorial(n)
         if n == 0:
             return self.fn(0.0)
-        h = 1e-3
-
-        def d(fun, step):
-            return lambda x: (fun(x + step) - fun(x - step)) / (2.0 * step)
-
-        fun = self.fn
-        for _ in range(n):
-            fun = d(fun, h)
-        coarse = fun(0.0)
-        fun2 = self.fn
-        for _ in range(n):
-            fun2 = d(fun2, h / 2.0)
-        fine = fun2(0.0)
-        return (4.0 * fine - coarse) / 3.0
+        return finite_difference(self, n, (0.0, math.inf))(0.0)
 
     def quad_points(self) -> list[float]:
         return list(self.support) if self.support else []

@@ -94,6 +94,20 @@ def _require(payload: dict, key: str, kind: str):
     return payload[key]
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _function(value, what: str):
+    """A function spec, checked to be an object with object sides, as an AsymFunction."""
+    _object(value, what)
+    for side in ("zero", "infinity"):
+        _object(value.get(side, {}), f"{what} {side!r}")
+    return from_json(value)
+
+
 def _parse_grid(spec, flag: str | None):
     """Grid from the spec or the --grid flag 'a:b:n:geometric|linear'."""
     if flag:
@@ -123,13 +137,13 @@ def _parse_grid(spec, flag: str | None):
 
 
 def _run_reginteg(payload, args):
-    f = from_json(_require(payload, "function", "reginteg"))
+    f = _function(_require(payload, "function", "reginteg"), "function")
     value = reg_integral(f)
     return {"kind": "reginteg", "value": _cnum(value)}, None
 
 
 def _run_mellin(payload, args):
-    f = from_json(_require(payload, "function", "mellin"))
+    f = _function(_require(payload, "function", "mellin"), "function")
     report = {"kind": "mellin", "points": []}
     for pt in payload.get("points", []):
         z = complex(pt[0], pt[1]) if isinstance(pt, list) else complex(pt)
@@ -148,7 +162,7 @@ def _run_mellin(payload, args):
 
 
 def _run_substitution(payload, args):
-    f = from_json(_require(payload, "function", "substitution"))
+    f = _function(_require(payload, "function", "substitution"), "function")
     ts = [float(t) for t in _require(payload, "t", "substitution")]
     base = reg_integral(f) if ts else None
     rows = []
@@ -167,12 +181,12 @@ def _run_substitution(payload, args):
 
 
 def _sigma_from_json(d: dict) -> SigmaFunction:
-    if "expr" not in d:
+    if "expr" not in _object(d, "sigma"):
         raise SpecError("sigma spec needs an 'expr' in variables x, zeta")
     terms = []
     for item in d.get("terms", []):
         expo = complex(item["exponent"][0], item["exponent"][1])
-        coeffs = tuple(from_json(c) for c in item["coeffs"])
+        coeffs = tuple(_function(c, "term coefficient") for c in item["coeffs"])
         terms.append(SigmaTerm(expo, coeffs))
     sig = sigma_from_expression(
         d["expr"],
@@ -229,7 +243,7 @@ def _run_sal(payload, args):
 
 def _run_separable(payload, args):
     phi = _require(payload, "phi", "separable")
-    f = from_json(_require(payload, "f", "separable"))
+    f = _function(_require(payload, "f", "separable"), "f")
     q = float(_require(payload, "q", "separable"))
     mode = payload.get("mode", "scale")
     if mode == "scale":
@@ -242,7 +256,7 @@ def _run_separable(payload, args):
 
 
 def _run_pushforward(payload, args):
-    dspec = _require(payload, "density", "pushforward")
+    dspec = _object(_require(payload, "density", "pushforward"), "density")
     box = tuple(float(v) for v in dspec.get("box", (1.0, 1.0)))
     u = density_from_expression(
         _require(dspec, "expr", "density"), box, bool(dspec.get("smooth", True))
@@ -289,7 +303,7 @@ def _run_indexset(payload, args):
     op = _require(payload, "operation", "indexset")
     sets = {
         name: _index_set_from_json(triples, N)
-        for name, triples in payload.get("sets", {}).items()
+        for name, triples in _object(payload.get("sets", {}), "sets").items()
     }
     report = {"kind": "indexset", "operation": op, "truncation": N}
     if op == "complete":

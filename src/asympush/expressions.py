@@ -256,14 +256,24 @@ def _prec(node: Expr) -> int:
 def _sum_spine(node: Expr) -> tuple[list[BinOp], Expr]:
     """The '+'/'-' nodes down the left spine of node, top first, and the operand below them.
 
-    A parsed sum of n terms is n - 1 such nodes deep, so unparse and evaluate
-    walk it with this loop instead of one recursive call per term.
+    A parsed sum of n terms is n - 1 such nodes deep, so unparse, evaluate,
+    diff and taylor walk it with this loop instead of one recursive call per
+    term.
     """
     spine = []
     while type(node) is BinOp and (node.op == "+" or node.op == "-"):
         spine.append(node)
         node = node.left
     return spine, node
+
+
+def _fold_sum(node: Expr, walk, add, sub):
+    """The terms of the sum at node, each mapped by walk, combined left to right by add and sub."""
+    spine, node = _sum_spine(node)
+    acc = walk(node)
+    for nd in reversed(spine):
+        acc = (add if nd.op == "+" else sub)(acc, walk(nd.right))
+    return acc
 
 
 def unparse(node: Expr) -> str:
@@ -395,11 +405,7 @@ def evaluate(node: Expr, bindings: Bindings | None = None) -> float:
         return _CALLS[node.func](x)
     if isinstance(node, BinOp) and node.op in _BINOPS:
         if node.op == "+" or node.op == "-":
-            spine, node = _sum_spine(node)
-            acc = evaluate(node, b)
-            for nd in reversed(spine):
-                acc = _BINOPS[nd.op](acc, evaluate(nd.right, b))
-            return acc
+            return _fold_sum(node, lambda nd: evaluate(nd, b), operator.add, operator.sub)
         return _BINOPS[node.op](evaluate(node.left, b), evaluate(node.right, b))
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -600,6 +606,8 @@ def _div(a: Expr, b: Expr) -> Expr:
 
 
 def diff(node: Expr, var: str) -> Expr:
+    if type(node) is BinOp and (node.op == "+" or node.op == "-"):
+        return _fold_sum(node, lambda nd: diff(nd, var), _add, _sub)
     if isinstance(node, Num):
         return Num(0.0)
     if isinstance(node, Var):
@@ -627,10 +635,6 @@ def diff(node: Expr, var: str) -> Expr:
             )
         raise DiffError(f"unknown function {node.func!r}")
     if isinstance(node, BinOp):
-        if node.op == "+":
-            return _add(diff(node.left, var), diff(node.right, var))
-        if node.op == "-":
-            return _sub(diff(node.left, var), diff(node.right, var))
         if node.op == "*":
             return _add(
                 _mul(diff(node.left, var), node.right),
@@ -657,7 +661,12 @@ def diff(node: Expr, var: str) -> Expr:
 def _depends(nd: Expr, var: str, memo: dict[int, bool]) -> bool:
     """Whether var occurs in nd; records the answer for every node of nd in memo, by id."""
     d = memo.get(id(nd))
-    if d is None:
+    if d is None and type(nd) is BinOp and (nd.op == "+" or nd.op == "-"):
+        spine, nd = _sum_spine(nd)
+        d = _depends(nd, var, memo)
+        for s in reversed(spine):
+            d = memo[id(s)] = _depends(s.right, var, memo) | d
+    elif d is None:
         if isinstance(nd, BinOp):
             d = _depends(nd.left, var, memo) | _depends(nd.right, var, memo)
         elif isinstance(nd, (Neg, Call)):
@@ -705,6 +714,10 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
     def jet(nd: Expr) -> list[float]:
         if not dep[id(nd)]:
             return [evaluate(nd, b)] + [0.0] * n
+        if type(nd) is BinOp and (nd.op == "+" or nd.op == "-"):
+            return _fold_sum(
+                nd, jet, lambda u, v: list(map(operator.add, u, v)), lambda u, v: list(map(operator.sub, u, v))
+            )
         if isinstance(nd, Var):
             return [at, 1.0, *[0.0] * n][: n + 1]
         if isinstance(nd, Neg):
@@ -734,8 +747,6 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
                 s[k], c[k] = dot(u, c, k), -dot(u, s, k)
             return s if nd.func == "sin" else c
         u, v = jet(nd.left), jet(nd.right)
-        if nd.op in "+-":
-            return [p + q if nd.op == "+" else p - q for p, q in zip(u, v)]
         if nd.op == "*":
             return mul(u, v)
         if nd.op == "/":

@@ -28,7 +28,7 @@ from .indexsets import (
     IntegrabilityReport,
     check_integrability,
 )
-from .quadrature import DEFAULT_TOL, quad_interval
+from .quadrature import DEFAULT_TOL, dyadic_shells, quad_interval
 from .singular_expansion import SigmaFunction, SigmaTerm
 
 __all__ = [
@@ -328,6 +328,15 @@ def F_pushforward(d: BlowupDensity, t: float, tol: float = DEFAULT_TOL) -> float
     if t <= 0:
         raise ValueError("t must be positive")
     X, Y = d.box
+    if not math.isfinite(Y):  # support up to the front face: dyadic shells x in (0, X]
+        total, diverges = dyadic_shells(lambda x: d(x, t / x) / x, X, 60, max(tol, 1e-12), (t, 1.0))
+        if diverges:
+            raise DivergentIntegral(
+                f"fiber integral at t={t} diverges toward the front face; "
+                "the front-face boundedness condition fails for this density"
+            )
+        return total
+
     fn, exp = d._fn, math.exp
 
     def g(s: float) -> float:  # x = e^s, dx/x = ds; integrand sigma(x, x/t) x ds / x
@@ -337,34 +346,12 @@ def F_pushforward(d: BlowupDensity, t: float, tol: float = DEFAULT_TOL) -> float
             return 0.0
         return fn(x, y)
 
-    hi = math.log(X)
-    if math.isfinite(Y):
-        lo = math.log(t / Y)
-        if lo >= hi:
-            return 0.0
-        pts = [s for s in (math.log(t), 0.0) if lo < s < hi]
-        val, _ = quad_interval(g, lo, hi, tol, points=pts)
-        return val
-
-    # unbounded support toward the front face: dyadic shells x in (0, X]
-    total = 0.0
-    pieces = []
-    for k in range(60):
-        a, b = hi - (k + 1) * math.log(2.0), hi - k * math.log(2.0)
-        pts = [s for s in (math.log(t), 0.0) if a < s < b]
-        val, _ = quad_interval(g, a, b, max(tol, 1e-12), points=pts)
-        pieces.append(val)
-        total += val
-        if k > 8 and abs(val) < 1e-14 * (1.0 + abs(total)):
-            return total
-    head = sum(abs(v) for v in pieces[:8])
-    tail = sum(abs(v) for v in pieces[-8:])
-    if tail > 0.1 * max(head, 1e-300):
-        raise DivergentIntegral(
-            f"fiber integral at t={t} diverges toward the front face; "
-            "the front-face boundedness condition fails for this density"
-        )
-    return total
+    lo, hi = math.log(t / Y), math.log(X)
+    if lo >= hi:
+        return 0.0
+    pts = [s for s in (math.log(t), 0.0) if lo < s < hi]
+    val, _ = quad_interval(g, lo, hi, tol, points=pts)
+    return val
 
 
 @dataclass(frozen=True)
@@ -373,7 +360,6 @@ class ConditionCReport:
 
     values: dict  # (p, t) -> integral value, math.inf when divergent
     bounded: bool
-    slopes: dict  # (p, t) -> fitted per-octave growth of the partial sums
     integrability: IntegrabilityReport
     agree: bool
 
@@ -386,36 +372,19 @@ def condition_C_check(
 ) -> ConditionCReport:
     """Evaluate int_0^1 zeta^p |d_x^p sigma(zeta t, zeta)| dzeta on a t grid.
 
-    Divergence at zeta = 0 is detected from the dyadic partial sums S_K: a
-    fitted per-octave increment above 0.1 declares the integral unbounded.
-    The verdict is reported next to the combinatorial one (positive real
-    parts on the nullface index set).
+    Divergence at zeta = 0 is decided by the dyadic-shell monitor
+    (:func:`quadrature.dyadic_shells`) over [2^-levels, 1].  The verdict is
+    reported next to the combinatorial one (positive real parts on the
+    nullface index set).
     """
     if p_max > 4:
         raise ValueError("p_max must be at most 4")
     sigma = sigma_from_density(d, order=p_max)
     values: dict = {}
-    slopes: dict = {}
-    bounded = True
     for p in range(p_max + 1):
         dp = sigma.x_deriv(p)
         for t in t_grid:
-            pieces = []
-            for k in range(levels):
-                a, b = 2.0 ** (-k - 1), 2.0 ** (-k)
-                val, _ = quad_interval(
-                    lambda z: z**p * abs(dp(z * t, z)), a, b, 1e-9
-                )
-                pieces.append(val)
-            partial = np.cumsum(pieces)
-            K = np.arange(len(partial), dtype=float)
-            half = len(partial) // 2
-            slope = float(np.polyfit(K[half:], partial[half:], 1)[0])
-            slopes[(p, t)] = slope
-            if slope > 0.1:
-                values[(p, t)] = math.inf
-                bounded = False
-            else:
-                values[(p, t)] = float(partial[-1])
+            values[(p, t)], _ = dyadic_shells(lambda z: z**p * abs(dp(z * t, z)), 1.0, levels, 1e-9)
+    bounded = not any(map(math.isinf, values.values()))
     integ = check_integrability(d.family, blowup_matrix())
-    return ConditionCReport(values, bounded, slopes, integ, bounded == integ.ok)
+    return ConditionCReport(values, bounded, integ, bounded == integ.ok)

@@ -20,17 +20,21 @@ double precision.  A result with a zero imaginary part is returned as a
 float.
 
 Endpoint behavior on (0, 1] and [1, inf) is tamed by the exponential
-substitutions x = e^{-u} and x = e^{u}.
+substitutions x = e^{-u} and x = e^{u}.  Whether an integral toward 0
+converges at all is decided by one monitor, :func:`dyadic_shells`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from itertools import repeat
-from operator import add, mul, sub
+from itertools import dropwhile, repeat
+from operator import add, mul, not_, sub
 
-__all__ = ["QuadratureError", "quad_interval", "quad_01", "quad_1inf", "DEFAULT_TOL"]
+__all__ = [
+    "QuadratureError", "quad_interval", "quad_01", "quad_1inf",
+    "dyadic_shells", "grows", "DEFAULT_TOL",
+]
 
 DEFAULT_TOL = 1e-10
 LIMIT = 300  # subintervals
@@ -499,3 +503,66 @@ def quad_1inf(f, tol: float = DEFAULT_TOL, points=None, u_max: float = U_MAX):
         return f(x) * x
 
     return _check(*_qags(g, 0.0, u_max, tol, pts), tol, "[1, inf)")
+
+
+# The divergence monitor: the last SHELL_WINDOW shells carry more than
+# SHELL_RATIO of what the first SHELL_WINDOW carried, and more than
+# SHELL_FLOOR; the sum stops once a shell adds under SHELL_STOP of it.
+SHELL_RATIO = 0.1
+SHELL_WINDOW = 6
+SHELL_FLOOR = 1e-12
+SHELL_STOP = 1e-14
+
+
+def _outgrows(values, combine, ratio: float) -> bool:
+    """The rule, on the first and last SHELL_WINDOW values from the first nonzero one on.
+
+    Values before it lie where f has no support yet; a window holds half of
+    the rest when they are fewer than 2 * SHELL_WINDOW.
+    """
+    values = list(dropwhile(not_, values))
+    w = min(SHELL_WINDOW, len(values) // 2)
+    if w == 0:
+        return False
+    later = combine(values[len(values) - w :])
+    return later > ratio * combine(values[:w]) and later > SHELL_FLOOR
+
+
+def dyadic_shells(f, b: float, levels: int, tol: float, points=()):
+    """Integral of f over (0, b] as a sum of dyadic shells; (value, diverges).
+
+    Shell k is [b 2^-(k+1), b 2^-k], integrated by :func:`quad_interval`
+    with the break points that fall inside it, for k = 0 .. levels - 1.  The
+    sum stops once a shell adds under SHELL_STOP of it, but not before
+    2 * SHELL_WINDOW shells.  The integral diverges, with value math.inf,
+    when the moduli of the last SHELL_WINDOW shells sum to more than
+    SHELL_RATIO times the first SHELL_WINDOW's and more than SHELL_FLOOR;
+    the first window starts at the first shell that is not zero.
+
+    The rule's known limit: x^a with a just above -1 shrinks by 2^-(a+1)
+    per shell, 2^-0.1 for a = -0.9, so 26 shells cannot tell it from a
+    divergent integrand and it reads as divergent.
+    """
+    if levels < 2 * SHELL_WINDOW:
+        raise ValueError(f"the monitor compares two windows of {SHELL_WINDOW} shells; levels={levels}")
+    total = 0.0
+    shells = []
+    for k in range(levels):
+        lo, hi = b * 2.0 ** (-k - 1), b * 2.0 ** (-k)
+        val, _ = quad_interval(f, lo, hi, tol, points)
+        shells.append(abs(val))
+        total += val
+        if k >= 2 * SHELL_WINDOW - 1 and abs(val) < SHELL_STOP * abs(total):
+            break
+    if _outgrows(shells, sum, SHELL_RATIO):
+        return math.inf, True
+    return total, False
+
+
+def grows(peaks) -> bool:
+    """The monitor's rule read as growth, on peaks sampled octave by octave.
+
+    True when the peak of the last SHELL_WINDOW octaves exceeds 1/SHELL_RATIO
+    times the peak of the first SHELL_WINDOW and SHELL_FLOOR.
+    """
+    return _outgrows(peaks, max, 1.0 / SHELL_RATIO)

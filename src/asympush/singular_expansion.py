@@ -32,13 +32,15 @@ import numpy as np
 from . import expressions as ex
 from .asymfun import (
     AsymFunction,
+    MissingExpansionData,
+    finite_difference,
     power_log_multiply,
     reg_integral,
     schwartz,
 )
 from .expansions import Expansion, make_side
 from .logpoly import EXPONENT_TOL, LogPolynomial
-from .quadrature import DEFAULT_TOL, QuadratureError, quad_interval
+from .quadrature import DEFAULT_TOL, QuadratureError, dyadic_shells, grows, quad_interval
 
 __all__ = [
     "SigmaTerm",
@@ -55,10 +57,6 @@ __all__ = [
     "check_hypotheses",
     "verify_expansion",
 ]
-
-
-class MissingExpansionData(ValueError):
-    """The integrand lacks declared data needed to regularize an integral."""
 
 
 class HypothesisFailure(RuntimeError):
@@ -115,60 +113,26 @@ class SigmaFunction:
         """d^j sigma / dx^j as a function of (x, zeta).
 
         Without an expression to differentiate, finite differences answer
-        for j <= 2 only: from j = 3 on their error is no longer small.
+        for j <= 2 only (:func:`asymfun.finite_difference`).
         """
         if j == 0:
             return self.__call__
         node = self._x_deriv_ast(j)
-        if node is not None:
-            entry = self._xderiv_cache[j]  # compiled once, beside its expression
-            if entry[1] is None:
-                entry[1] = ex.compile_expr(node, ("x", "zeta"))
-            compiled = entry[1]
+        if node is None:
+            return finite_difference(self, j, self.x_support or (-math.inf, math.inf))
+        entry = self._xderiv_cache[j]  # compiled once, beside its expression
+        if entry[1] is None:
+            entry[1] = ex.compile_expr(node, ("x", "zeta"))
+        compiled = entry[1]
 
-            def deriv(x: float, zeta: float) -> float:
-                if self.x_support is not None and not (
-                    self.x_support[0] <= x <= self.x_support[1]
-                ):
-                    return 0.0
-                if (
-                    self.zeta_vanishes_below is not None
-                    and zeta < self.zeta_vanishes_below
-                ):
-                    return 0.0
-                return compiled(x, zeta)
-
-        else:
-            if j > 2:
-                raise MissingExpansionData(
-                    f"x-derivative of order {j} needs a step-free expression; "
-                    "finite differences support at most 2"
-                )
-            lo, hi = self.x_support or (-math.inf, math.inf)
-
-            def deriv(x: float, zeta: float, j=j) -> float:
-                h = 1e-2 / (1 << j)
-                # stencil nodes sit at x + (m + shift) * step, m = 0..j: centred
-                # where that stays inside the support, else one-sided, so that no
-                # node reads the zeros the support cut-off puts outside it
-                shift = -j / 2.0
-                if x - j * h / 2.0 < lo:
-                    shift = 0.0
-                elif x + j * h / 2.0 > hi:
-                    shift = -float(j)
-
-                def stencil(step: float) -> float:
-                    return sum(
-                        (-1) ** (j - m) * comb(j, m) * self(x + (m + shift) * step, zeta)
-                        for m in range(j + 1)
-                    ) / step**j
-
-                coarse, fine = stencil(h), stencil(h / 2.0)
-                if shift == -j / 2.0:  # centred: the error is even in the step
-                    return (4.0 * fine - coarse) / 3.0
-                # one-sided: Richardson-eliminate the step, then its square
-                finer = stencil(h / 4.0)
-                return (4.0 * (2.0 * finer - fine) - (2.0 * fine - coarse)) / 3.0
+        def deriv(x: float, zeta: float) -> float:
+            if self.x_support is not None and not (
+                self.x_support[0] <= x <= self.x_support[1]
+            ):
+                return 0.0
+            if self.zeta_vanishes_below is not None and zeta < self.zeta_vanishes_below:
+                return 0.0
+            return compiled(x, zeta)
 
         return deriv
 
@@ -405,26 +369,6 @@ class HypothesisDiagnostics:
     notes: tuple[str, ...] = ()
 
 
-def _dyadic_integral(g: Callable[[float], float], levels: int = 26, tol: float = 1e-8):
-    """Integral of |g| over (0,1] by dyadic pieces; detects divergence at 0.
-
-    Returns (value, diverges): value is math.inf when the piecewise sums do
-    not decay.
-    """
-    total = 0.0
-    pieces = []
-    for k in range(levels):
-        a, b = 2.0 ** (-k - 1), 2.0 ** (-k)
-        val, _ = quad_interval(lambda s: abs(g(s)), a, b, tol)
-        pieces.append(val)
-        total += val
-    head = sum(pieces[:6])
-    tail = sum(pieces[-6:])
-    if tail > 0.1 * max(head, 1e-300) and tail > 1e-12:
-        return math.inf, True
-    return total, False
-
-
 def check_hypotheses(
     sigma: SigmaFunction,
     zeta_max: float = 100.0,
@@ -444,7 +388,7 @@ def check_hypotheses(
             L = math.log(zeta)
             w = zeta**term.exponent
             coeff = sum(
-                (c.nth_deriv_at_zero(K) if x == 0.0 else _nth_deriv(c, K, x)) * L**i
+                _nth_deriv(c, K, x) * L**i
                 for i, c in enumerate(term.coeffs)
             )
             val -= (w * coeff).real
@@ -457,31 +401,39 @@ def check_hypotheses(
             return ex.taylor(c.ast, "x", x, K)[K] * factorial(K)
         if K > 1:
             raise ex.DiffError(f"no expression for derivative {K} of a term coefficient")
-        h = 1e-3
-        return (c(x + h) - c(x - h)) / (2.0 * h)
+        return finite_difference(c, K, (0.0, math.inf))(x)
 
     constants: dict = {}
     samples = [(zeta, x) for zeta in np.geomspace(1.0, zeta_max, n_grid) for x in np.geomspace(1e-3, zeta, 6)]
     derivs = [sigma.x_deriv(K) for K in range(min(max_jk, p if p > 0 else 0) + 1)]
     for J in range(min(max_jk, max(p, 1)) + 1):
         for K, dK in enumerate(derivs):
-            worst, failed = 0.0, 0
+            octaves: dict = {}  # octave of zeta -> largest sampled constant in it
+            failed = 0
             for zeta, x in samples:
                 bound = zeta ** (-p - 1) * max(abs(math.log(zeta)) ** r, 1.0)
                 try:
-                    worst = max(worst, abs(x**J * remainder(x, zeta, K, dK)) / bound)
+                    c = abs(x**J * remainder(x, zeta, K, dK)) / bound
                 except (ex.EvalError, ex.DiffError):
                     failed += 1
+                    continue
+                o = math.floor(math.log2(zeta))
+                octaves[o] = max(octaves.get(o, 0.0), c)
             if failed:
                 notes.append(f"remainder sample failed at J={J} K={K}")
             if failed == len(samples):  # no sample bounds the remainder
-                worst, ok = math.nan, False
-            constants[(J, K)] = worst
+                constants[(J, K)], ok = math.nan, False
+                continue
+            peaks = list(octaves.values())
+            constants[(J, K)] = max(peaks)
+            if grows(peaks):
+                ok = False
+                notes.append(f"remainder constant J={J} K={K} grows with zeta")
 
     boundary: dict = {}
     for j in range(p):
         dj = sigma.x_deriv(j)
-        val, diverges = _dyadic_integral(lambda z: z**j * dj(0.0, z))
+        val, diverges = dyadic_shells(lambda z: abs(z**j * dj(0.0, z)), 1.0, 26, 1e-8)
         boundary[j] = val
         if diverges:
             ok = False
@@ -491,14 +443,12 @@ def check_hypotheses(
     if p == 0:
         thetas = [2.0 ** (-k) for k in range(0, 11)]
         vals = []
-        diverged = False
         for th in thetas:
-            v, dv = _dyadic_integral(lambda s: sigma(th * s, s))
-            if dv:
-                diverged = True
+            v, diverges = dyadic_shells(lambda s: abs(sigma(th * s, s)), 1.0, 26, 1e-8)
+            if diverges:
                 break
             vals.append(v)
-        if diverged:
+        if diverges:
             growth_model = "power"
             growth_T = math.inf
             ok = False

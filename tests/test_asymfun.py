@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from asympush.asymfun import (
     AsymFunction,
+    MissingExpansionData,
     from_expression,
     from_json,
     lim_inf,
@@ -257,6 +258,24 @@ def test_nth_deriv_at_zero_symbolic_and_numeric():
         exp_inf=make_side([], 1.0, "infinity"),
     )
     assert g.nth_deriv_at_zero(2) == pytest.approx(9.0, rel=1e-4)
+
+
+def test_nth_deriv_at_zero_without_an_expression_stays_on_the_half_line():
+    seen = []
+
+    def fn(x):
+        seen.append(x)
+        return x**1.5
+
+    # x^1.5 has no real values below 0; its derivative at 0 is 0, its
+    # second is unbounded there, and neither may come back complex
+    g = AsymFunction(fn=fn, exp0=make_side([], 1.0, "zero"), exp_inf=make_side([], 1.0, "infinity"))
+    d1, d2 = g.nth_deriv_at_zero(1), g.nth_deriv_at_zero(2)
+    assert type(d1) is float and abs(d1) < 0.05
+    assert type(d2) is float and d2 > 0.0
+    assert seen and min(seen) >= 0.0
+    with pytest.raises(MissingExpansionData, match="order 3"):
+        g.nth_deriv_at_zero(3)
 
 
 def test_support_clips_evaluator():

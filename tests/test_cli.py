@@ -350,6 +350,23 @@ def test_spec_that_is_not_an_object_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "reginteg", "function": [1]},
+        {"kind": "reginteg", "function": {"expr": "exp(-x)", "zero": [1]}},
+        {"kind": "pushforward", "density": "expr", "tGrid": [0.1]},
+        {"kind": "indexset", "operation": "complete", "args": ["A"], "sets": [1]},
+        {"kind": "sal", "sigma": [1]},
+    ],
+)
+def test_nested_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, payload):
+    # an array or a string where an object belongs is an invalid spec, not a traceback
+    spec = write_spec(tmp_path / "nested.json", payload)
+    assert main(["run", spec]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "payload, code",
     [
         ({"kind": "reginteg", "function": EXP_FUNCTION}, 0),

@@ -209,6 +209,16 @@ def test_condition_check_agreement_both_ways():
     assert math.isinf(bad.values[(0, 1.0)])
 
 
+@pytest.mark.parametrize("amplitude", ["", "0.1*"])
+def test_condition_check_log_divergence_whatever_the_amplitude(amplitude):
+    # sigma = c exp(-x)/zeta: every dyadic shell of the p = 0 integral carries
+    # c ln 2, so the integral diverges for c = 0.1 as it does for c = 1
+    d = blowup_density_from_expression(amplitude + "x*y*exp(-x)", smooth_family((0, 0)))
+    rep = condition_C_check(d, p_max=0)
+    assert not rep.bounded and rep.agree
+    assert all(math.isinf(v) for v in rep.values.values())
+
+
 def test_condition_check_vacuous_below_support_cutoff():
     # finite second box edge makes sigma vanish for small zeta, so every
     # dyadic shell toward the front face contributes zero
@@ -270,6 +280,16 @@ def test_push_xy_of_a_2000_term_density():
     assert f(0.5) == pytest.approx(500.0, rel=1e-12)
     sigma = sigma_from_expression(text.replace("y", "zeta"), order=0)
     assert sigma(0.5, 2.0) == pytest.approx(2000.0, rel=1e-12)
+
+
+def test_prediction_of_a_2000_term_density():
+    # diff and taylor walk the 1999 '+' nodes of the sum in a loop; the
+    # partial sums carry about 2000 ulps of noise, more than the subtracted
+    # boundary integrals resolve at the default absolute tolerance of 1e-10
+    long = sal_prediction_smooth(density_from_expression("+".join(["x*y"] * 2000)), 1, tol=1e-8)
+    one = sal_prediction_smooth(density_from_expression("2000*x*y"), 1)
+    for t in (0.5, 0.1, 0.01):
+        assert long(t).real == pytest.approx(one(t).real, rel=1e-9)
 
 
 def test_unparse_evaluate_and_swap_of_a_2000_term_density():

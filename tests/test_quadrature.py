@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import asympush
-from asympush.quadrature import DEFAULT_TOL, STOP_REASONS, QuadratureError, quad_01, quad_1inf, quad_interval
+from asympush.quadrature import (
+    DEFAULT_TOL,
+    STOP_REASONS,
+    QuadratureError,
+    dyadic_shells,
+    quad_01,
+    quad_1inf,
+    quad_interval,
+)
 
 
 def test_imaginary_part_missed_by_the_probes_is_kept():
@@ -179,3 +187,31 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, asympush.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("a", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_dyadic_shells_sum_convergent_powers_of_log(a, k):
+    # int_0^1 x^a ln^k x dx = (-1)^k k! / (a+1)^(k+1)
+    val, diverges = dyadic_shells(lambda x: x**a * math.log(x) ** k, 1.0, 60, 1e-12)
+    assert not diverges
+    assert abs(val - (-1) ** k * math.factorial(k) / (a + 1) ** (k + 1)) < 1e-10
+
+
+@pytest.mark.parametrize("a", [-1, -1.5])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_dyadic_shells_flag_divergent_powers_of_log(a, k):
+    assert dyadic_shells(lambda x: x**a * math.log(x) ** k, 1.0, 60, 1e-12) == (math.inf, True)
+
+
+def test_dyadic_shells_of_zero_and_of_supports_that_end_or_start_inside():
+    assert dyadic_shells(lambda x: 0.0, 1.0, 26, 1e-8) == (0.0, False)
+    with pytest.raises(ValueError, match="two windows"):
+        dyadic_shells(lambda x: 0.0, 1.0, 11, 1e-8)
+    # shells 0..5 carry equal mass and then nothing: convergent, and the
+    # early stop waits until the two windows are disjoint
+    val, diverges = dyadic_shells(lambda x: 1.0 / x if x >= 2.0**-6 else 0.0, 1.0, 26, 1e-10)
+    assert not diverges and val == pytest.approx(6.0 * math.log(2.0), rel=1e-10)
+    # shells 0..7 are empty: the windows start at the first shell that is not
+    val, diverges = dyadic_shells(lambda x: 1.0 if x <= 2.0**-8 else 0.0, 1.0, 60, 1e-10)
+    assert not diverges and val == pytest.approx(2.0**-8, rel=1e-12)

@@ -116,6 +116,22 @@ def test_remainder_sampler_notes_coefficient_without_second_derivative():
         assert math.isnan(c) == (K == 2), (J, K)
 
 
+def test_remainder_constant_that_grows_with_zeta_fails():
+    # nothing is declared, so the remainder exp(-x)/zeta must be O(zeta^-2):
+    # the sampled constant grows like zeta (99.9 at zeta_max 100)
+    sig = sigma_from_expression("exp(-x)/zeta", order=1, zeta_vanishes_below=1.0)
+    diag = check_hypotheses(sig)
+    assert diag.remainder_constants[(0, 0)] == pytest.approx(99.9, abs=0.01)
+    assert not diag.ok
+    assert "remainder constant J=0 K=0 grows with zeta" in diag.notes
+    with pytest.raises(HypothesisFailure):
+        asymptotic_expansion(sig, run_diagnostics=True)
+    # zero below zeta = 8, then decaying: the octaves before the support are
+    # skipped, so the first nonzero peak is not read as growth
+    late = sigma_from_expression("exp(-x)*exp(-zeta)", order=2, zeta_vanishes_below=8.0)
+    assert check_hypotheses(late).ok
+
+
 def test_remainder_sampler_keeps_the_imaginary_part_of_exponents():
     # zeta^-1.5 cos(2 ln zeta) is the sum of the conjugate terms zeta^(-1.5 +- 2i)/2,
     # so sigma equals its declared terms and every sampled remainder is 0
