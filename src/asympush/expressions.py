@@ -253,37 +253,53 @@ def _prec(node: Expr) -> int:
     return _PREC["atom"]
 
 
-def _sum_spine(node: Expr) -> tuple[list[BinOp], Expr]:
-    """The '+'/'-' nodes down the left spine of node, top first, and the operand below them.
+# the two left-associative levels; a chain of operators of one level is a left spine
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
 
-    A parsed sum of n terms is n - 1 such nodes deep, so unparse, evaluate,
+
+def _spine(node: Expr, keep=None) -> tuple[list[BinOp], Expr]:
+    """The nodes down the left spine of node that share its level, top first, and the operand below them.
+
+    The levels are '+'/'-' and '*'/'/'.  A parsed sum of n terms, or product
+    of n factors, is n - 1 such nodes deep, so unparse, evaluate, substitute,
     diff and taylor walk it with this loop instead of one recursive call per
-    term.
+    operand.  When given, keep(nd) is False for the first node below the top
+    that is to count as the operand below the spine.
     """
     spine = []
-    while type(node) is BinOp and (node.op == "+" or node.op == "-"):
+    level = _LEVEL.get(node.op) if type(node) is BinOp else None
+    while type(node) is BinOp and level is not None and _LEVEL.get(node.op) == level:
+        if spine and keep is not None and not keep(node):
+            break
         spine.append(node)
         node = node.left
     return spine, node
 
 
-def _fold_sum(node: Expr, walk, add, sub):
-    """The terms of the sum at node, each mapped by walk, combined left to right by add and sub."""
-    spine, node = _sum_spine(node)
+def _fold(node: Expr, walk, combine, keep=None):
+    """The chain at node, folded left to right.
+
+    acc starts as walk of the operand below the spine; each spine node nd,
+    bottom first, makes it combine(nd, acc, walk(nd.right)).
+    """
+    spine, node = _spine(node, keep)
     acc = walk(node)
     for nd in reversed(spine):
-        acc = (add if nd.op == "+" else sub)(acc, walk(nd.right))
+        acc = combine(nd, acc, walk(nd.right))
     return acc
 
 
 def unparse(node: Expr) -> str:
-    spine, node = _sum_spine(node)
+    spine, node = _spine(node)
     if spine:
-        # the bottom operand binds tighter than '+', so only a '+'/'-' right operand needs parentheses
-        parts = [unparse(node)]
+        # left-associative: the operand below the spine needs parentheses when
+        # it binds looser than the chain, a right operand also when it binds alike
+        me = _LEVEL[spine[0].op]
+        left = unparse(node)
+        parts = [f"({left})" if _prec(node) < me else left]
         for nd in reversed(spine):
             right = unparse(nd.right)
-            parts.append(f"{nd.op}({right})" if _prec(nd.right) <= _PREC["+"] else f"{nd.op}{right}")
+            parts.append(f"{nd.op}({right})" if _prec(nd.right) <= me else f"{nd.op}{right}")
         return "".join(parts)
     if isinstance(node, Num):
         return repr(node.value)
@@ -296,23 +312,14 @@ def unparse(node: Expr) -> str:
         return f"-{inner}"
     if isinstance(node, Call):
         return f"{node.func}({unparse(node.arg)})"
-    if isinstance(node, BinOp):
-        lp, rp = _prec(node.left), _prec(node.right)
-        me = _PREC[node.op]
-        left = unparse(node.left)
-        right = unparse(node.right)
-        # left-associative for + - * /, right-associative for ^
-        if node.op == "^":
-            if lp <= me:
-                left = f"({left})"
-            if rp < me:
-                right = f"({right})"
-        else:
-            if lp < me:
-                left = f"({left})"
-            if rp <= me:
-                right = f"({right})"
-        return f"{left}{node.op}{right}"
+    if isinstance(node, BinOp) and node.op == "^":
+        left, right = unparse(node.left), unparse(node.right)
+        # right-associative
+        if _prec(node.left) <= _PREC["^"]:
+            left = f"({left})"
+        if _prec(node.right) < _PREC["^"]:
+            right = f"({right})"
+        return f"{left}^{right}"
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -403,10 +410,10 @@ def evaluate(node: Expr, bindings: Bindings | None = None) -> float:
         if node.func not in _CALLS:
             raise EvalError(f"unknown function {node.func!r}")
         return _CALLS[node.func](x)
-    if isinstance(node, BinOp) and node.op in _BINOPS:
-        if node.op == "+" or node.op == "-":
-            return _fold_sum(node, lambda nd: evaluate(nd, b), operator.add, operator.sub)
-        return _BINOPS[node.op](evaluate(node.left, b), evaluate(node.right, b))
+    if isinstance(node, BinOp) and node.op in _LEVEL:
+        return _fold(node, lambda nd: evaluate(nd, b), lambda nd, u, v: _BINOPS[nd.op](u, v))
+    if isinstance(node, BinOp) and node.op == "^":
+        return _power(evaluate(node.left, b), evaluate(node.right, b))
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -514,12 +521,9 @@ def substitute(node: Expr, var: str, replacement: Expr) -> Expr:
 
 def _substitute(nd: Expr, var: str, replacement: Expr, memo: dict) -> Expr:
     out = memo.get(id(nd))  # id of a node of the input -> its substituted copy
-    if out is None and type(nd) is BinOp and (nd.op == "+" or nd.op == "-"):
-        # down the left spine of a sum in a loop, as far as the first node already copied
-        spine = []
-        while type(nd) is BinOp and (nd.op == "+" or nd.op == "-") and id(nd) not in memo:
-            spine.append(nd)
-            nd = nd.left
+    if out is None and type(nd) is BinOp and nd.op in _LEVEL:
+        # down the left spine of a sum or product in a loop, as far as the first node already copied
+        spine, nd = _spine(nd, lambda s: id(s) not in memo)
         out = _substitute(nd, var, replacement, memo)
         for s in reversed(spine):
             out = memo[id(s)] = BinOp(s.op, out, _substitute(s.right, var, replacement, memo))
@@ -605,9 +609,20 @@ def _div(a: Expr, b: Expr) -> Expr:
     return BinOp("/", a, b)
 
 
+def _diff_rule(nd: BinOp, du: Expr, dv: Expr) -> Expr:
+    """The derivative of nd from du and dv, those of its operands: the sum, product or quotient rule."""
+    if nd.op == "+":
+        return _add(du, dv)
+    if nd.op == "-":
+        return _sub(du, dv)
+    if nd.op == "*":
+        return _add(_mul(du, nd.right), _mul(nd.left, dv))
+    return _div(_sub(_mul(du, nd.right), _mul(nd.left, dv)), BinOp("^", nd.right, Num(2.0)))
+
+
 def diff(node: Expr, var: str) -> Expr:
-    if type(node) is BinOp and (node.op == "+" or node.op == "-"):
-        return _fold_sum(node, lambda nd: diff(nd, var), _add, _sub)
+    if type(node) is BinOp and node.op in _LEVEL:
+        return _fold(node, lambda nd: diff(nd, var), _diff_rule)
     if isinstance(node, Num):
         return Num(0.0)
     if isinstance(node, Var):
@@ -635,17 +650,6 @@ def diff(node: Expr, var: str) -> Expr:
             )
         raise DiffError(f"unknown function {node.func!r}")
     if isinstance(node, BinOp):
-        if node.op == "*":
-            return _add(
-                _mul(diff(node.left, var), node.right),
-                _mul(node.left, diff(node.right, var)),
-            )
-        if node.op == "/":
-            num = _sub(
-                _mul(diff(node.left, var), node.right),
-                _mul(node.left, diff(node.right, var)),
-            )
-            return _div(num, BinOp("^", node.right, Num(2.0)))
         if node.op == "^":
             # exponent subtree is constant by parser invariant
             if var in free_vars(node.right):
@@ -661,8 +665,8 @@ def diff(node: Expr, var: str) -> Expr:
 def _depends(nd: Expr, var: str, memo: dict[int, bool]) -> bool:
     """Whether var occurs in nd; records the answer for every node of nd in memo, by id."""
     d = memo.get(id(nd))
-    if d is None and type(nd) is BinOp and (nd.op == "+" or nd.op == "-"):
-        spine, nd = _sum_spine(nd)
+    if d is None and type(nd) is BinOp and nd.op in _LEVEL:
+        spine, nd = _spine(nd, lambda s: id(s) not in memo)
         d = _depends(nd, var, memo)
         for s in reversed(spine):
             d = memo[id(s)] = _depends(s.right, var, memo) | d
@@ -711,13 +715,26 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
             v[0] = 0.0
         return v
 
+    def chain(nd: BinOp, u, v):  # the series of nd from those of its operands
+        if nd.op == "+":
+            return list(map(operator.add, u, v))
+        if nd.op == "-":
+            return list(map(operator.sub, u, v))
+        if nd.op == "*":
+            return mul(u, v)
+        if v[0] == 0.0:
+            raise EvalError("division by zero")
+        w = [0.0] * (n + 1)
+        for k in range(n + 1):
+            w[k] = (u[k] - sum(v[j] * w[k - j] for j in ks[:k])) / v[0]
+        return w
+
     def jet(nd: Expr) -> list[float]:
         if not dep[id(nd)]:
             return [evaluate(nd, b)] + [0.0] * n
-        if type(nd) is BinOp and (nd.op == "+" or nd.op == "-"):
-            return _fold_sum(
-                nd, jet, lambda u, v: list(map(operator.add, u, v)), lambda u, v: list(map(operator.sub, u, v))
-            )
+        if type(nd) is BinOp and nd.op in _LEVEL:
+            # a spine node without var is one constant, as in the recursion it replaces
+            return _fold(nd, jet, chain, lambda s: dep[id(s)])
         if isinstance(nd, Var):
             return [at, 1.0, *[0.0] * n][: n + 1]
         if isinstance(nd, Neg):
@@ -747,15 +764,6 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
                 s[k], c[k] = dot(u, c, k), -dot(u, s, k)
             return s if nd.func == "sin" else c
         u, v = jet(nd.left), jet(nd.right)
-        if nd.op == "*":
-            return mul(u, v)
-        if nd.op == "/":
-            if v[0] == 0.0:
-                raise EvalError("division by zero")
-            w = [0.0] * (n + 1)
-            for k in range(n + 1):
-                w[k] = (u[k] - sum(v[j] * w[k - j] for j in ks[:k])) / v[0]
-            return w
         if n and dep[id(nd.right)]:
             raise DiffError("'^' exponent depends on the differentiation variable")
         return power(u, v[0])

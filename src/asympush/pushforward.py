@@ -179,6 +179,9 @@ def sal_prediction_smooth(u: Density2D, J: int, tol: float = DEFAULT_TOL) -> Exp
 # empirical fitting
 
 
+CONDITION_WARN = 1e8  # condition number above which fit_asymptotics warns
+
+
 @dataclass(frozen=True)
 class FitResult:
     basis: tuple[tuple[float, int], ...]
@@ -191,9 +194,8 @@ class FitResult:
 def fit_asymptotics(
     samples: Sequence[tuple[float, float]],
     basis: Sequence[tuple[float, int]],
-    condition_warn: float = 1e8,
 ) -> FitResult:
-    """Least squares of sampled values against the basis {t^a ln^b t}."""
+    """Least squares of sampled values against the basis {t^a ln^b t}; warns above CONDITION_WARN."""
     basis = tuple((float(a), int(b)) for a, b in basis)
     if len(samples) < 2 * len(basis):
         raise ValueError("need at least twice as many samples as basis elements")
@@ -210,7 +212,7 @@ def fit_asymptotics(
         raise ValueError("design matrix is rank deficient for this grid")
     coef = Vt.T @ ((U.T @ vals) / s)
     cond = float(s[0] / s[-1])
-    if cond > condition_warn:
+    if cond > CONDITION_WARN:
         warnings.warn(f"ill-conditioned design matrix (condition {cond:.2e})")
     rms = float(np.sqrt(np.mean((A @ coef - vals) ** 2)))
     return FitResult(basis, tuple(float(c) for c in coef), rms, cond, tuple(ts))
@@ -221,34 +223,23 @@ def fit_asymptotics(
 
 
 @dataclass(frozen=True)
-class BlowupDensity:
+class BlowupDensity(Density2D):
     """Coefficient u_A of a logarithmic density on the blown-up quadrant.
 
     u_A lives in the chart (x, y) near the corner A; the other chart uses
     (zeta, t) = (x/t, x y) with coefficient u_B(zeta, t) = u_A(zeta t, 1/zeta).
     The index family declares the allowed expansion exponents at the three
-    boundary faces G1, G2, G3.
+    boundary faces G1, G2, G3.  Evaluation is that of :class:`Density2D`.
     """
 
-    ast: ex.Expr
-    family: IndexFamily
     box: tuple[float, float] = (1.0, math.inf)
-    _fn: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
+    family: IndexFamily = field(kw_only=True)
 
     def __post_init__(self):
-        extra = ex.free_vars(self.ast) - {"x", "y"}
-        if extra:
-            raise ValueError(f"u_A has free variables besides x, y: {sorted(extra)}")
+        super().__post_init__()
         missing = [G for G in ("G1", "G2", "G3") if G not in self.family]
         if missing:
             raise ValueError(f"index family must cover faces G1, G2, G3; missing {missing}")
-        object.__setattr__(self, "_fn", ex.compile_expr(self.ast, ("x", "y")))
-
-    def __call__(self, x: float, y: float) -> float:
-        X, Y = self.box
-        if x < 0 or x > X or y < 0 or y > Y:
-            return 0.0
-        return self._fn(x, y)
 
     def u_B(self, zeta: float, t: float) -> float:
         """The same coefficient in the (zeta, t) chart."""
@@ -261,7 +252,7 @@ def blowup_density_from_expression(
     box: tuple[float, float] = (1.0, math.inf),
 ) -> BlowupDensity:
     ast = ex.parse(text) if isinstance(text, str) else text
-    return BlowupDensity(ast, family, box)
+    return BlowupDensity(ast, box, family=family)
 
 
 def blowup_matrix() -> ExponentMatrix:
@@ -319,11 +310,12 @@ def sigma_from_density(d: BlowupDensity, order: int = 3) -> SigmaFunction:
 def F_pushforward(d: BlowupDensity, t: float, tol: float = DEFAULT_TOL) -> float:
     """Coefficient of dt/t in the pushed-forward density: int sigma(x, x/t) dx.
 
-    For u_A = x y u this equals t * push_xy(u, t).  When the support reaches
-    the front face (unbounded second argument), the integral is monitored on
-    dyadic shells toward x = 0 and a structured error is raised when it
-    diverges; the boundedness criterion on the front-face index set predicts
-    exactly this.
+    That is int u_A(x, t/x) dx/x: on a finite box ``push_xy(d, t, tol)``, and
+    0, without a warning, for t >= X Y.  For u_A = x y u it equals
+    t * push_xy(u, t).  When the support reaches the front face (unbounded
+    second argument), the integral is monitored on dyadic shells toward
+    x = 0 and a structured error is raised when it diverges; the boundedness
+    criterion on the front-face index set predicts exactly this.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -336,22 +328,12 @@ def F_pushforward(d: BlowupDensity, t: float, tol: float = DEFAULT_TOL) -> float
                 "the front-face boundedness condition fails for this density"
             )
         return total
-
-    fn, exp = d._fn, math.exp
-
-    def g(s: float) -> float:  # x = e^s, dx/x = ds; integrand sigma(x, x/t) x ds / x
-        x = exp(s)
-        y = t / x
-        if x > X or y > Y:  # d(x, y) with x, y >= 0: only the upper box edges cut
-            return 0.0
-        return fn(x, y)
-
-    lo, hi = math.log(t / Y), math.log(X)
-    if lo >= hi:
+    if t >= X * Y:  # the fiber misses the support
         return 0.0
-    pts = [s for s in (math.log(t), 0.0) if lo < s < hi]
-    val, _ = quad_interval(g, lo, hi, tol, points=pts)
-    return val
+    return push_xy(d, t, tol)
+
+
+CONDC_LEVELS = 26  # dyadic shells of condition_C_check toward the front face
 
 
 @dataclass(frozen=True)
@@ -368,12 +350,11 @@ def condition_C_check(
     d: BlowupDensity,
     p_max: int = 2,
     t_grid: Sequence[float] = (1.0, 0.5, 0.1),
-    levels: int = 26,
 ) -> ConditionCReport:
     """Evaluate int_0^1 zeta^p |d_x^p sigma(zeta t, zeta)| dzeta on a t grid.
 
     Divergence at zeta = 0 is decided by the dyadic-shell monitor
-    (:func:`quadrature.dyadic_shells`) over [2^-levels, 1].  The verdict is
+    (:func:`quadrature.dyadic_shells`) over [2^-CONDC_LEVELS, 1].  The verdict is
     reported next to the combinatorial one (positive real parts on the
     nullface index set).
     """
@@ -384,7 +365,7 @@ def condition_C_check(
     for p in range(p_max + 1):
         dp = sigma.x_deriv(p)
         for t in t_grid:
-            values[(p, t)], _ = dyadic_shells(lambda z: z**p * abs(dp(z * t, z)), 1.0, levels, 1e-9)
+            values[(p, t)], _ = dyadic_shells(lambda z: z**p * abs(dp(z * t, z)), 1.0, CONDC_LEVELS, 1e-9)
     bounded = not any(map(math.isinf, values.values()))
     integ = check_integrability(d.family, blowup_matrix())
     return ConditionCReport(values, bounded, integ, bounded == integ.ok)

@@ -10,11 +10,13 @@ the integral has three sources:
   (ii)  the declared terms themselves, re-expanded in ln z, contributing
         z^alpha with log-polynomial coefficients built from regularized
         integrals in x;
-  (iii) extra log terms at integer exponents alpha in [-p, -1], built from
-        the log-antiderivative of p_alpha evaluated on the x-boundary.
+  (iii) log terms z^alpha P(ln z) where a coefficient of p_alpha declares a
+        term x^(-1-alpha) at zero: (ii) skips the pure x^-1 moment it makes,
+        and the antiderivative P of its coefficients becomes the log.
 
 Separable integrands phi(t x) f(x) and phi(x) f(x/t) have their own, more
-explicit expansions (:func:`separable_expansion`, :func:`corollary_expansion`).
+explicit expansions (:func:`separable_expansion`, :func:`corollary_expansion`),
+whose log terms follow the same rule.
 
 Hypothesis checks are sampled diagnostics, not proofs; they estimate the
 remainder constants and probe the integrability conditions numerically.
@@ -224,12 +226,14 @@ class ExpansionReport:
     notes: tuple[str, ...] = ()
 
 
-def _minus_integer(alpha: complex) -> int | None:
-    """n when alpha is the integer -n to within EXPONENT_TOL, else None."""
-    n = round(-alpha.real)
-    if abs(alpha.imag) <= EXPONENT_TOL and abs(-alpha.real - n) <= EXPONENT_TOL:
-        return n
-    return None
+def _log_term(side: Expansion, gamma: complex, poly: LogPolynomial, sign: int = 1) -> LogPolynomial:
+    """c P(sign L), the log left where a regularized integral skips the moment c x^gamma poly(ln x).
+
+    c is the coefficient of side at x^(-1-gamma), zero where side declares
+    none, and P is the antiderivative of poly with P(0) = 0.
+    """
+    c = side.coefficient(-1.0 - gamma)
+    return LogPolynomial([c * sign**m * a for m, a in enumerate(poly.antiderivative().coeffs)])
 
 
 def asymptotic_expansion(
@@ -247,32 +251,20 @@ def asymptotic_expansion(
         g = sigma.boundary_function(j)
         terms.append((complex(-j - 1), (reg_integral(g, tol),)))
 
-    # (ii) declared terms, re-expanded in ln z
+    # (ii) declared terms, re-expanded in ln z, and (iii) their log terms
     for term in sigma.terms:
-        if term.exponent.real <= -p - 1 + EXPONENT_TOL:
-            notes.append(f"declared term at {term.exponent} below cutoff; skipped")
+        alpha = term.exponent
+        if alpha.real <= -p - 1 + EXPONENT_TOL:
+            notes.append(f"declared term at {alpha} below cutoff; skipped")
             continue
-        top = len(term.coeffs) - 1
-        vals = []
-        for m in range(top + 1):
-            val = 0j
-            for i in range(m, top + 1):
-                inner = power_log_multiply(term.coeffs[i], term.exponent, i - m)
-                val += comb(i, m) * reg_integral(inner, tol)
-            vals.append(val)
-        terms.append((term.exponent, vals))
-
-    # (iii) integer-exponent log terms
-    for term in sigma.terms:
-        n = _minus_integer(term.exponent)
-        if n is None or not 1 <= n <= p:
-            continue
-        m_dx = n - 1
-        logs = [
-            cf.nth_deriv_at_zero(m_dx) / ((i + 1) * factorial(m_dx))
-            for i, cf in enumerate(term.coeffs)
+        cs = term.coeffs
+        vals = [
+            sum(comb(i, m) * reg_integral(power_log_multiply(cs[i], alpha, i - m), tol) for i in range(m, len(cs)))
+            for m in range(len(cs))
         ]
-        terms.append((term.exponent, [0, *logs]))
+        terms.append((alpha, vals))
+        for i, cf in enumerate(cs):
+            terms.append((alpha, _log_term(cf.exp0, alpha, LogPolynomial((0,) * i + (1,)))))
 
     expansion = make_side(terms, float(p), "infinity", sigma.log_bound + 1)
     diagnostics = check_hypotheses(sigma) if run_diagnostics else None
@@ -285,50 +277,40 @@ def asymptotic_expansion(
 # separable integrands
 
 
+def _schwartz_phi(phi: str | ex.Expr | AsymFunction, q: float) -> AsymFunction:
+    """phi as a Schwartz function, with Taylor data through x^(ceil(q) + 5)."""
+    return phi if isinstance(phi, AsymFunction) else schwartz(phi, n_taylor=math.ceil(q) + 5)
+
+
 def separable_expansion(
-    phi: str | ex.Expr, f: AsymFunction, q: float, tol: float = DEFAULT_TOL
+    phi: str | ex.Expr | AsymFunction, f: AsymFunction, q: float, tol: float = DEFAULT_TOL
 ) -> Expansion:
-    """Expansion in t of the regularized integral of phi(t x) f(x)."""
-    phi_ast = ex.parse(phi) if isinstance(phi, str) else phi
+    """Expansion in t of the regularized integral of phi(t x) f(x); phi may be its schwartz function."""
     if q > f.exp_inf.order + EXPONENT_TOL:
         raise MissingExpansionData(
             f"requested order q={q} exceeds declared infinity order {f.exp_inf.order}"
         )
-    n_top = math.ceil(q) + 1
-    phi_fun = schwartz(phi_ast, n_taylor=n_top + 4)
-    phi_taylor = [phi_fun.exp0.coefficient(m) for m in range(n_top + 3)]
+    phi_fun = _schwartz_phi(phi, q)
     terms = []
 
     # Taylor-moment terms t^j
-    for j in range(n_top):
-        if j >= q:
-            break
+    for j in range(math.ceil(q)):
         mj = reg_integral(power_log_multiply(f, j), tol)
-        terms.append((complex(j), (phi_taylor[j] * mj,)))
+        terms.append((complex(j), (phi_fun.exp0.coefficient(j) * mj,)))
 
     for term in f.exp_inf.terms:
         beta, poly = term.exponent, term.poly
         if beta.real < -q - 1 - EXPONENT_TOL:
             continue
         top = poly.degree
-        # phi-weighted moments of x^beta q_beta(ln x - ln t)
-        vals = []
-        for m in range(top + 1):
-            val = 0j
-            for i in range(m, top + 1):
-                val += (
-                    comb(i, m)
-                    * poly.coefficient(i)
-                    * reg_integral(power_log_multiply(phi_fun, beta, i - m), tol)
-                )
-            vals.append((-1) ** m * val)
+        # phi-weighted moments of x^beta q_beta(ln x - ln t), from int x^beta ln^k x phi
+        moments = [reg_integral(power_log_multiply(phi_fun, beta, k), tol) for k in range(top + 1)]
+        vals = [
+            (-1) ** m * sum(comb(i, m) * poly.coefficient(i) * moments[i - m] for i in range(m, top + 1))
+            for m in range(top + 1)
+        ]
         terms.append((-beta - 1.0, vals))
-        # integer beta: log-antiderivative correction
-        n = _minus_integer(beta)
-        if n is not None and 1 <= n <= q + 1:
-            pref = phi_taylor[n - 1]
-            logs = [pref * (-1) ** m * c for m, c in enumerate(poly.antiderivative().coeffs)]
-            terms.append((-beta - 1.0, logs))
+        terms.append((-beta - 1.0, _log_term(phi_fun.exp0, beta, poly, -1)))
     return make_side(terms, q + 1.0, "zero")
 
 
@@ -338,25 +320,22 @@ def corollary_expansion(
     """Expansion in t of the regularized integral of phi(x) f(x/t).
 
     The scaling rule shifts every power of the separable expansion up by one
-    and adds log corrections from integer exponents in the expansion of f at
-    zero.
+    and subtracts the log terms of the expansion of f at zero.
     """
-    phi_ast = ex.parse(phi) if isinstance(phi, str) else phi
-    base = separable_expansion(phi_ast, f, q, tol)
+    phi_fun = _schwartz_phi(phi, q)
+    base = separable_expansion(phi_fun, f, q, tol)
     terms = [(t.exponent + 1.0, t.poly) for t in base.terms]
-    phi_taylor = ex.taylor(phi_ast, "x", 0.0, math.ceil(q) + 2)
     for term in f.exp0.terms:
-        n = _minus_integer(term.exponent)
-        if n is None or not 1 <= n <= q + 1:
+        if term.exponent.real < -q - 1 - EXPONENT_TOL:
             continue
-        pref = -phi_taylor[n - 1]
-        logs = [pref * (-1) ** m * c for m, c in enumerate(term.poly.antiderivative().coeffs)]
-        terms.append((-term.exponent, logs))
+        terms.append((-term.exponent, _log_term(phi_fun.exp0, term.exponent, term.poly, -1).scale(-1)))
     return make_side(terms, q + 2.0, "zero")
 
 
 # ---------------------------------------------------------------------------
 # diagnostics and oracle verification
+
+MAX_JK = 2  # highest power x^J and x-derivative d_x^K of the sampled remainder
 
 
 @dataclass(frozen=True)
@@ -373,28 +352,17 @@ def check_hypotheses(
     sigma: SigmaFunction,
     zeta_max: float = 100.0,
     n_grid: int = 10,
-    max_jk: int = 2,
 ) -> HypothesisDiagnostics:
-    """Sampled estimates for the remainder bound and integrability conditions."""
+    """Sampled estimates for the remainder bound and integrability conditions.
+
+    Remainder constants are sampled for x^J d_x^K of the remainder, with J up
+    to min(MAX_JK, max(p, 1)) and K up to min(MAX_JK, p).
+    """
     p, r = sigma.order, sigma.log_bound
     notes: list[str] = []
     ok = True
 
-    def remainder(x: float, zeta: float, K: int, dK: Callable[[float, float], float]) -> float:
-        val = dK(x, zeta)
-        for term in sigma.terms:
-            if term.exponent.real <= -p - 1:
-                continue
-            L = math.log(zeta)
-            w = zeta**term.exponent
-            coeff = sum(
-                _nth_deriv(c, K, x) * L**i
-                for i, c in enumerate(term.coeffs)
-            )
-            val -= (w * coeff).real
-        return val
-
-    def _nth_deriv(c: AsymFunction, K: int, x: float) -> complex:
+    def coeff_deriv(c: AsymFunction, K: int, x: float) -> complex:
         if K == 0:
             return c(x)
         if c.ast is not None:
@@ -403,27 +371,38 @@ def check_hypotheses(
             raise ex.DiffError(f"no expression for derivative {K} of a term coefficient")
         return finite_difference(c, K, (0.0, math.inf))(x)
 
-    constants: dict = {}
+    terms = [term for term in sigma.terms if term.exponent.real > -p - 1]
     samples = [(zeta, x) for zeta in np.geomspace(1.0, zeta_max, n_grid) for x in np.geomspace(1e-3, zeta, 6)]
-    derivs = [sigma.x_deriv(K) for K in range(min(max_jk, p if p > 0 else 0) + 1)]
-    for J in range(min(max_jk, max(p, 1)) + 1):
-        for K, dK in enumerate(derivs):
-            octaves: dict = {}  # octave of zeta -> largest sampled constant in it
-            failed = 0
-            for zeta, x in samples:
-                bound = zeta ** (-p - 1) * max(abs(math.log(zeta)) ** r, 1.0)
-                try:
-                    c = abs(x**J * remainder(x, zeta, K, dK)) / bound
-                except (ex.EvalError, ex.DiffError):
-                    failed += 1
-                    continue
-                o = math.floor(math.log2(zeta))
-                octaves[o] = max(octaves.get(o, 0.0), c)
+    rems = []  # per K, d_x^K of the remainder at each sample; None where it cannot be evaluated
+    for K in range(min(MAX_JK, max(p, 0)) + 1):
+        dK, row = sigma.x_deriv(K), []
+        for zeta, x in samples:
+            try:
+                rem = dK(x, zeta)
+                for term in terms:
+                    L = math.log(zeta)
+                    coeff = sum(coeff_deriv(c, K, x) * L**i for i, c in enumerate(term.coeffs))
+                    rem -= (zeta**term.exponent * coeff).real
+            except (ex.EvalError, ex.DiffError):
+                rem = None
+            row.append(rem)
+        rems.append(row)
+
+    constants: dict = {}
+    for J in range(min(MAX_JK, max(p, 1)) + 1):
+        for K, row in enumerate(rems):
+            failed = row.count(None)
             if failed:
                 notes.append(f"remainder sample failed at J={J} K={K}")
             if failed == len(samples):  # no sample bounds the remainder
                 constants[(J, K)], ok = math.nan, False
                 continue
+            octaves: dict = {}  # octave of zeta -> largest sampled constant in it
+            for (zeta, x), rem in zip(samples, row):
+                if rem is not None:
+                    bound = zeta ** (-p - 1) * max(abs(math.log(zeta)) ** r, 1.0)
+                    o = math.floor(math.log2(zeta))
+                    octaves[o] = max(octaves.get(o, 0.0), abs(x**J * rem) / bound)
             peaks = list(octaves.values())
             constants[(J, K)] = max(peaks)
             if grows(peaks):

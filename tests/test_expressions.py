@@ -401,6 +401,21 @@ def test_free_vars_of_long_sums():
         ex.free_vars(ex.BinOp("+", ex.Var("x"), 2.0))
 
 
+def test_long_product_walks_in_a_loop():
+    # a product of 3000 factors is a left spine of 2999 '*' nodes, which
+    # evaluate, unparse, diff and taylor walk in a loop, as they walk sums
+    node = ex.parse("*".join(["x"] * 3000))
+    assert ex.evaluate(node, {"x": 1.0}) == 1.0
+    text = ex.unparse(node)
+    assert ex.unparse(ex.parse(text)) == text  # strings: == on the trees still recurses
+    assert ex.compile_expr(ex.diff(node, "x"), ("x",))(1.0) == 3000.0
+    assert ex.taylor(node, "x", 1.0, 1) == [1.0, 3000.0]
+    assert ex.evaluate(ex.substitute(node, "x", ex.Num(1.0))) == 1.0
+    quotient = ex.parse("2" + "/x*x" * 1500)
+    assert ex.evaluate(quotient, {"x": 3.0}) == pytest.approx(2.0)
+    assert ex.taylor(quotient, "x", 3.0, 1) == pytest.approx([2.0, 0.0], abs=1e-12)
+
+
 def _emitted_source(monkeypatch, node, params):
     sources = []
     code = ex._code

@@ -88,6 +88,25 @@ def test_verify_expansion_grid_validation():
         verify_expansion(rep.expansion, sig, [8.0, 4.0])
 
 
+def test_log_term_of_a_declared_term_below_minus_one():
+    # sigma = x e^-x/(1+zeta)^2 = zeta^-2 x e^-x + O(zeta^-3): the coefficient
+    # x e^-x declares x^(-1-alpha) = x^1, so the regularized integral of
+    # x^-2 c skips the moment x^-1 and z^-2 ln z carries its coefficient 1
+    mp = pytest.importorskip("mpmath")
+    c = from_expression(
+        "x*exp(-x)",
+        zero_terms=[(m + 1.0, [(-1.0) ** m / math.factorial(m)]) for m in range(9)],
+        order_zero=10.0,
+    )
+    sig = sigma_from_expression("x*exp(-x)/(1+zeta)^2", order=2, terms=[SigmaTerm(-2.0 + 0j, (c,))])
+    expn = asymptotic_expansion(sig).expansion
+    assert expn.coefficient(-2.0, 0) == pytest.approx(-1.0 - EULER_GAMMA, abs=1e-9)
+    assert expn.coefficient(-2.0, 1) == pytest.approx(1.0, abs=1e-9)
+    for z in (50, 100, 200, 400, 800):
+        want = mp.quad(lambda x: x * mp.exp(-x) / (1 + x * z) ** 2, [0, 1.0 / z, 1, mp.inf])
+        assert abs(expn(z).real - float(want)) <= 2.5 * z**-3 * math.log(z)
+
+
 def test_hypothesis_diagnostics_pass():
     sig = sigma_from_expression("exp(-x)*exp(-zeta)", order=2)
     diag = check_hypotheses(sig)
