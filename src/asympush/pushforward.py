@@ -233,6 +233,7 @@ class BlowupDensity(Density2D):
     """
 
     box: tuple[float, float] = (1.0, math.inf)
+    smooth: bool = field(default=True, init=False, repr=False)
     family: IndexFamily = field(kw_only=True)
 
     def __post_init__(self):

@@ -88,7 +88,7 @@ class SigmaFunction:
     # sigma vanishes for zeta below this cutoff (support hint); when absent
     # and the AST is step-free, small-zeta data is derived by Taylor expansion
     zeta_vanishes_below: float | None = None
-    _xderiv_cache: dict = field(default_factory=dict, repr=False)  # j -> [expression, compiled]
+    _xderiv_cache: dict = field(default_factory=dict, repr=False)  # j -> [expression, SigmaFunction of it]
 
     def __call__(self, x: float, zeta: float) -> float:
         if self.x_support is not None:
@@ -122,21 +122,13 @@ class SigmaFunction:
         node = self._x_deriv_ast(j)
         if node is None:
             return finite_difference(self, j, self.x_support or (-math.inf, math.inf))
-        entry = self._xderiv_cache[j]  # compiled once, beside its expression
+        entry = self._xderiv_cache[j]  # compiled once, beside its expression, with sigma's support hints
         if entry[1] is None:
-            entry[1] = ex.compile_expr(node, ("x", "zeta"))
-        compiled = entry[1]
-
-        def deriv(x: float, zeta: float) -> float:
-            if self.x_support is not None and not (
-                self.x_support[0] <= x <= self.x_support[1]
-            ):
-                return 0.0
-            if self.zeta_vanishes_below is not None and zeta < self.zeta_vanishes_below:
-                return 0.0
-            return compiled(x, zeta)
-
-        return deriv
+            fn = ex.compile_expr(node, ("x", "zeta"))
+            entry[1] = SigmaFunction(
+                fn, self.order, x_support=self.x_support, zeta_vanishes_below=self.zeta_vanishes_below
+            )
+        return entry[1].__call__
 
     def boundary_function(self, j: int) -> AsymFunction:
         """zeta^j/j! * d_x^j sigma(0, zeta) as an AsymFunction of zeta."""
@@ -226,14 +218,18 @@ class ExpansionReport:
     notes: tuple[str, ...] = ()
 
 
-def _log_term(side: Expansion, gamma: complex, poly: LogPolynomial, sign: int = 1) -> LogPolynomial:
-    """c P(sign L), the log left where a regularized integral skips the moment c x^gamma poly(ln x).
+def _log_term(
+    terms: list, at: complex, side: Expansion, gamma: complex, poly: LogPolynomial, sign: int = 1
+) -> None:
+    """Append (at, c P(sign L)): the log left where a regularized integral skips c x^gamma poly(ln x).
 
-    c is the coefficient of side at x^(-1-gamma), zero where side declares
-    none, and P is the antiderivative of poly with P(0) = 0.
+    c is the coefficient of side at x^(-1-gamma) and P the antiderivative of
+    poly with P(0) = 0.  Where side declares no such term nothing is appended,
+    so no merge touches the signed zeros of the other terms at ``at``.
     """
     c = side.coefficient(-1.0 - gamma)
-    return LogPolynomial([c * sign**m * a for m, a in enumerate(poly.antiderivative().coeffs)])
+    if c != 0:
+        terms.append((at, [c * sign**m * a for m, a in enumerate(poly.antiderivative().coeffs)]))
 
 
 def asymptotic_expansion(
@@ -264,7 +260,7 @@ def asymptotic_expansion(
         ]
         terms.append((alpha, vals))
         for i, cf in enumerate(cs):
-            terms.append((alpha, _log_term(cf.exp0, alpha, LogPolynomial((0,) * i + (1,)))))
+            _log_term(terms, alpha, cf.exp0, alpha, LogPolynomial((0,) * i + (1,)))
 
     expansion = make_side(terms, float(p), "infinity", sigma.log_bound + 1)
     diagnostics = check_hypotheses(sigma) if run_diagnostics else None
@@ -277,20 +273,23 @@ def asymptotic_expansion(
 # separable integrands
 
 
-def _schwartz_phi(phi: str | ex.Expr | AsymFunction, q: float) -> AsymFunction:
-    """phi as a Schwartz function, with Taylor data through x^(ceil(q) + 5)."""
-    return phi if isinstance(phi, AsymFunction) else schwartz(phi, n_taylor=math.ceil(q) + 5)
-
-
 def separable_expansion(
-    phi: str | ex.Expr | AsymFunction, f: AsymFunction, q: float, tol: float = DEFAULT_TOL
+    phi: str | ex.Expr,
+    f: AsymFunction,
+    q: float,
+    tol: float = DEFAULT_TOL,
+    *,
+    _phi_fun: AsymFunction | None = None,
 ) -> Expansion:
-    """Expansion in t of the regularized integral of phi(t x) f(x); phi may be its schwartz function."""
+    """Expansion in t of the regularized integral of phi(t x) f(x).
+
+    ``_phi_fun`` is phi's Schwartz function, when the caller has built it.
+    """
     if q > f.exp_inf.order + EXPONENT_TOL:
         raise MissingExpansionData(
             f"requested order q={q} exceeds declared infinity order {f.exp_inf.order}"
         )
-    phi_fun = _schwartz_phi(phi, q)
+    phi_fun = schwartz(phi, n_taylor=math.ceil(q) + 5) if _phi_fun is None else _phi_fun
     terms = []
 
     # Taylor-moment terms t^j
@@ -310,7 +309,7 @@ def separable_expansion(
             for m in range(top + 1)
         ]
         terms.append((-beta - 1.0, vals))
-        terms.append((-beta - 1.0, _log_term(phi_fun.exp0, beta, poly, -1)))
+        _log_term(terms, -beta - 1.0, phi_fun.exp0, beta, poly, -1)
     return make_side(terms, q + 1.0, "zero")
 
 
@@ -322,13 +321,13 @@ def corollary_expansion(
     The scaling rule shifts every power of the separable expansion up by one
     and subtracts the log terms of the expansion of f at zero.
     """
-    phi_fun = _schwartz_phi(phi, q)
-    base = separable_expansion(phi_fun, f, q, tol)
+    phi_fun = schwartz(phi, n_taylor=math.ceil(q) + 5)  # Taylor data through the log terms of both expansions
+    base = separable_expansion(phi, f, q, tol, _phi_fun=phi_fun)
     terms = [(t.exponent + 1.0, t.poly) for t in base.terms]
     for term in f.exp0.terms:
         if term.exponent.real < -q - 1 - EXPONENT_TOL:
             continue
-        terms.append((-term.exponent, _log_term(phi_fun.exp0, term.exponent, term.poly, -1).scale(-1)))
+        _log_term(terms, -term.exponent, phi_fun.exp0, term.exponent, term.poly.scale(-1), -1)
     return make_side(terms, q + 2.0, "zero")
 
 

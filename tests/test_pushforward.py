@@ -20,7 +20,7 @@ from asympush.pushforward import (
     sigma_from_density,
 )
 from asympush.quadrature import quad_interval
-from asympush.singular_expansion import sigma_from_expression
+from asympush.singular_expansion import asymptotic_expansion, sigma_from_expression
 
 
 def smooth_family(g2_generator):
@@ -154,6 +154,27 @@ def test_sigma_from_constant_slice_density():
     assert sigma_from_density(
         blowup_density_from_expression("0", smooth_family((1, 0)))
     )(0.5, 2.0) == 0.0
+
+
+def test_fiber_expansion_of_a_density_nonzero_at_the_corner():
+    # u_A = 1 on the unit box: the zeta^0 coefficient u_A(x, 0)/x = 1/x declares
+    # x^-1, whose moment the regularized integral skips, so ln z carries its
+    # coefficient; int_{1/z}^1 dx/x = ln z.  Order 0, because sigma has no
+    # Taylor data in x at 0 for the boundary terms.
+    d = blowup_density_from_expression("1", smooth_family((1, 0)), box=(1.0, 1.0))
+    expn = asymptotic_expansion(sigma_from_density(d, order=0)).expansion
+    assert expn.coefficient(0.0, 1) == pytest.approx(1.0, abs=1e-12)
+    assert abs(expn.coefficient(0.0, 0)) <= 1e-12
+    for z in (10.0, 1000.0):
+        assert expn(z).real == pytest.approx(math.log(z), abs=1e-12)
+        assert F_pushforward(d, 1.0 / z) == pytest.approx(math.log(z), abs=1e-9)
+
+
+def test_blowup_density_adds_only_its_family():
+    d = blowup_density_from_expression("x*y", smooth_family((1, 0)), box=(1.0, 2.0))
+    assert d.smooth and d.box == (1.0, 2.0)
+    with pytest.raises(TypeError):
+        type(d)(d.ast, (1.0, 2.0), False, family=d.family)
 
 
 def test_sigma_matches_product_form():

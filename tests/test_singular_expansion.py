@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from asympush.asymfun import AsymFunction, from_expression, schwartz
+from asympush.asymfun import AsymFunction, from_expression, pure_power, schwartz
 from asympush.singular_expansion import (
     HypothesisFailure,
     MissingExpansionData,
@@ -233,6 +233,49 @@ def test_corollary_expansion_exponential():
     for t in (0.05, 0.02):
         want = t * (-EULER_GAMMA - math.log1p(t) + math.log(t))
         assert expn(t).real == pytest.approx(want, abs=2.0 * t**2.5)
+
+
+# regularized integrals of e^{-x} x^beta ln^k x: finite parts at s = beta + 1
+# of d^k/ds^k Gamma(s), from Gamma(s) = 1/s - gamma + G2 s + O(s^2)
+G2 = EULER_GAMMA**2 / 2 + math.pi**2 / 12
+PURE_POWERS = [  # (beta, k, q, reg int e^{-tx} x^beta ln^k x dx as t^(-beta-1) times a polynomial in ln t)
+    (-1, 0, 1.0, [-EULER_GAMMA, -1.0]),
+    (-1, 1, 1.0, [G2, EULER_GAMMA, 0.5]),
+    (-2, 0, 1.0, [EULER_GAMMA - 1.0, 1.0]),
+    (-2, 1, 1.0, [EULER_GAMMA - 1.0 - G2, 1.0 - EULER_GAMMA, -0.5]),
+    (-3, 0, 2.0, [(1.5 - EULER_GAMMA) / 2, -0.5]),
+]
+
+
+def assert_only_terms_at(expn, exponent):
+    # the Taylor moments of a pure power vanish, up to quadrature noise
+    for term in expn.terms:
+        if term.exponent != exponent:
+            assert all(abs(c) <= 1e-9 for c in term.poly.coeffs), term
+
+
+@pytest.mark.parametrize("beta, k, q, want", PURE_POWERS)
+def test_separable_log_terms_of_integer_infinity_exponents(beta, k, q, want):
+    # f = x^beta ln^k x declares its one term at infinity, so every coefficient
+    # of t^(-beta-1) ln^m t with m > k is the log term of phi's Taylor
+    # coefficient at x^(-1-beta)
+    expn = separable_expansion("exp(-x)", pure_power(beta, k), q)
+    assert_only_terms_at(expn, -beta - 1.0)
+    for m, w in enumerate(want):
+        assert expn.coefficient(-beta - 1.0, m) == pytest.approx(w, abs=1e-9)
+
+
+@pytest.mark.parametrize("beta, k, q, want", PURE_POWERS)
+def test_corollary_log_terms_cancel_for_a_pure_power(beta, k, q, want):
+    # (x/t)^beta ln^k(x/t) = t^-beta x^beta (ln x - ln t)^k: the log terms of f
+    # at zero cancel those of the separable expansion, leaving t^-beta times
+    # sum_j C(k, j) (-ln t)^(k-j) reg int e^{-x} x^beta ln^j x
+    moments = [w[0] for b, j, _, w in PURE_POWERS if b == beta and j <= k]
+    expn = corollary_expansion("exp(-x)", pure_power(beta, k), q)
+    assert_only_terms_at(expn, -float(beta))
+    for m in range(k + 2):
+        w = sum(math.comb(k, j) * (-1) ** m * moments[j] for j in range(k + 1) if k - j == m)
+        assert expn.coefficient(-float(beta), m) == pytest.approx(w, abs=1e-9)
 
 
 def test_declared_term_below_cutoff_is_noted():

@@ -1,12 +1,14 @@
 """Compare the CLI reports of two checkouts on the spec-mix specs of the benchmark.
 
-    python tools/report_diff.py OLD_CHECKOUT NEW_CHECKOUT [SEED ...]
+    python tools/report_diff.py OLD_CHECKOUT NEW_CHECKOUT [SEED ...] [SPEC.json ...]
 
 Writes the spec-mix specs of each seed (default 777 and 901) with
-``perfbench.workloads.spec_mix``, runs each spec through every checkout's
-``asympush.cli.main`` in one subprocess per checkout (that checkout's ``src``
-first on ``sys.path``), prints each spec whose report bytes or exit code
-differ, and exits 1 if any does.
+``perfbench.workloads.spec_mix``, runs each spec, and each SPEC.json given
+(for instance ``tools/log_term_specs/*.json``, which reach the log-term paths
+spec-mix does not), through every checkout's ``asympush.cli.main`` in one
+subprocess per checkout (that checkout's ``src`` first on ``sys.path``),
+prints each spec whose report bytes or exit code differ, and exits 1 if any
+does.
 """
 
 import json
@@ -41,12 +43,17 @@ def run(checkout: str, out: Path, specs: list[str]) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    old, new, *seeds = argv
+    old, new, *rest = argv
+    files = [str(Path(a).resolve()) for a in rest if a.endswith(".json")]
+    seeds = [int(a) for a in rest if not a.endswith(".json")] or [777, 901]
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in map(int, seeds or (777, 901)):
-            work = Path(tmp, str(seed))
-            specs = [op.args["path"] for op in spec_mix(seed, work) if op.kind == "spec"]
+        groups = [
+            (f"seed {seed}", [op.args["path"] for op in spec_mix(seed, Path(tmp, str(seed))) if op.kind == "spec"])
+            for seed in seeds
+        ]
+        for label, specs in groups + ([("files", files)] if files else []):
+            work = Path(tmp, label.replace(" ", "-"))
             sides = [run(c, work / side, specs) for c, side in ((old, "old"), (new, "new"))]
             for path in specs:
                 report = f"{Path(path).stem}.report.json"
@@ -54,9 +61,9 @@ def main(argv: list[str]) -> int:
                 same = a.exists() == b.exists() and (not a.exists() or a.read_bytes() == b.read_bytes())
                 if not same or sides[0][path] != sides[1][path]:
                     differ += 1
-                    print(f"seed {seed} {Path(path).stem}: exit {sides[0][path]} -> {sides[1][path]}, "
+                    print(f"{label} {Path(path).stem}: exit {sides[0][path]} -> {sides[1][path]}, "
                           f"report {'same' if same else 'differs'}")
-            print(f"seed {seed}: {len(specs)} specs compared")
+            print(f"{label}: {len(specs)} specs compared")
     print(f"{differ} differ")
     return 1 if differ else 0
 
