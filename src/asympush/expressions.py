@@ -65,30 +65,88 @@ class DiffError(ValueError):
     """Differentiation through step() w.r.t. an involved variable."""
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    """Structural == and hash of expression nodes, walked with an explicit stack.
+
+    The dataclass-generated methods recurse once per level, so a long sum or
+    product exhausted the interpreter's stack.  A subtree shared by identity
+    is compared and hashed once.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            cls = type(a)
+            if a is b:
+                continue
+            if cls is not type(b):
+                return False
+            if cls is BinOp:
+                if a.op != b.op:
+                    return False
+                stack += ((a.right, b.right), (a.left, b.left))
+            elif cls is Neg or cls is Call:
+                if cls is Call and a.func != b.func:
+                    return False
+                stack.append((a.arg, b.arg))
+            elif cls is Num:
+                if not (a.value is b.value or a.value == b.value):  # as a tuple of fields compares
+                    return False
+            elif a.name != b.name:
+                return False
+        return True
+
+    def __hash__(self):
+        hashes: dict[int, int] = {}  # id of each node -> its hash
+        stack = [self]
+        while stack:
+            nd = stack[-1]
+            cls = type(nd)
+            kids = (nd.left, nd.right) if cls is BinOp else (nd.arg,) if cls is Neg or cls is Call else ()
+            todo = [k for k in kids if id(k) not in hashes]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            if cls is BinOp:
+                h = hash((nd.op, hashes[id(nd.left)], hashes[id(nd.right)]))
+            elif cls is Neg or cls is Call:
+                h = hash((nd.func if cls is Call else "-", hashes[id(nd.arg)]))
+            else:
+                h = hash(nd.value if cls is Num else nd.name)
+            hashes[id(nd)] = h
+        return hashes[id(self)]
+
+
+@dataclass(frozen=True, eq=False)
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False)
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False)
+class Call(_Node):
     func: str
     arg: "Expr"
 
@@ -257,18 +315,22 @@ def _prec(node: Expr) -> int:
 _LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def _spine(node: Expr, keep=None) -> tuple[list[BinOp], Expr]:
+def _spine(node: Expr, keep=None, across: bool = False) -> tuple[list[BinOp], Expr]:
     """The nodes down the left spine of node that share its level, top first, and the operand below them.
 
     The levels are '+'/'-' and '*'/'/'.  A parsed sum of n terms, or product
     of n factors, is n - 1 such nodes deep, so unparse, evaluate, substitute,
     diff and taylor walk it with this loop instead of one recursive call per
-    operand.  When given, keep(nd) is False for the first node below the top
-    that is to count as the operand below the spine.
+    operand.  With ``across``, the spine goes on through both levels, as in
+    the derivative of a product, whose left spine alternates them.  When
+    given, keep(nd) is False for the first node below the top that is to
+    count as the operand below the spine.
     """
     spine = []
-    level = _LEVEL.get(node.op) if type(node) is BinOp else None
-    while type(node) is BinOp and level is not None and _LEVEL.get(node.op) == level:
+    if type(node) is not BinOp or node.op not in _LEVEL:
+        return spine, node
+    levels = (1, 2) if across else (_LEVEL[node.op],)
+    while type(node) is BinOp and _LEVEL.get(node.op) in levels:
         if spine and keep is not None and not keep(node):
             break
         spine.append(node)
@@ -276,13 +338,13 @@ def _spine(node: Expr, keep=None) -> tuple[list[BinOp], Expr]:
     return spine, node
 
 
-def _fold(node: Expr, walk, combine, keep=None):
+def _fold(node: Expr, walk, combine, keep=None, across: bool = False):
     """The chain at node, folded left to right.
 
     acc starts as walk of the operand below the spine; each spine node nd,
     bottom first, makes it combine(nd, acc, walk(nd.right)).
     """
-    spine, node = _spine(node, keep)
+    spine, node = _spine(node, keep, across)
     acc = walk(node)
     for nd in reversed(spine):
         acc = combine(nd, acc, walk(nd.right))
@@ -290,37 +352,49 @@ def _fold(node: Expr, walk, combine, keep=None):
 
 
 def unparse(node: Expr) -> str:
-    spine, node = _spine(node)
+    return _unparse(node, {})
+
+
+def _unparse(node: Expr, memo: dict) -> str:
+    text = memo.get(id(node))  # id of a node -> its text, so that a shared subtree is written once
+    if text is not None:
+        return text
+    spine, node = _spine(node, lambda s: id(s) not in memo, across=True)
     if spine:
-        # left-associative: the operand below the spine needs parentheses when
-        # it binds looser than the chain, a right operand also when it binds alike
-        me = _LEVEL[spine[0].op]
-        left = unparse(node)
-        parts = [f"({left})" if _prec(node) < me else left]
-        for nd in reversed(spine):
-            right = unparse(nd.right)
-            parts.append(f"{nd.op}({right})" if _prec(nd.right) <= me else f"{nd.op}{right}")
-        return "".join(parts)
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = unparse(node.arg)
+        # left-associative: an operand on the spine needs parentheses when it
+        # binds looser than the node above it, a right operand also when it
+        # binds alike; the opening parentheses all come before the bottom operand
+        wrap = [_prec(b) < _LEVEL[nd.op] for nd, b in zip(spine, [*spine[1:], node])]
+        parts = ["(" * sum(wrap), _unparse(node, memo)]
+        for nd, w in zip(reversed(spine), reversed(wrap)):
+            right = _unparse(nd.right, memo)
+            op = f"){nd.op}" if w else nd.op
+            parts.append(f"{op}({right})" if _prec(nd.right) <= _LEVEL[nd.op] else f"{op}{right}")
+        text = "".join(parts)
+        node = spine[0]
+    elif isinstance(node, Num):
+        text = repr(node.value)
+    elif isinstance(node, Var):
+        text = node.name
+    elif isinstance(node, Neg):
+        text = _unparse(node.arg, memo)
         if _prec(node.arg) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Call):
-        return f"{node.func}({unparse(node.arg)})"
-    if isinstance(node, BinOp) and node.op == "^":
-        left, right = unparse(node.left), unparse(node.right)
+            text = f"({text})"
+        text = f"-{text}"
+    elif isinstance(node, Call):
+        text = f"{node.func}({_unparse(node.arg, memo)})"
+    elif isinstance(node, BinOp) and node.op == "^":
+        left, right = _unparse(node.left, memo), _unparse(node.right, memo)
         # right-associative
         if _prec(node.left) <= _PREC["^"]:
             left = f"({left})"
         if _prec(node.right) < _PREC["^"]:
             right = f"({right})"
-        return f"{left}^{right}"
-    raise TypeError(f"not an expression node: {node!r}")
+        text = f"{left}^{right}"
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    memo[id(node)] = text
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -397,24 +471,39 @@ _POST = object()  # compile_expr's stack marker
 
 
 def evaluate(node: Expr, bindings: Bindings | None = None) -> float:
-    """Walk the tree at one point: the reference that compile_expr must match."""
-    b = bindings or {}
+    """Walk the tree at one point: the reference that compile_expr must match.
+
+    Like compile_expr, it computes a subtree shared by identity once.
+    """
+    return _evaluate(node, bindings or {}, {})
+
+
+def _evaluate(node: Expr, b: Bindings, memo: dict) -> float:
+    v = memo.get(id(node))  # id of a node -> its value
+    if v is not None:
+        return v
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return float(b[node.name]) if node.name in b else _unbound(node.name)
     if isinstance(node, Neg):
-        return -evaluate(node.arg, b)
-    if isinstance(node, Call):
-        x = evaluate(node.arg, b)
+        v = -_evaluate(node.arg, b, memo)
+    elif isinstance(node, Call):
+        x = _evaluate(node.arg, b, memo)
         if node.func not in _CALLS:
             raise EvalError(f"unknown function {node.func!r}")
-        return _CALLS[node.func](x)
-    if isinstance(node, BinOp) and node.op in _LEVEL:
-        return _fold(node, lambda nd: evaluate(nd, b), lambda nd, u, v: _BINOPS[nd.op](u, v))
-    if isinstance(node, BinOp) and node.op == "^":
-        return _power(evaluate(node.left, b), evaluate(node.right, b))
-    raise TypeError(f"not an expression node: {node!r}")
+        v = _CALLS[node.func](x)
+    elif isinstance(node, BinOp) and node.op in _LEVEL:
+        v = _fold(
+            node, lambda nd: _evaluate(nd, b, memo), lambda nd, u, w: _BINOPS[nd.op](u, w),
+            lambda s: id(s) not in memo, across=True,
+        )
+    elif isinstance(node, BinOp) and node.op == "^":
+        v = _power(_evaluate(node.left, b, memo), _evaluate(node.right, b, memo))
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    memo[id(node)] = v
+    return v
 
 
 # Distinct sources per benchmark pass: at most 24 (42 in a spec-mix run,
@@ -666,7 +755,7 @@ def _depends(nd: Expr, var: str, memo: dict[int, bool]) -> bool:
     """Whether var occurs in nd; records the answer for every node of nd in memo, by id."""
     d = memo.get(id(nd))
     if d is None and type(nd) is BinOp and nd.op in _LEVEL:
-        spine, nd = _spine(nd, lambda s: id(s) not in memo)
+        spine, nd = _spine(nd, lambda s: id(s) not in memo, across=True)
         d = _depends(nd, var, memo)
         for s in reversed(spine):
             d = memo[id(s)] = _depends(s.right, var, memo) | d
@@ -729,12 +818,20 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
             w[k] = (u[k] - sum(v[j] * w[k - j] for j in ks[:k])) / v[0]
         return w
 
+    jets: dict[int, list[float]] = {}  # id of each node -> its series, so that a shared subtree is expanded once
+
     def jet(nd: Expr) -> list[float]:
+        out = jets.get(id(nd))
+        if out is None:
+            out = jets[id(nd)] = expand(nd)
+        return out
+
+    def expand(nd: Expr) -> list[float]:
         if not dep[id(nd)]:
             return [evaluate(nd, b)] + [0.0] * n
         if type(nd) is BinOp and nd.op in _LEVEL:
             # a spine node without var is one constant, as in the recursion it replaces
-            return _fold(nd, jet, chain, lambda s: dep[id(s)])
+            return _fold(nd, jet, chain, lambda s: dep[id(s)] and id(s) not in jets, across=True)
         if isinstance(nd, Var):
             return [at, 1.0, *[0.0] * n][: n + 1]
         if isinstance(nd, Neg):

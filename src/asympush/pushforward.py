@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expressions as ex
-from .asymfun import AsymFunction, from_expression, power_log_multiply, reg_integral
+from .asymfun import from_expression
 from .expansions import Expansion, make_side
 from .indexsets import (
     ExponentMatrix,
@@ -29,7 +29,7 @@ from .indexsets import (
     check_integrability,
 )
 from .quadrature import DEFAULT_TOL, dyadic_shells, quad_interval
-from .singular_expansion import SigmaFunction, SigmaTerm
+from .singular_expansion import SigmaFunction, SigmaTerm, asymptotic_expansion
 
 __all__ = [
     "Density2D",
@@ -126,53 +126,29 @@ def push_xy(u: Density2D, t: float, tol: float = DEFAULT_TOL) -> float:
 
 
 # ---------------------------------------------------------------------------
-# boundary-Taylor prediction of the small-t expansion
-
-
-def _axis_restriction(u: Density2D, along: str, j: int) -> ex.Expr:
-    """d^j u / d(other)^j restricted to other = 0, as an expression in x."""
-    other = "y" if along == "x" else "x"
-    node = u.ast
-    for _ in range(j):
-        node = ex.diff(node, other)
-    node = ex.substitute(node, other, ex.Num(0.0))
-    if along == "y":
-        node = ex.substitute(node, "y", ex.Var("x"))
-    return node
-
-
-def _boundary_asymfun(node: ex.Expr, upper: float, depth: int) -> AsymFunction:
-    terms = [(k, [c]) for k, c in enumerate(ex.taylor(node, "x", 0.0, depth))]
-    return from_expression(
-        node, zero_terms=terms, order_zero=depth + 1.0, inf_terms=[],
-        order_inf=40.0, support=(0.0, upper),
-    )
+# the small-t expansion, by the singular asymptotics lemma
 
 
 def sal_prediction_smooth(u: Density2D, J: int, tol: float = DEFAULT_TOL) -> Expansion:
     """Predicted expansion of push_xy(u, t) as t -> 0, through order t^J.
 
-    Each order j contributes two regularized boundary moments (one per axis)
-    and a log term proportional to the corner derivative d_x^j d_y^j u(0,0),
-    which is j! times the t^j Taylor coefficient of the y-axis restriction.
+    push_xy(u, t) is the fiber integral of sigma(x, zeta) = u(x, 1/zeta)/x at
+    z = 1/t, so this is :func:`asymptotic_expansion` of
+    :func:`sigma_from_density` read in t, with ln z = -ln t.  Each order j
+    takes one regularized moment on each axis of u, and the corner derivative
+    d_x^j d_y^j u(0, 0) gives its t^j ln t term.
     """
     if not u.smooth:
         raise ValueError("the boundary-Taylor prediction needs a smooth density")
     if J > 6:
         raise ValueError("prediction depth J must be at most 6")
-    X, Y = u.box
-    terms = []
-    for j in range(J + 1):
-        scale = 1.0 / factorial(j)
-        wx = _boundary_asymfun(_axis_restriction(u, "x", j), X, j + 9)
-        wy = _boundary_asymfun(_axis_restriction(u, "y", j), Y, j + 9)
-        coeff = scale * (
-            reg_integral(power_log_multiply(wx, -1.0 - j), tol)
-            + reg_integral(power_log_multiply(wy, -1.0 - j), tol)
-        )
-        terms.append((complex(j), (coeff,)))
-        terms.append((complex(j), (0, -wy.exp0.coefficient(j) * scale)))
-    return make_side(terms, J + 2.0, "zero", 1)
+    in_z = asymptotic_expansion(sigma_from_density(u, J), tol).expansion
+    # z^a P(ln z) = t^-a P(-ln t); subtracting from 0 keeps zero imaginary parts positive
+    terms = [
+        (0 - term.exponent, [0 - c if m % 2 else c for m, c in enumerate(term.poly.coeffs)])
+        for term in in_z.terms
+    ]
+    return make_side(terms, J + 2.0, "zero", in_z.log_power)
 
 
 # ---------------------------------------------------------------------------
@@ -265,46 +241,48 @@ def blowup_matrix() -> ExponentMatrix:
     return ExponentMatrix(("G1", "G2", "G3"), ("t0",), ((1,), (0,), (1,)))
 
 
-def sigma_from_density(d: BlowupDensity, order: int = 3) -> SigmaFunction:
-    """The fiber integrand sigma(x, zeta) = u_A(x, 1/zeta) / x.
+def _axis_terms(u: Density2D, other: str, order: int, upper: float, over_x: bool) -> list:
+    """(m, d_other^m u / m! at other = 0, over x when over_x) for m <= order, where that is not 0.
 
-    Large-zeta terms come from the Taylor expansion of u_A in its second
-    argument at 0; their x-coefficients carry boundary Taylor data deep
-    enough that every regularized integral of the expansion engine is
-    defined.
+    Each is an AsymFunction of the remaining variable, renamed x, with Taylor
+    data at 0 deep enough that every regularized integral of the expansion
+    engine is defined; it vanishes beyond upper, and an unbounded side is
+    declared rapidly decaying.
+    """
+    out, node, depth, lead = [], u.ast, order + 9, -1 if over_x else 0
+    for m in range(order + 1):
+        node = ex.diff(node, other) if m else node
+        c = ex.substitute(ex.substitute(node, other, ex.Num(0.0)), "y", ex.Var("x"))
+        cs = [v / factorial(m) for v in ex.taylor(c, "x", 0.0, depth)]
+        if any(cs):
+            c = ex.BinOp("/", c, ex.Num(float(factorial(m))))
+            c = ex.BinOp("/", c, ex.Var("x")) if over_x else c
+            terms = [(k + lead, [v]) for k, v in enumerate(cs)]
+            out.append((m, from_expression(c, terms, depth + 1.0 + lead, order_inf=40.0, support=(0.0, upper))))
+    return out
+
+
+def sigma_from_density(d: Density2D, order: int = 3) -> SigmaFunction:
+    """The fiber integrand sigma(x, zeta) = u_A(x, 1/zeta) / x, declared at both faces.
+
+    From the Taylor data of u_A at its two axes: at zeta = inf the terms
+    zeta^-m d_y^m u_A(x, 0) / (m! x), at x = 0 the terms x^(j-1) d_x^j u_A(0, y) / j!
+    with y = 1/zeta, for m, j <= order.
     """
     X, Y = d.box
-    depth = order + 9
-    sig_ast = ex.BinOp(
-        "/", ex.substitute(d.ast, "y", ex.BinOp("/", ex.Num(1.0), ex.Var("zeta"))),
-        ex.Var("x"),
-    )
+    sig_ast = ex.BinOp("/", ex.substitute(d.ast, "y", ex.BinOp("/", ex.Num(1.0), ex.Var("zeta"))), ex.Var("x"))
 
     def fn(x: float, zeta: float) -> float:
         return d(x, 1.0 / zeta) / x
 
-    terms = []
-    node = d.ast
-    for m in range(order + 1):
-        cm = ex.substitute(node, "y", ex.Num(0.0))  # d_y^m u_A(x, 0)
-        cs = [c / factorial(m) for c in ex.taylor(cm, "x", 0.0, depth)]
-        if any(cs):
-            coeff_ast = ex.BinOp(
-                "/", cm, ex.BinOp("*", ex.Num(float(factorial(m))), ex.Var("x"))
-            )
-            cf = from_expression(
-                coeff_ast, zero_terms=[(k - 1, [c]) for k, c in enumerate(cs)],
-                order_zero=float(depth), inf_terms=[], order_inf=40.0, support=(0.0, X),
-            )
-            terms.append(SigmaTerm(complex(-m), (cf,)))
-        node = ex.diff(node, "y")
     return SigmaFunction(
         fn=fn,
         order=order,
-        terms=tuple(terms),
+        terms=tuple(SigmaTerm(complex(-m), (c,)) for m, c in _axis_terms(d, "y", order, X, True)),
         ast=sig_ast,
         x_support=(0.0, X),
         zeta_vanishes_below=(1.0 / Y) if math.isfinite(Y) and Y > 0 else None,
+        x_terms=tuple(SigmaTerm(complex(j - 1), (q,)) for j, q in _axis_terms(d, "x", order, Y, False)),
     )
 
 

@@ -1,18 +1,19 @@
 """Asymptotic expansion of int_0^inf sigma(x, x z) dx for large z.
 
-The integrand is a two-variable function whose large-second-argument behavior
-is declared as a finite list of terms zeta^alpha * p_alpha(x, ln zeta), with
-log-polynomial data whose coefficients are functions of x.  The expansion of
-the integral has three sources:
+The integrand is declared at both faces: at zeta = inf by terms
+zeta^alpha p_alpha(x, ln zeta), at x = 0 by terms x^beta q_beta(1/zeta, ln x),
+with log-polynomial coefficients that are functions of x, resp. y = 1/zeta.
+The expansion of the integral has three sources:
 
-  (i)   boundary terms: regularized integrals of zeta^j d_x^j sigma(0, zeta),
-        contributing z^{-j-1};
-  (ii)  the declared terms themselves, re-expanded in ln z, contributing
-        z^alpha with log-polynomial coefficients built from regularized
-        integrals in x;
-  (iii) log terms z^alpha P(ln z) where a coefficient of p_alpha declares a
-        term x^(-1-alpha) at zero: (ii) skips the pure x^-1 moment it makes,
-        and the antiderivative P of its coefficients becomes the log.
+  (i)   each x-side term gives z^(-beta-1) times the regularized integral of
+        zeta^beta q_beta, taken in y (inversion leaves it unchanged).  For a
+        sigma smooth in x they are x^j d_x^j sigma(0, zeta)/j!, j < p;
+  (ii)  each zeta-side term gives z^alpha, re-expanded in ln z, with
+        coefficients from regularized integrals in x;
+  (iii) a monomial x^(-1-alpha) zeta^alpha at the corner, whose pure x^-1
+        moment (i) and (ii) both skip, gives z^alpha P(ln z), P an
+        antiderivative of its coefficients; it is read once, and where both
+        sides declare it the two must agree.
 
 Separable integrands phi(t x) f(x) and phi(x) f(x/t) have their own, more
 explicit expansions (:func:`separable_expansion`, :func:`corollary_expansion`),
@@ -71,7 +72,8 @@ class HypothesisFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SigmaTerm:
-    """One declared large-zeta term: zeta^exponent * sum_i coeffs[i](x) ln^i zeta."""
+    """One declared term: zeta^exponent * sum_i coeffs[i](x) ln^i zeta at zeta = inf,
+    or, on the x side, x^exponent * sum_i coeffs[i](1/zeta) ln^i x at x = 0."""
 
     exponent: complex
     coeffs: tuple[AsymFunction, ...]
@@ -88,6 +90,9 @@ class SigmaFunction:
     # sigma vanishes for zeta below this cutoff (support hint); when absent
     # and the AST is step-free, small-zeta data is derived by Taylor expansion
     zeta_vanishes_below: float | None = None
+    # declared x = 0 terms, coefficients in y = 1/zeta; None: sigma is smooth
+    # in x, and boundary_function builds them from its Taylor data
+    x_terms: tuple[SigmaTerm, ...] | None = None
     _xderiv_cache: dict = field(default_factory=dict, repr=False)  # j -> [expression, SigmaFunction of it]
 
     def __call__(self, x: float, zeta: float) -> float:
@@ -130,36 +135,32 @@ class SigmaFunction:
             )
         return entry[1].__call__
 
-    def boundary_function(self, j: int) -> AsymFunction:
-        """zeta^j/j! * d_x^j sigma(0, zeta) as an AsymFunction of zeta."""
+    def boundary_function(self, j: int) -> SigmaTerm:
+        """The x-side term x^j q_j of a sigma smooth in x: q_j(y) = d_x^j sigma(0, 1/y)/j!.
+
+        Its data at y = 0 comes from the declared zeta-side terms, its data at
+        y = inf from the Taylor expansion of sigma in zeta, or from the cutoff.
+        """
         dj = self.x_deriv(j)
         scale = 1.0 / factorial(j)
 
-        def fn(zeta: float) -> float:
-            d = dj(0.0, zeta)
-            if d == 0.0:
-                return 0.0
-            try:
-                return zeta**j * scale * d
-            except OverflowError:
-                # zeta^j overflows alone but the product is representable
-                return math.copysign(
-                    scale * math.exp(j * math.log(zeta) + math.log(abs(d))), d
-                )
+        def fn(y: float) -> float:
+            return scale * dj(0.0, 1.0 / y)
 
-        # sigma remainder is O(zeta^{-p-1}), so this one decays like zeta^{j-p-1}
-        order_inf = self.order - j - 0.01
-        inf_terms = []
+        # sigma's remainder is O(zeta^{-p-1}) = O(y^{p+1})
+        order_zero = self.order + 2 - 0.01
+        zero_terms = []
         for term in self.terms:
-            if (term.exponent + j).real < -max(order_inf, 0.5) - 1:
+            if -term.exponent.real > order_zero - 1:
                 continue  # absorbed by the remainder bound
-            poly = [c.nth_deriv_at_zero(j) * scale for c in term.coeffs]
+            # ln zeta = -ln y
+            poly = [(-1) ** i * c.nth_deriv_at_zero(j) * scale for i, c in enumerate(term.coeffs)]
             if any(v != 0 for v in poly):
-                inf_terms.append((term.exponent + j, LogPolynomial(poly)))
+                zero_terms.append((-term.exponent, LogPolynomial(poly)))
 
         if self.zeta_vanishes_below is not None and self.zeta_vanishes_below > 0:
-            zero_side = make_side([], 2.0, "zero")
-            support = (self.zeta_vanishes_below, math.inf)
+            inf_side = make_side([], 40.0, "infinity")
+            support = (0.0, 1.0 / self.zeta_vanishes_below)
         elif (node := self._x_deriv_ast(j)) is not None:
             try:
                 cs = ex.taylor(node, "zeta", 0.0, 2, {"x": 0.0})
@@ -168,19 +169,15 @@ class SigmaFunction:
                     f"small-argument Taylor data for boundary function j={j} "
                     f"is not defined at zero: {e}"
                 ) from e
-            zero_side = make_side([(j + m, (c * scale,)) for m, c in enumerate(cs)], j + 3.0, "zero")
+            inf_side = make_side([(-m, (c * scale,)) for m, c in enumerate(cs)], 1.0, "infinity")
             support = None
         else:
             raise MissingExpansionData(
                 f"no small-argument data for boundary function j={j}: "
                 "declare a vanishing cutoff or use a step-free expression"
             )
-        return AsymFunction(
-            fn=fn,
-            exp0=zero_side,
-            exp_inf=make_side(inf_terms, max(order_inf, 0.5), "infinity"),
-            support=support,
-        )
+        q = AsymFunction(fn=fn, exp0=make_side(zero_terms, order_zero, "zero"), exp_inf=inf_side, support=support)
+        return SigmaTerm(complex(j), (q,))
 
 
 def sigma_from_expression(
@@ -232,6 +229,16 @@ def _log_term(
         terms.append((at, [c * sign**m * a for m, a in enumerate(poly.antiderivative().coeffs)]))
 
 
+def _moments(cs: Sequence[AsymFunction], gamma: complex, sign: int, tol: float) -> list[complex]:
+    """Coefficients of ln^m z in the regularized integral of v^gamma sum_i sign^i cs[i](v) (ln v + ln z)^i."""
+    n = len(cs)
+    moment = [[reg_integral(power_log_multiply(c, gamma, k), tol) for k in range(i + 1)] for i, c in enumerate(cs)]
+    return [sum(comb(i, m) * sign**i * moment[i][i - m] for i in range(m, n)) for m in range(n)]
+
+
+CORNER_RTOL = 1e-9  # relative gap at which the two sides' corner coefficients disagree
+
+
 def asymptotic_expansion(
     sigma: SigmaFunction,
     tol: float = DEFAULT_TOL,
@@ -242,25 +249,38 @@ def asymptotic_expansion(
     terms = []
     notes: list[str] = []
 
-    # (i) boundary terms z^{-j-1}
-    for j in range(p):
-        g = sigma.boundary_function(j)
-        terms.append((complex(-j - 1), (reg_integral(g, tol),)))
+    def kept(alpha: complex, term: SigmaTerm, side: str = "") -> bool:
+        if alpha.real > -p - 1 + EXPONENT_TOL:
+            return True
+        notes.append(f"declared {side}term at {term.exponent} below cutoff; skipped")
+        return False
 
-    # (ii) declared terms, re-expanded in ln z, and (iii) their log terms
-    for term in sigma.terms:
-        alpha = term.exponent
-        if alpha.real <= -p - 1 + EXPONENT_TOL:
-            notes.append(f"declared term at {alpha} below cutoff; skipped")
-            continue
-        cs = term.coeffs
-        vals = [
-            sum(comb(i, m) * reg_integral(power_log_multiply(cs[i], alpha, i - m), tol) for i in range(m, len(cs)))
-            for m in range(len(cs))
-        ]
-        terms.append((alpha, vals))
+    # (i) an x-side term x^beta q(1/y, ln x) gives z^alpha, alpha = -1 - beta,
+    # from y^(alpha-1) q(y) (-ln y - ln z)^i, integrated in y = 1/zeta
+    x_side = sigma.x_terms if sigma.x_terms is not None else map(sigma.boundary_function, range(p))
+    x_terms = [(-1.0 - t.exponent, t.coeffs) for t in x_side if kept(-1.0 - t.exponent, t, "x-side ")]
+    for alpha, cs in x_terms:
+        terms.append((alpha, _moments(cs, alpha - 1.0, -1, tol)))
+
+    # (ii) zeta-side terms, re-expanded in ln z, and (iii) the corner's log terms in ln zeta
+    corner = []  # (alpha, the zeta side's coefficient of x^(-1-alpha) zeta^alpha)
+    for term in (t for t in sigma.terms if kept(t.exponent, t)):
+        alpha, cs = term.exponent, term.coeffs
+        terms.append((alpha, _moments(cs, alpha, 1, tol)))
         for i, cf in enumerate(cs):
             _log_term(terms, alpha, cf.exp0, alpha, LogPolynomial((0,) * i + (1,)))
+        if cs:
+            corner.append((alpha, cs[0].exp0.coefficient(-1.0 - alpha)))
+
+    # (iii) the corner's log terms in ln x; the one without logs only where the zeta side has none
+    for alpha, cs in x_terms:
+        a = sum(c for at, c in corner if abs(at - alpha) <= EXPONENT_TOL)
+        b = cs[0].exp0.coefficient(-alpha) if cs else 0
+        if a != 0 and b != 0 and abs(a - b) > CORNER_RTOL * max(abs(a), abs(b)):
+            notes.append(f"corner coefficient of z^{alpha} ln z: zeta side {a}, x side {b}")
+        for i, q in enumerate(cs):
+            if i or a == 0:
+                _log_term(terms, alpha, q.exp0, alpha - 1.0, LogPolynomial((0,) * i + (-1,)), -1)
 
     expansion = make_side(terms, float(p), "infinity", sigma.log_bound + 1)
     diagnostics = check_hypotheses(sigma) if run_diagnostics else None

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asympush import expressions as ex
+from asympush.pushforward import density_from_expression
 
 
 def test_parse_precedence_and_unparse():
@@ -407,13 +408,48 @@ def test_long_product_walks_in_a_loop():
     node = ex.parse("*".join(["x"] * 3000))
     assert ex.evaluate(node, {"x": 1.0}) == 1.0
     text = ex.unparse(node)
-    assert ex.unparse(ex.parse(text)) == text  # strings: == on the trees still recurses
+    assert ex.parse(text) == node
     assert ex.compile_expr(ex.diff(node, "x"), ("x",))(1.0) == 3000.0
     assert ex.taylor(node, "x", 1.0, 1) == [1.0, 3000.0]
     assert ex.evaluate(ex.substitute(node, "x", ex.Num(1.0))) == 1.0
     quotient = ex.parse("2" + "/x*x" * 1500)
     assert ex.evaluate(quotient, {"x": 3.0}) == pytest.approx(2.0)
     assert ex.taylor(quotient, "x", 3.0, 1) == pytest.approx([2.0, 0.0], abs=1e-12)
+
+
+def test_derivative_of_a_long_product_walks_in_a_loop():
+    # the product rule nests each '+' inside the next '*': a left spine that
+    # alternates the two levels, 2 * 2999 nodes deep, with the prefix products
+    # of the input shared as right operands
+    d = ex.diff(ex.parse("*".join(["x"] * 3000)), "x")
+    assert ex.evaluate(d, {"x": 1.0}) == 3000.0
+    assert ex.taylor(d, "x", 1.0, 1) == [3000.0, 3000.0 * 2999.0]
+    # d(x^k) = (d(x^(k-1)))*x + x^(k-1), each power written as a product
+    want = "(" * 2998 + "x+x" + "".join(")*x+" + "*".join(["x"] * (k - 1)) for k in range(3, 3001))
+    assert ex.unparse(d) == want
+    # the text of the derivative of n factors nests n - 2 parentheses, so
+    # MAX_NESTING + 2 factors is the longest product whose derivative parses back
+    n = ex.MAX_NESTING + 2
+    d = ex.diff(ex.parse("*".join(["x"] * n)), "x")
+    back = ex.parse(ex.unparse(d))
+    assert back == d
+    assert ex.evaluate(back, {"x": 1.0}) == ex.evaluate(d, {"x": 1.0}) == float(n)
+    with pytest.raises(ex.ExprSyntaxError, match="nested more than"):
+        ex.parse(ex.unparse(ex.diff(ex.parse("*".join(["x"] * (n + 1))), "x")))
+
+
+def test_structural_equality_and_hash_of_long_trees():
+    # == and hash walk the 1999 '+' nodes with a stack, not by recursion
+    text = "+".join(["x*y"] * 2000)
+    a, b = ex.parse(text), ex.parse(text)
+    assert a == b and hash(a) == hash(b)
+    assert a != ex.parse(text + "+x") and a != ex.parse(text.replace("y", "z"))
+    assert density_from_expression(text) == density_from_expression(text)
+    assert {a: 1}[b] == 1
+    # the same answers as the dataclass-generated methods on small trees
+    assert ex.Num(0.0) == ex.Num(-0.0) and hash(ex.Num(0.0)) == hash(ex.Num(-0.0))
+    assert ex.Num(1.0) != ex.Var("x") and ex.parse("exp(x)") != ex.parse("log(x)")
+    assert ex.parse("-x") != ex.parse("x") and ex.parse("x-1") != ex.parse("x+1")
 
 
 def _emitted_source(monkeypatch, node, params):

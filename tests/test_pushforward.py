@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from asympush import expressions as ex
-from asympush.asymfun import from_expression
+from asympush.asymfun import from_expression, power_log_multiply, reg_integral
+from asympush.expansions import make_side
 from asympush.indexsets import complete, nullfaces
 from asympush.pushforward import (
     DivergentIntegral,
@@ -20,7 +22,7 @@ from asympush.pushforward import (
     sigma_from_density,
 )
 from asympush.quadrature import quad_interval
-from asympush.singular_expansion import asymptotic_expansion, sigma_from_expression
+from asympush.singular_expansion import SigmaFunction, SigmaTerm, asymptotic_expansion, sigma_from_expression
 
 
 def smooth_family(g2_generator):
@@ -106,6 +108,130 @@ def test_prediction_rational_density_meets_decay_gate():
     # iterated diff of a rational density grows geometrically; at the
     # criterion-6 gate this prediction must finish and decay like t^4
     assert residual_decay("1/(1+x+y)", 3, 12) >= 3.7
+
+
+def axis_moment_formula(u, J):
+    """The small-t expansion of push_xy written out by hand: the oracle of the SAL route.
+
+    Order j takes, on each axis, the regularized moment of t^(-1-j) times the
+    j-th normal derivative of u restricted to that axis, over j!; its t^j ln t
+    coefficient is -d_x^j d_y^j u(0, 0)/j!^2.
+    """
+    X, Y = u.box
+    terms = []
+    for j in range(J + 1):
+        moment = 0.0
+        for other, upper in (("y", X), ("x", Y)):
+            node = u.ast
+            for _ in range(j):
+                node = ex.diff(node, other)
+            node = ex.substitute(ex.substitute(node, other, ex.Num(0.0)), "y", ex.Var("x"))
+            cs = ex.taylor(node, "x", 0.0, j + 9)
+            w = from_expression(
+                node, zero_terms=[(k, [c]) for k, c in enumerate(cs)], order_zero=j + 10.0,
+                order_inf=40.0, support=(0.0, upper),
+            )
+            moment += reg_integral(power_log_multiply(w, -1.0 - j))
+        terms.append((j, [moment / math.factorial(j), -cs[j] / math.factorial(j)]))
+    return make_side(terms, J + 2.0, "zero", 1)
+
+
+AXIS_FORMULA_CASES = [
+    ("1", (1.0, 1.0)), ("x", (1.0, 1.0)), ("0", (1.0, 1.0)), ("x*y", (1.0, 1.0)),
+    ("exp(-x-y)", (1.0, 1.0)), ("1/(1+x+y)", (1.0, 1.0)), ("2000*x*y", (1.0, 1.0)),
+    ("exp(-x)*(1+y)*(2+sin(x))", (1.0, 1.0)), ("x*exp(-x*y)", (1.0, 1.0)), ("x*y*exp(-x)", (1.0, 2.0)),
+    ("1", (1.0, 2.5)), ("1/(1+x+y)", (2.0, 0.5)),
+    # the hard-depth templates
+    ("exp(-0.7*x^2-1.2*y)", (1.1, 0.9)), ("exp(-1.3*x-0.6*y^2)", (0.9, 1.4)),
+    ("cos(0.8*x+1.1*y)*exp(-x-y)", (1.2, 1.3)),
+]
+
+
+@pytest.mark.parametrize("text, box", AXIS_FORMULA_CASES)
+def test_prediction_matches_the_axis_moment_formula(text, box):
+    u = density_from_expression(text, box)
+    for J in range(4):
+        pred, want = sal_prediction_smooth(u, J), axis_moment_formula(u, J)
+        assert pred.order == want.order and pred.log_power == want.log_power
+        assert {t.exponent for t in pred.terms} <= {complex(j) for j in range(J + 1)}
+        for j in range(J + 1):
+            for k in (0, 1):
+                w = want.coefficient(float(j), k)
+                assert pred.coefficient(float(j), k) == pytest.approx(w, rel=1e-12, abs=1e-12), (J, j, k)
+
+
+@pytest.mark.parametrize("text", ["exp(-x-y)", "1/(1+x+y)", "(1+x)*exp(-x-2*y)", "1"])
+@pytest.mark.parametrize("box", [(1.0, 1.0), (1.0, 2.5)])
+def test_sal_engine_on_the_two_sided_fiber_integrand(text, box):
+    # sigma = u_A(x, 1/zeta)/x declares x^(j-1) d_x^j u_A(0, y)/j! at x = 0 and
+    # zeta^-m d_y^m u_A(x, 0)/(m! x) at zeta = inf; the engine's expansion of
+    # int sigma(x, x z) dx must leave a residual O(z^(-p-1) ln z)
+    d = blowup_density_from_expression(text, smooth_family((1, 0)), box=box)
+    zs = np.geomspace(6.0, 60.0, 8)
+    for p in range(1, 5):
+        expn = asymptotic_expansion(sigma_from_density(d, p)).expansion
+        res = np.array([abs(expn(z).real - F_pushforward(d, 1.0 / z, 1e-12)) for z in zs])
+        if text == "1":  # ln z + ln Y exactly
+            assert res.max() <= 1e-12
+            continue
+        L = np.log(zs)
+        A = np.column_stack([np.ones_like(L), L, np.log(L)])
+        slope = np.linalg.lstsq(A, np.log(res), rcond=None)[0][1]
+        assert slope <= -(p + 1) + 0.3, (p, slope)
+
+
+def test_fiber_expansion_of_a_constant_density_reads_ln_Y():
+    # the x-side term j = 0 of u_A = 1 on (1, 2.5) is reg int_0^2.5 dy/y = ln 2.5
+    d = blowup_density_from_expression("1", smooth_family((1, 0)), box=(1.0, 2.5))
+    expn = asymptotic_expansion(sigma_from_density(d, order=0)).expansion
+    assert expn.coefficient(0.0, 1) == pytest.approx(1.0, abs=1e-12)
+    assert expn.coefficient(0.0, 0) == pytest.approx(0.91629073187415, abs=1e-12)
+    for z in (10.0, 1000.0):
+        assert expn(z).real == pytest.approx(math.log(z) + 0.91629073187415, abs=1e-12)
+
+
+def test_corner_is_read_once_and_checked_across_sides():
+    d = blowup_density_from_expression("exp(-x-y)", smooth_family((1, 0)), box=(1.0, 1.0))
+    sigma = sigma_from_density(d, order=1)
+    both = asymptotic_expansion(sigma)
+    assert both.notes == ()
+    assert both.expansion.coefficient(-1.0, 1) == pytest.approx(1.0, abs=1e-12)  # d_x d_y u_A(0, 0)
+    # without the zeta side, the x side's declaration of the corner gives the same log terms
+    x_only = asymptotic_expansion(replace(sigma, terms=())).expansion
+    for k in (0, 1):
+        assert x_only.coefficient(0.0, k + 1) == pytest.approx(both.expansion.coefficient(0.0, k + 1), abs=1e-12)
+        assert x_only.coefficient(-1.0, k + 1) == pytest.approx(both.expansion.coefficient(-1.0, k + 1), abs=1e-12)
+    # an x side that declares another corner coefficient is noted, and the zeta side's is used
+    q = from_expression(
+        "x-exp(-x)", zero_terms=[(0, [-1.0]), (1, [2.0])] + [(k, [(-1.0) ** (k + 1) / math.factorial(k)]) for k in range(2, 6)],
+        order_zero=6.0, order_inf=40.0, support=(0.0, 1.0),
+    )
+    x_terms = tuple(t if t.exponent != 0 else SigmaTerm(0j, (q,)) for t in sigma.x_terms)
+    rep = asymptotic_expansion(replace(sigma, x_terms=x_terms))
+    assert rep.notes == ("corner coefficient of z^(-1+0j) ln z: zeta side (1+0j), x side (2+0j)",)
+    assert rep.expansion.coefficient(-1.0, 1) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_log_powers_of_x_at_the_corner():
+    # sigma = ln x e^-x/(1+zeta): x^0 ln x zeta^-1 sits at the corner; the zeta
+    # side reads no ln x power there, so its z^-1 ln^2 z term, -1/2 from
+    # int_{1/z}^1 ln x dx/x, is the x side's
+    mp = pytest.importorskip("mpmath")
+    zero = from_expression("0", order_zero=6.0, order_inf=40.0)
+    q = from_expression(
+        "x/(1+x)", zero_terms=[(k + 1, [(-1.0) ** k]) for k in range(4)], order_zero=5.0,
+        inf_terms=[(-k, [(-1.0) ** k]) for k in range(3)], order_inf=2.0,
+    )
+    c = from_expression("log(x)*exp(-x)", zero_terms=[(k, [0, (-1.0) ** k / math.factorial(k)]) for k in range(8)], order_zero=8.0)
+    sigma = SigmaFunction(
+        fn=lambda x, zeta: math.log(x) * math.exp(-x) / (1 + zeta), order=1,
+        terms=(SigmaTerm(-1 + 0j, (c,)),), x_terms=(SigmaTerm(0j, (zero, q)),),
+    )
+    expn = asymptotic_expansion(sigma).expansion
+    assert expn.coefficient(-1.0, 2) == pytest.approx(-0.5, abs=1e-12)
+    for z in (50, 200, 800):
+        want = mp.quad(lambda x: mp.log(x) * mp.exp(-x) / (1 + x * z), [0, 1.0 / z, 1, mp.inf])
+        assert abs(expn(z).real - float(want)) <= z**-2 * math.log(z) ** 2
 
 
 def test_fit_recovers_exact_log_basis():

@@ -7,11 +7,15 @@ Writes the spec-mix specs of each seed (default 777 and 901) with
 (for instance ``tools/log_term_specs/*.json``, which reach the log-term paths
 spec-mix does not), through every checkout's ``asympush.cli.main`` in one
 subprocess per checkout (that checkout's ``src`` first on ``sys.path``),
-prints each spec whose report bytes or exit code differ, and exits 1 if any
-does.
+prints each spec whose report bytes or exit code differ, with the largest
+relative difference |a - b| / max(|a|, |b|) over the numbers of the two
+reports matched by JSON path, and exits 1 if any spec differs.  A value that
+is not a number, or whose path only one report has, counts as an infinite
+difference when it differs.
 """
 
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -34,6 +38,36 @@ for path in specs:
         codes[path] = 1
 print(json.dumps(codes))
 """
+
+
+def leaves(node, path=()):
+    """(JSON path, value) of every scalar in a loaded report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
+def rel_diff(a, b) -> float:
+    if a == b or (a != a and b != b):  # equal, or both NaN
+        return 0.0
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+    if not numbers or math.isinf(a) or math.isinf(b) or a != a or b != b:
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def largest_rel_diff(old: Path, new: Path) -> float:
+    """The largest relative difference of two reports' values, matched by JSON path."""
+    if not (old.exists() and new.exists()):
+        return math.inf
+    a, b = (dict(leaves(json.loads(p.read_text()))) for p in (old, new))
+    missing = a.keys() ^ b.keys()
+    return math.inf if missing else max((rel_diff(a[k], b[k]) for k in a), default=0.0)
 
 
 def run(checkout: str, out: Path, specs: list[str]) -> dict:
@@ -62,7 +96,8 @@ def main(argv: list[str]) -> int:
                 if not same or sides[0][path] != sides[1][path]:
                     differ += 1
                     print(f"{label} {Path(path).stem}: exit {sides[0][path]} -> {sides[1][path]}, "
-                          f"report {'same' if same else 'differs'}")
+                          f"report {'same' if same else 'differs'}"
+                          + ("" if same else f", largest relative difference {largest_rel_diff(a, b):.1e}"))
             print(f"{label}: {len(specs)} specs compared")
     print(f"{differ} differ")
     return 1 if differ else 0
