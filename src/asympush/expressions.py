@@ -41,6 +41,7 @@ __all__ = [
     "diff",
     "taylor",
     "free_vars",
+    "vanishes",
     "substitute",
     "central_fd",
     "MAX_NESTING",
@@ -421,6 +422,44 @@ def free_vars(node: Expr) -> frozenset[str]:
         elif cls is not Num:
             raise TypeError(f"not an expression node: {nd!r}")
     return frozenset(names)
+
+
+def vanishes(node: Expr) -> bool:
+    """Whether node is 0 by its structure: a zero literal, or built from one.
+
+    That is a product with such a factor, a quotient with such a numerator, a
+    power of one to a positive literal exponent, or a negation, sum or
+    difference of such nodes; a function call never is.  Walked with an
+    explicit stack; a shared subtree is decided once.
+    """
+    zero: dict[int, bool] = {}
+    stack = [node]
+    while stack:
+        nd = stack[-1]
+        if id(nd) in zero:  # pushed again before it was decided
+            stack.pop()
+            continue
+        cls = type(nd)
+        kids = (nd.left, nd.right) if cls is BinOp else (nd.arg,) if cls is Neg else ()
+        todo = [k for k in kids if id(k) not in zero]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        if cls is Num:
+            z = nd.value == 0.0
+        elif cls is Neg:
+            z = zero[id(nd.arg)]
+        elif cls is BinOp and nd.op in "+-":
+            z = zero[id(nd.left)] and zero[id(nd.right)]
+        elif cls is BinOp and nd.op == "*":
+            z = zero[id(nd.left)] or zero[id(nd.right)]
+        elif cls is BinOp:
+            z = zero[id(nd.left)] and (nd.op == "/" or _is_num(nd.right) and nd.right.value > 0.0)
+        else:  # a variable or a function call
+            z = False
+        zero[id(nd)] = z
+    return zero[id(node)]
 
 
 # Checked primitives shared by evaluate, compile_expr and taylor, so that each

@@ -241,25 +241,40 @@ def blowup_matrix() -> ExponentMatrix:
     return ExponentMatrix(("G1", "G2", "G3"), ("t0",), ((1,), (0,), (1,)))
 
 
-def _axis_terms(u: Density2D, other: str, order: int, upper: float, over_x: bool) -> list:
-    """(m, d_other^m u / m! at other = 0, over x when over_x) for m <= order, where that is not 0.
+def _axis_terms(u: Density2D, other: str, order: int) -> tuple[SigmaTerm, ...]:
+    """The terms of sigma at the face other = 0, from d_other^m u / m! there, m <= order.
 
-    Each is an AsymFunction of the remaining variable, renamed x, with Taylor
-    data at 0 deep enough that every regularized integral of the expansion
-    engine is defined; it vanishes beyond upper, and an unbounded side is
-    declared rapidly decaying.
+    For other = "y" they are zeta^-m d_y^m u(x, 0) / (m! x), for other = "x"
+    x^(m-1) d_x^m u(0, y) / m!: AsymFunctions of the remaining variable, renamed
+    x, with Taylor data at 0 deep enough for the expansion engine, zero past
+    their box edge.  Only a restriction that is 0 by its structure
+    is left out: x^12 has no Taylor data to depth 9, yet its moment is 1/12.
     """
-    out, node, depth, lead = [], u.ast, order + 9, -1 if over_x else 0
+    lead, upper = (-1, u.box[0]) if other == "y" else (0, u.box[1])
+    out, node, depth = [], u.ast, order + 9
     for m in range(order + 1):
         node = ex.diff(node, other) if m else node
         c = ex.substitute(ex.substitute(node, other, ex.Num(0.0)), "y", ex.Var("x"))
+        if ex.vanishes(c):
+            continue
         cs = [v / factorial(m) for v in ex.taylor(c, "x", 0.0, depth)]
-        if any(cs):
-            c = ex.BinOp("/", c, ex.Num(float(factorial(m))))
-            c = ex.BinOp("/", c, ex.Var("x")) if over_x else c
-            terms = [(k + lead, [v]) for k, v in enumerate(cs)]
-            out.append((m, from_expression(c, terms, depth + 1.0 + lead, order_inf=40.0, support=(0.0, upper))))
-    return out
+        c = ex.BinOp("/", c, ex.Num(float(factorial(m))))
+        c = ex.BinOp("/", c, ex.Var("x")) if lead else c
+        terms = [(k + lead, [v]) for k, v in enumerate(cs)]
+        f = from_expression(c, terms, depth + 1.0 + lead, order_inf=40.0, support=(0.0, upper))
+        out.append(SigmaTerm(complex(-m if lead else m - 1), (f,)))
+    return tuple(out)
+
+
+def _fiber_integrand(d: Density2D, order: int, **declared) -> SigmaFunction:
+    """sigma(x, zeta) = u_A(x, 1/zeta) / x with its support hints, declaring only the terms given."""
+    X, Y = d.box
+    sig_ast = ex.BinOp("/", ex.substitute(d.ast, "y", ex.BinOp("/", ex.Num(1.0), ex.Var("zeta"))), ex.Var("x"))
+    below = (1.0 / Y) if math.isfinite(Y) and Y > 0 else None
+    return SigmaFunction(
+        lambda x, zeta: d(x, 1.0 / zeta) / x, order, ast=sig_ast,
+        x_support=(0.0, X), zeta_vanishes_below=below, **declared,
+    )
 
 
 def sigma_from_density(d: Density2D, order: int = 3) -> SigmaFunction:
@@ -269,21 +284,7 @@ def sigma_from_density(d: Density2D, order: int = 3) -> SigmaFunction:
     zeta^-m d_y^m u_A(x, 0) / (m! x), at x = 0 the terms x^(j-1) d_x^j u_A(0, y) / j!
     with y = 1/zeta, for m, j <= order.
     """
-    X, Y = d.box
-    sig_ast = ex.BinOp("/", ex.substitute(d.ast, "y", ex.BinOp("/", ex.Num(1.0), ex.Var("zeta"))), ex.Var("x"))
-
-    def fn(x: float, zeta: float) -> float:
-        return d(x, 1.0 / zeta) / x
-
-    return SigmaFunction(
-        fn=fn,
-        order=order,
-        terms=tuple(SigmaTerm(complex(-m), (c,)) for m, c in _axis_terms(d, "y", order, X, True)),
-        ast=sig_ast,
-        x_support=(0.0, X),
-        zeta_vanishes_below=(1.0 / Y) if math.isfinite(Y) and Y > 0 else None,
-        x_terms=tuple(SigmaTerm(complex(j - 1), (q,)) for j, q in _axis_terms(d, "x", order, Y, False)),
-    )
+    return _fiber_integrand(d, order, terms=_axis_terms(d, "y", order), x_terms=_axis_terms(d, "x", order))
 
 
 def F_pushforward(d: BlowupDensity, t: float, tol: float = DEFAULT_TOL) -> float:
@@ -339,7 +340,7 @@ def condition_C_check(
     """
     if p_max > 4:
         raise ValueError("p_max must be at most 4")
-    sigma = sigma_from_density(d, order=p_max)
+    sigma = _fiber_integrand(d, p_max)  # only its x-derivatives are read
     values: dict = {}
     for p in range(p_max + 1):
         dp = sigma.x_deriv(p)

@@ -51,6 +51,16 @@ def test_free_vars_and_substitute():
     assert ex.evaluate(swapped, {"x": 2.0, "y": 0.0}) == 2.0
 
 
+def test_vanishes_is_structural():
+    zero = ["0", "0*x^1.5", "x*0", "0^12", "-(0*y)", "0*x+0*y^2", "0/x", "(0*x)^2", "0*exp(-x)*exp(-y)-0"]
+    assert all(ex.vanishes(ex.parse(t)) for t in zero)
+    # x-x and sin(0) are 0, but not by structure; 0^0 and 0^-1 are not 0
+    nonzero = ["x", "1", "x-x", "sin(0)", "0^0", "0^(-1)", "0+x", "x^12"]
+    assert not any(ex.vanishes(ex.parse(t)) for t in nonzero)
+    long = ex.parse("+".join(["0*x"] * 5000))
+    assert ex.vanishes(long) and not ex.vanishes(ex.BinOp("+", long, ex.Var("y")))
+
+
 def test_evaluate_domain_errors():
     for text, point in [("log(x)", {"x": 0.0}), ("sqrt(x)", {"x": -1.0}), ("1/x", {"x": 0.0}), ("x^(-1)", {"x": 0.0})]:
         with pytest.raises(ex.EvalError):

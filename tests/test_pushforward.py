@@ -141,6 +141,8 @@ AXIS_FORMULA_CASES = [
     ("exp(-x-y)", (1.0, 1.0)), ("1/(1+x+y)", (1.0, 1.0)), ("2000*x*y", (1.0, 1.0)),
     ("exp(-x)*(1+y)*(2+sin(x))", (1.0, 1.0)), ("x*exp(-x*y)", (1.0, 1.0)), ("x*y*exp(-x)", (1.0, 2.0)),
     ("1", (1.0, 2.5)), ("1/(1+x+y)", (2.0, 0.5)),
+    # no Taylor data to depth 9 at the y axis, yet push_xy = (1 - t^12)/12
+    ("x^12", (1.0, 1.0)),
     # the hard-depth templates
     ("exp(-0.7*x^2-1.2*y)", (1.1, 0.9)), ("exp(-1.3*x-0.6*y^2)", (0.9, 1.4)),
     ("cos(0.8*x+1.1*y)*exp(-x-y)", (1.2, 1.3)),
@@ -364,6 +366,18 @@ def test_condition_check_log_divergence_whatever_the_amplitude(amplitude):
     rep = condition_C_check(d, p_max=0)
     assert not rep.bounded and rep.agree
     assert all(math.isinf(v) for v in rep.values.values())
+
+
+def test_condition_check_with_a_fractional_power_of_y():
+    # sigma = u_A(x, 1/zeta)/x has no Taylor data in y at the x = 0 face; the
+    # check reads only d_x^p sigma, so it needs none
+    root = condition_C_check(blowup_density_from_expression("x*sqrt(y)", smooth_family((1, 0))), 2)
+    assert root.bounded and root.agree
+    for t in (1.0, 0.5, 0.1):  # int of zeta^-1/2 over [2^-26, 1]
+        assert root.values[(0, t)] == pytest.approx(2.0 - 2.0**-12, rel=1e-9)
+        assert root.values[(1, t)] == root.values[(2, t)] == 0.0
+    rep = condition_C_check(blowup_density_from_expression("x*y^1.5", smooth_family((0, 0))), 0)
+    assert not rep.bounded and rep.agree
 
 
 def test_condition_check_vacuous_below_support_cutoff():
