@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .logpoly import EXPONENT_TOL, LogPolynomial
 
-__all__ = ["Term", "Expansion", "make_side"]
+__all__ = ["Term", "Expansion", "make_side", "in_t"]
 
 
 @dataclass(frozen=True)
@@ -124,3 +124,10 @@ def make_side(
     merged = [(a, p) for a, p in merged if not p.is_zero]
     merged.sort(key=lambda t: (t[0].real, t[0].imag), reverse=(side == "infinity"))
     return Expansion(tuple(Term(a, p) for a, p in merged), order, side, log_power)
+
+
+def in_t(terms, order: float, shift: float = 0.0, log_power: int = 0) -> Expansion:
+    """Terms (a, coefficients of P) of z^a P(ln z), times t^shift, read in t = 1/z: t^(shift-a) P(-ln t)."""
+    # subtracting from 0 keeps zero imaginary parts positive
+    terms = [(shift - a, [0 - c if m % 2 else c for m, c in enumerate(cs)]) for a, cs in terms]
+    return make_side(terms, order, "zero", log_power)

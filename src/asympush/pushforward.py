@@ -21,7 +21,7 @@ import numpy as np
 
 from . import expressions as ex
 from .asymfun import from_expression
-from .expansions import Expansion, make_side
+from .expansions import Expansion, in_t
 from .indexsets import (
     ExponentMatrix,
     IndexFamily,
@@ -143,12 +143,7 @@ def sal_prediction_smooth(u: Density2D, J: int, tol: float = DEFAULT_TOL) -> Exp
     if J > 6:
         raise ValueError("prediction depth J must be at most 6")
     in_z = asymptotic_expansion(sigma_from_density(u, J), tol).expansion
-    # z^a P(ln z) = t^-a P(-ln t); subtracting from 0 keeps zero imaginary parts positive
-    terms = [
-        (0 - term.exponent, [0 - c if m % 2 else c for m, c in enumerate(term.poly.coeffs)])
-        for term in in_z.terms
-    ]
-    return make_side(terms, J + 2.0, "zero", in_z.log_power)
+    return in_t([(t.exponent, t.poly.coeffs) for t in in_z.terms], J + 2.0, log_power=in_z.log_power)
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,27 @@
 The integrand is declared at both faces: at zeta = inf by terms
 zeta^alpha p_alpha(x, ln zeta), at x = 0 by terms x^beta q_beta(1/zeta, ln x),
 with log-polynomial coefficients that are functions of x, resp. y = 1/zeta.
-The expansion of the integral has three sources:
+The expansion of the integral has four sources:
 
   (i)   each x-side term gives z^(-beta-1) times the regularized integral of
         zeta^beta q_beta, taken in y (inversion leaves it unchanged).  For a
         sigma smooth in x they are x^j d_x^j sigma(0, zeta)/j!, j < p;
   (ii)  each zeta-side term gives z^alpha, re-expanded in ln z, with
         coefficients from regularized integrals in x;
-  (iii) a monomial x^(-1-alpha) zeta^alpha at the corner, whose pure x^-1
-        moment (i) and (ii) both skip, gives z^alpha P(ln z), P an
-        antiderivative of its coefficients; it is read once, and where both
-        sides declare it the two must agree.
+  (iii) a monomial x^(-1-alpha) ln^k x zeta^alpha ln^i zeta at the corner
+        (x = 0, zeta = inf), whose x^-1 moment (i) and (ii) both skip, gives
+        z^alpha times its integral over ln x from -ln z to 0 on the fiber;
+        it is read once, and where both sides declare it the two must agree;
+  (iv)  at the corner (x = 0, zeta = 0), read from the zero side (y = inf)
+        of the x-side coefficients, the negative of that integral.
 
-Separable integrands phi(t x) f(x) and phi(x) f(x/t) have their own, more
-explicit expansions (:func:`separable_expansion`, :func:`corollary_expansion`),
-whose log terms follow the same rule.
+Terms reach down to the remainder's exponent z^(-p-1), where an x-side term
+gives only its logs: its moment would need sigma at zeta = inf past order p.
+
+Separable integrands are the engine on sigma(x, zeta) = phi(x) f(zeta): the
+fiber integral int phi(x) f(x/t) dx at z = 1/t (:func:`corollary_expansion`),
+and 1/t times it less the logs of (iv), int phi(t x) f(x) dx by the scaling
+rule (:func:`separable_expansion`).
 
 Hypothesis checks are sampled diagnostics, not proofs; they estimate the
 remainder constants and probe the integrability conditions numerically.
@@ -41,7 +47,7 @@ from .asymfun import (
     reg_integral,
     schwartz,
 )
-from .expansions import Expansion, make_side
+from .expansions import Expansion, in_t, make_side
 from .logpoly import EXPONENT_TOL, LogPolynomial
 from .quadrature import DEFAULT_TOL, QuadratureError, dyadic_shells, grows, quad_interval
 
@@ -82,7 +88,7 @@ class SigmaTerm:
 @dataclass
 class SigmaFunction:
     fn: Callable[[float, float], float]
-    order: int  # p: expansion depth
+    order: int  # p: expansion depth (a separable sigma's is the order q of its t-expansion)
     terms: tuple[SigmaTerm, ...] = ()
     log_bound: int = 0  # r: log power allowed in the remainder
     ast: ex.Expr | None = None  # in variables x, zeta
@@ -215,24 +221,56 @@ class ExpansionReport:
     notes: tuple[str, ...] = ()
 
 
-def _log_term(
-    terms: list, at: complex, side: Expansion, gamma: complex, poly: LogPolynomial, sign: int = 1
-) -> None:
-    """Append (at, c P(sign L)): the log left where a regularized integral skips c x^gamma poly(ln x).
+def _corner_log(terms: list, at: complex, poly: LogPolynomial, power: int, sign: int = 1) -> None:
+    """Append at z^at the log terms of the corner monomials ln^power v poly(ln w).
 
-    c is the coefficient of side at x^(-1-gamma) and P the antiderivative of
-    poly with P(0) = 0.  Where side declares no such term nothing is appended,
-    so no merge touches the signed zeros of the other terms at ``at``.
+    v, w are the logs of zeta and x on the zeta side (sign 1), of x and y on
+    the x side (sign -1).  On the fiber, z^at x^-1 ln^n x ln^i zeta integrated
+    over ln x from -ln z to 0 is the antiderivative of (-1)^n ln^(n+i) z / C(n+i, n).
     """
-    c = side.coefficient(-1.0 - gamma)
-    if c != 0:
-        terms.append((at, [c * sign**m * a for m, a in enumerate(poly.antiderivative().coeffs)]))
+    for n, c in enumerate(poly.coeffs):
+        if c != 0:  # one append per monomial, so no merge touches the signed zeros of the other terms
+            k = n + power
+            base = LogPolynomial((0,) * k + (sign * (-sign) ** n / comb(k, n),))
+            terms.append((at, [c * sign**m * a for m, a in enumerate(base.antiderivative().coeffs)]))
+
+
+@dataclass(frozen=True)
+class _Multiple(AsymFunction):
+    """scale * source(v^power), power 1 or -1, with the source's expansions; :func:`_moment` takes
+    its moments on the source, where the data lives: source(1/y) and the swapped terms do not
+    cancel to the last bit, and the cut-off of a subtracted integral amplifies the rest."""
+
+    source: AsymFunction | None = None
+    scale: complex = 1.0
+    power: int = 1
+
+
+def _multiple(source: AsymFunction, scale: complex, power: int = 1) -> _Multiple:
+    def side(e: Expansion, at: str, shift: float) -> Expansion:  # v^a p(ln v) at v = 1/y is y^-a p(-ln y)
+        return make_side(
+            [(power * t.exponent, [scale * power**m * c for m, c in enumerate(t.poly.coeffs)]) for t in e.terms],
+            e.order + shift, at,
+        )
+
+    near, far = (source.exp0, source.exp_inf)[::power]  # strip (1 - r0, 1 + r1) -> (-1 - r1, r0 - 1)
+    return _Multiple(
+        lambda v: scale * source(v**power), side(near, "zero", 1 - power), side(far, "infinity", power - 1),
+        source=source, scale=scale, power=power,
+    )
+
+
+def _moment(c: AsymFunction, gamma: complex, k: int, tol: float) -> complex:
+    """reg int v^gamma ln^k v c(v) dv; a :class:`_Multiple`'s is its source's, in u = v^power."""
+    if isinstance(c, _Multiple):
+        return c.scale * c.power**k * _moment(c.source, c.power * gamma + (c.power - 1), k, tol)
+    return reg_integral(power_log_multiply(c, gamma, k), tol)
 
 
 def _moments(cs: Sequence[AsymFunction], gamma: complex, sign: int, tol: float) -> list[complex]:
     """Coefficients of ln^m z in the regularized integral of v^gamma sum_i sign^i cs[i](v) (ln v + ln z)^i."""
     n = len(cs)
-    moment = [[reg_integral(power_log_multiply(c, gamma, k), tol) for k in range(i + 1)] for i, c in enumerate(cs)]
+    moment = [[_moment(c, gamma, k, tol) for k in range(i + 1)] for i, c in enumerate(cs)]
     return [sum(comb(i, m) * sign**i * moment[i][i - m] for i in range(m, n)) for m in range(n)]
 
 
@@ -250,7 +288,7 @@ def asymptotic_expansion(
     notes: list[str] = []
 
     def kept(alpha: complex, term: SigmaTerm, side: str = "") -> bool:
-        if alpha.real > -p - 1 + EXPONENT_TOL:
+        if alpha.real >= -p - 1 - EXPONENT_TOL:
             return True
         notes.append(f"declared {side}term at {term.exponent} below cutoff; skipped")
         return False
@@ -260,27 +298,34 @@ def asymptotic_expansion(
     x_side = sigma.x_terms if sigma.x_terms is not None else map(sigma.boundary_function, range(p))
     x_terms = [(-1.0 - t.exponent, t.coeffs) for t in x_side if kept(-1.0 - t.exponent, t, "x-side ")]
     for alpha, cs in x_terms:
-        terms.append((alpha, _moments(cs, alpha - 1.0, -1, tol)))
+        if alpha.real > -p - 1 + EXPONENT_TOL:  # none at the remainder's exponent
+            terms.append((alpha, _moments(cs, alpha - 1.0, -1, tol)))
 
-    # (ii) zeta-side terms, re-expanded in ln z, and (iii) the corner's log terms in ln zeta
-    corner = []  # (alpha, the zeta side's coefficient of x^(-1-alpha) zeta^alpha)
-    for term in (t for t in sigma.terms if kept(t.exponent, t)):
+    # (ii) zeta-side terms, re-expanded in ln z, and (iii) their corner monomials
+    zeta_terms = [t for t in sigma.terms if kept(t.exponent, t)]
+    for term in zeta_terms:
         alpha, cs = term.exponent, term.coeffs
         terms.append((alpha, _moments(cs, alpha, 1, tol)))
         for i, cf in enumerate(cs):
-            _log_term(terms, alpha, cf.exp0, alpha, LogPolynomial((0,) * i + (1,)))
-        if cs:
-            corner.append((alpha, cs[0].exp0.coefficient(-1.0 - alpha)))
+            _corner_log(terms, alpha, cf.exp0.poly_at(-1.0 - alpha), i)
 
-    # (iii) the corner's log terms in ln x; the one without logs only where the zeta side has none
+    def zeta_side(alpha: complex, n: int, i: int) -> complex:  # of x^(-1-alpha) ln^n x zeta^alpha ln^i zeta
+        near = [t.coeffs for t in zeta_terms if abs(t.exponent - alpha) <= EXPONENT_TOL]
+        return sum(cs[i].exp0.poly_at(-1.0 - alpha).coefficient(n) for cs in near if i < len(cs))
+
+    # the x side's coefficients at y = 0 give (iii) the monomials the zeta side leaves out, with
+    # ln y = -ln zeta, and at y = inf (iv), where the sign turns: (i) regularizes at y = 1, not x = 1
     for alpha, cs in x_terms:
-        a = sum(c for at, c in corner if abs(at - alpha) <= EXPONENT_TOL)
-        b = cs[0].exp0.coefficient(-alpha) if cs else 0
-        if a != 0 and b != 0 and abs(a - b) > CORNER_RTOL * max(abs(a), abs(b)):
-            notes.append(f"corner coefficient of z^{alpha} ln z: zeta side {a}, x side {b}")
-        for i, q in enumerate(cs):
-            if i or a == 0:
-                _log_term(terms, alpha, q.exp0, alpha - 1.0, LogPolynomial((0,) * i + (-1,)), -1)
+        for k, q in enumerate(cs):
+            own = []
+            for m, s in enumerate(q.exp0.poly_at(-alpha).coeffs):
+                a, b = zeta_side(alpha, k, m), -s if m % 2 else s
+                if a != 0 and b != 0 and abs(a - b) > CORNER_RTOL * max(abs(a), abs(b)):
+                    mono = "ln z" if k == m == 0 else f"ln^{k} x ln^{m} zeta"
+                    notes.append(f"corner coefficient of z^{alpha} {mono}: zeta side {a}, x side {b}")
+                own.append(s if a == 0 else 0)
+            _corner_log(terms, alpha, LogPolynomial(own), k, -1)
+            _corner_log(terms, alpha, q.exp_inf.poly_at(-alpha).scale(-1), k, -1)
 
     expansion = make_side(terms, float(p), "infinity", sigma.log_bound + 1)
     diagnostics = check_hypotheses(sigma) if run_diagnostics else None
@@ -293,62 +338,34 @@ def asymptotic_expansion(
 # separable integrands
 
 
-def separable_expansion(
-    phi: str | ex.Expr,
-    f: AsymFunction,
-    q: float,
-    tol: float = DEFAULT_TOL,
-    *,
-    _phi_fun: AsymFunction | None = None,
-) -> Expansion:
-    """Expansion in t of the regularized integral of phi(t x) f(x).
-
-    ``_phi_fun`` is phi's Schwartz function, when the caller has built it.
-    """
+def _separable_sigma(phi: str | ex.Expr, f: AsymFunction, q: float) -> SigmaFunction:
+    """sigma(x, zeta) = phi(x) f(zeta) of order q: f's terms at zeta = inf, each coefficient a
+    multiple of phi, and x^j phi_j f, j <= q, at x = 0, kept in zeta."""
     if q > f.exp_inf.order + EXPONENT_TOL:
-        raise MissingExpansionData(
-            f"requested order q={q} exceeds declared infinity order {f.exp_inf.order}"
-        )
-    phi_fun = schwartz(phi, n_taylor=math.ceil(q) + 5) if _phi_fun is None else _phi_fun
-    terms = []
-
-    # Taylor-moment terms t^j
-    for j in range(math.ceil(q)):
-        mj = reg_integral(power_log_multiply(f, j), tol)
-        terms.append((complex(j), (phi_fun.exp0.coefficient(j) * mj,)))
-
-    for term in f.exp_inf.terms:
-        beta, poly = term.exponent, term.poly
-        if beta.real < -q - 1 - EXPONENT_TOL:
-            continue
-        top = poly.degree
-        # phi-weighted moments of x^beta q_beta(ln x - ln t), from int x^beta ln^k x phi
-        moments = [reg_integral(power_log_multiply(phi_fun, beta, k), tol) for k in range(top + 1)]
-        vals = [
-            (-1) ** m * sum(comb(i, m) * poly.coefficient(i) * moments[i - m] for i in range(m, top + 1))
-            for m in range(top + 1)
-        ]
-        terms.append((-beta - 1.0, vals))
-        _log_term(terms, -beta - 1.0, phi_fun.exp0, beta, poly, -1)
-    return make_side(terms, q + 1.0, "zero")
+        raise MissingExpansionData(f"requested order q={q} exceeds declared infinity order {f.exp_inf.order}")
+    phi_fun = schwartz(phi, n_taylor=math.ceil(q) + 5)  # Taylor data through the log terms of both corners
+    terms = [SigmaTerm(t.exponent, tuple(_multiple(phi_fun, c) for c in t.poly.coeffs)) for t in f.exp_inf.terms]
+    x_terms = [
+        SigmaTerm(complex(j), (_multiple(f, phi_fun.exp0.coefficient(j), power=-1),))
+        for j in range(math.floor(q + EXPONENT_TOL) + 1)
+    ]
+    return SigmaFunction(lambda x, zeta: phi_fun(x) * f(zeta), q, tuple(terms), x_terms=tuple(x_terms))
 
 
-def corollary_expansion(
-    phi: str | ex.Expr, f: AsymFunction, q: float, tol: float = DEFAULT_TOL
-) -> Expansion:
-    """Expansion in t of the regularized integral of phi(x) f(x/t).
+def separable_expansion(phi: str | ex.Expr, f: AsymFunction, q: float, tol: float = DEFAULT_TOL) -> Expansion:
+    """Expansion in t of the regularized integral of phi(t x) f(x): by the scaling rule x -> x/t,
+    1/t times :func:`corollary_expansion` less the log terms of the corner (x = 0, zeta = 0)."""
+    sigma = _separable_sigma(phi, f, q)
+    terms = [(t.exponent, t.poly.coeffs) for t in asymptotic_expansion(sigma, tol).expansion.terms]
+    for t in sigma.x_terms:
+        _corner_log(terms, -1.0 - t.exponent, t.coeffs[0].exp_inf.poly_at(1.0 + t.exponent), 0, -1)
+    return in_t(terms, q + 1.0, -1.0)
 
-    The scaling rule shifts every power of the separable expansion up by one
-    and subtracts the log terms of the expansion of f at zero.
-    """
-    phi_fun = schwartz(phi, n_taylor=math.ceil(q) + 5)  # Taylor data through the log terms of both expansions
-    base = separable_expansion(phi, f, q, tol, _phi_fun=phi_fun)
-    terms = [(t.exponent + 1.0, t.poly) for t in base.terms]
-    for term in f.exp0.terms:
-        if term.exponent.real < -q - 1 - EXPONENT_TOL:
-            continue
-        _log_term(terms, -term.exponent, phi_fun.exp0, term.exponent, term.poly.scale(-1), -1)
-    return make_side(terms, q + 2.0, "zero")
+
+def corollary_expansion(phi: str | ex.Expr, f: AsymFunction, q: float, tol: float = DEFAULT_TOL) -> Expansion:
+    """Expansion in t of reg int phi(x) f(x/t) dx: the fiber integral of phi(x) f(zeta) at z = 1/t."""
+    expansion = asymptotic_expansion(_separable_sigma(phi, f, q), tol).expansion
+    return in_t([(t.exponent, t.poly.coeffs) for t in expansion.terms], q + 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -428,52 +445,32 @@ def check_hypotheses(
                 ok = False
                 notes.append(f"remainder constant J={J} K={K} grows with zeta")
 
+    # the integrands of the x-side moments toward zeta = 0: zeta^beta q(1/zeta) of the
+    # declared terms, else zeta^j d_x^j sigma(0, zeta)
+    if sigma.x_terms is None:
+        probes = [lambda z, j=j, dj=sigma.x_deriv(j): abs(z**j * dj(0.0, z)) for j in range(p)]
+    else:
+        xs = [t for t in sigma.x_terms if t.exponent.real < p - EXPONENT_TOL]
+        probes = [lambda z, t=t: abs(z**t.exponent) * sum(abs(c(1.0 / z)) for c in t.coeffs) for t in xs]
     boundary: dict = {}
-    for j in range(p):
-        dj = sigma.x_deriv(j)
-        val, diverges = dyadic_shells(lambda z: abs(z**j * dj(0.0, z)), 1.0, 26, 1e-8)
-        boundary[j] = val
+    for j, probe in enumerate(probes):
+        boundary[j], diverges = dyadic_shells(probe, 1.0, 26, 1e-8)
         if diverges:
             ok = False
             notes.append(f"boundary integral j={j} diverges")
 
     growth_model, growth_T = "n/a", None
     if p == 0:
-        thetas = [2.0 ** (-k) for k in range(0, 11)]
         vals = []
-        for th in thetas:
-            v, diverges = dyadic_shells(lambda s: abs(sigma(th * s, s)), 1.0, 26, 1e-8)
+        for k in range(11):
+            v, diverges = dyadic_shells(lambda s: abs(sigma(2.0**-k * s, s)), 1.0, 26, 1e-8)
             if diverges:
+                growth_model, growth_T, ok = "power", math.inf, False
+                notes.append("theta-scan integral diverges")
                 break
             vals.append(v)
-        if diverges:
-            growth_model = "power"
-            growth_T = math.inf
-            ok = False
-            notes.append("theta-scan integral diverges")
         else:
-            arr = np.array(vals)
-            lth = np.log(np.array(thetas))
-            if arr.max() - arr.min() <= 0.05 * (abs(arr).max() + 1e-300):
-                growth_model = "constant"
-            else:
-                # compare affine-in-log-theta against power-law fits
-                A = np.vstack([np.ones_like(lth), lth]).T
-                c_log, res_log = np.linalg.lstsq(A, arr, rcond=None)[:2]
-                pos = arr > 0
-                if pos.sum() >= 3:
-                    c_pow, res_pow = np.linalg.lstsq(
-                        A[pos], np.log(arr[pos]), rcond=None
-                    )[:2]
-                else:
-                    c_pow, res_pow = None, [math.inf]
-                r_log = float(res_log[0]) if len(res_log) else 0.0
-                r_pow = float(res_pow[0]) if len(res_pow) else 0.0
-                if c_pow is not None and r_pow < r_log and c_pow[1] < -0.1:
-                    growth_model = "power"
-                    growth_T = float(-c_pow[1])
-                else:
-                    growth_model = "log"
+            growth_model = "log" if grows(vals) else "constant"
 
     return HypothesisDiagnostics(
         remainder_constants=constants,

@@ -1,8 +1,13 @@
+import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 
-from asympush.asymfun import AsymFunction, from_expression, pure_power, schwartz
+from asympush.asymfun import AsymFunction, from_expression, from_json, pure_power, schwartz
+from asympush.expansions import make_side
+from asympush.pushforward import density_from_expression, sigma_from_density
 from asympush.singular_expansion import (
     HypothesisFailure,
     MissingExpansionData,
@@ -292,3 +297,115 @@ def test_declared_term_below_cutoff_is_noted():
     )
     rep = asymptotic_expansion(sig)
     assert any("below cutoff" in n for n in rep.notes)
+
+
+def test_boundary_integrals_read_the_declared_x_side_terms():
+    # sigma = u(x, 1/zeta)/x declares its x-side terms x^-1 u(0, y) and x^0 d_x u(0, y);
+    # the probe of d_x^j sigma(0, zeta) divided by x = 0
+    mp = pytest.importorskip("mpmath")
+    sigma = sigma_from_density(density_from_expression("exp(-x-y)", (1.0, 2.0)), 1)
+    diag = asymptotic_expansion(sigma, run_diagnostics=True).diagnostics
+    assert diag.ok
+    for j, want in enumerate([mp.quad(lambda y: mp.exp(-y) / y ** (1 + j), [1, 2]) for j in (0, 1)]):
+        assert diag.boundary_integrals[j] == pytest.approx(float(want), rel=1e-7)
+
+
+def test_theta_scan_of_a_bounded_integrand_is_constant():
+    # int_0^1 e^(-theta s) e^-s ds tends to 1 - 1/e as theta -> 0
+    diag = check_hypotheses(sigma_from_expression("exp(-x)*exp(-zeta)", order=0))
+    assert (diag.growth_model, diag.growth_exponent, diag.ok) == ("constant", None, True)
+
+
+def test_corner_with_log_powers_on_both_sides():
+    # sigma = ln x e^-x ln(1+zeta)/(1+zeta) has the corner monomial x^0 ln x zeta^-1 ln zeta;
+    # on the fiber its integral over ln x from -ln z to 0 is -ln^3 z / 6
+    mp = pytest.importorskip("mpmath")
+    harmonic = [sum(1.0 / k for k in range(1, n + 1)) for n in range(10)]
+    zero = from_expression("0", order_zero=6.0, order_inf=40.0)
+    c = from_expression("log(x)*exp(-x)", zero_terms=[(k, [0, (-1.0) ** k / math.factorial(k)]) for k in range(8)], order_zero=8.0)
+    q = AsymFunction(  # ln(1+zeta)/(1+zeta) at zeta = 1/y
+        fn=lambda y: y * math.log1p(1.0 / y) / (1.0 + y),
+        exp0=make_side([(n, [(-1.0) ** n * harmonic[n - 1], (-1.0) ** n]) for n in range(1, 9)], 9.0, "zero"),
+        exp_inf=make_side([(-n, [(-1.0) ** (n - 1) * harmonic[n]]) for n in range(1, 9)], 8.0, "infinity"),
+    )
+    sigma = SigmaFunction(
+        fn=lambda x, zeta: math.log(x) * math.exp(-x) * math.log1p(zeta) / (1 + zeta), order=1, log_bound=1,
+        terms=(SigmaTerm(-1 + 0j, (zero, c)),), x_terms=(SigmaTerm(0j, (zero, q)),),
+    )
+    rep = asymptotic_expansion(sigma)
+    assert rep.notes == ()
+    assert rep.expansion.coefficient(-1.0, 3) == pytest.approx(-1.0 / 6.0, abs=1e-12)
+    for z in (50, 200, 800):
+        want = mp.quad(lambda x: mp.log(x) * mp.exp(-x) * mp.log(1 + x * z) / (1 + x * z), [0, 1.0 / z, 1, mp.inf])
+        assert abs(rep.expansion(z).real - float(want)) <= z**-2 * math.log(z) ** 3
+
+
+def exp_over_x(b):
+    return from_expression(
+        f"exp(-{b}*x)/x", [(m - 1.0, [(-b) ** m / math.factorial(m)]) for m in range(8)], 7.0, order_inf=40.0
+    )
+
+
+def test_separable_and_corollary_expansions_against_mpmath():
+    # reg int e^(-c t x) f(x) dx and reg int e^(-c x) f(x/t) dx by mpmath.quad, with the
+    # x^-1 part of the integrand taken out on (0, 1], where its finite part is 0
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(17)
+    b = rng.uniform(0.5, 2.0)
+    cases = [  # f, f in mpmath, its x^-1 part, q
+        (exp_over_x(b), lambda x: mp.exp(-b * x) / x, lambda x: 1 / x, 1.5),
+        (
+            from_expression("log(x)*exp(-x)/x", [(m - 1.0, [0, (-1.0) ** m / math.factorial(m)]) for m in range(8)], 7.0, order_inf=40.0),
+            lambda x: mp.log(x) * mp.exp(-x) / x, lambda x: mp.log(x) / x, 1.5,
+        ),
+        (
+            from_expression("1/(1+x)^2", [(m, [(-1.0) ** m * (m + 1)]) for m in range(8)], 8.0, [(-2.0, [1.0]), (-3.0, [-2.0])], 3.0),
+            lambda x: 1 / (1 + x) ** 2, lambda x: 0, 1.5,
+        ),
+    ]
+
+    def reg(g, singular, t):
+        return mp.quad(lambda x: g(x) - singular(x), [0, t, 1]) + mp.quad(g, [1, mp.inf])
+
+    with mp.workdps(30):
+        for f, fm, singular, q in cases:
+            c = rng.uniform(0.5, 2.0)
+            sep = separable_expansion(f"exp(-{c}*x)", f, q)
+            cor = corollary_expansion(f"exp(-{c}*x)", f, q)
+            for expn, order, integrand, part in [
+                (sep, q, lambda x, t: mp.exp(-c * t * x) * fm(x), lambda x, t: singular(x)),
+                (cor, q + 1, lambda x, t: mp.exp(-c * x) * fm(x / t), lambda x, t: singular(x / t)),
+            ]:
+                ts = (0.02, 0.005)
+                res = [abs(expn(t).real - float(reg(lambda x: integrand(x, t), lambda x: part(x, t), t))) for t in ts]
+                assert all(r <= t**order for r, t in zip(res, ts)), (f, order, res)
+                assert math.log(res[0] / res[1]) / math.log(ts[0] / ts[1]) >= order, (f, order, res)
+
+
+def test_corollary_coefficient_of_the_negative_result():
+    # int e^-0.7x e^(-1.3x/t) t/x dx = t (-gamma - ln(0.7 + 1.3/t)) = t (-gamma - ln 1.3 + ln t) + O(t^2)
+    expn = corollary_expansion("exp(-0.7*x)", exp_over_x(1.3), 1.5)
+    assert expn.coefficient(1.0, 0).real == pytest.approx(-EULER_GAMMA - math.log(1.3), abs=1e-12)
+    assert expn.coefficient(1.0, 1).real == pytest.approx(1.0, abs=1e-12)
+
+
+LOG_TERM_SPECS = Path(__file__).resolve().parents[1] / "tools" / "log_term_specs"
+SEPARABLE_SPEC_TERMS = {  # (exponent of t, coefficients of ln^m t), as the separable engine gave them before it ran on the SAL engine
+    "corollary_log_at_zero": [(1.0, [0.9890559953279627, 0.0, -0.5]), (2.0, [0.6926587978818397])],
+    "corollary_log_power_minus_two": [(1.0, [1.0]), (2.0, [0.5662716602296198, 1.5772156649015416, 0.5])],
+    "separable_log_power_minus_two": [(0.0, [1.0]), (1.0, [0.5662716602296198, 1.5772156649015416, 0.5])],
+    "separable_log_power_minus_two_flat_phi": [(0.0, [1.0]), (1.0, [-0.42278433509844027, 1.0000000000000067])],
+    "separable_power_minus_one": [(0.0, [-0.35407211358732316, -1.0])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEPARABLE_SPEC_TERMS))
+def test_separable_log_term_specs_keep_their_coefficients(name):
+    spec = json.loads((LOG_TERM_SPECS / f"{name}.json").read_text())
+    run = {"scale": separable_expansion, "inverse": corollary_expansion}[spec["mode"]]
+    expn = run(spec["phi"], from_json(spec["f"]), spec["q"])
+    got = [(t.exponent, t.poly.coeffs) for t in expn.terms]
+    want = SEPARABLE_SPEC_TERMS[name]
+    assert [(a, len(cs)) for a, cs in got] == [(a, len(cs)) for a, cs in want]
+    for (_, cs), (_, ws) in zip(got, want):
+        assert cs == pytest.approx(ws, rel=1e-12, abs=1e-15)
