@@ -67,11 +67,10 @@ class DiffError(ValueError):
 
 
 class _Node:
-    """Structural == and hash of expression nodes, walked with an explicit stack.
+    """Structural == and hash of expression nodes, as loops over _postorder.
 
-    The dataclass-generated methods recurse once per level, so a long sum or
-    product exhausted the interpreter's stack.  A subtree shared by identity
-    is compared and hashed once.
+    A subtree shared by identity is compared and hashed once, and a tree of
+    any depth is walked without recursion.
     """
 
     __slots__ = ()
@@ -79,41 +78,13 @@ class _Node:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            cls = type(a)
-            if a is b:
-                continue
-            if cls is not type(b):
-                return False
-            if cls is BinOp:
-                if a.op != b.op:
-                    return False
-                stack += ((a.right, b.right), (a.left, b.left))
-            elif cls is Neg or cls is Call:
-                if cls is Call and a.func != b.func:
-                    return False
-                stack.append((a.arg, b.arg))
-            elif cls is Num:
-                if not (a.value is b.value or a.value == b.value):  # as a tuple of fields compares
-                    return False
-            elif a.name != b.name:
-                return False
-        return True
+        shapes: dict[tuple, int] = {}  # the shape of each node of either tree -> its number
+        return _shape_number(self, shapes) == _shape_number(other, shapes)
 
     def __hash__(self):
         hashes: dict[int, int] = {}  # id of each node -> its hash
-        stack = [self]
-        while stack:
-            nd = stack[-1]
+        for nd in _postorder(self):
             cls = type(nd)
-            kids = (nd.left, nd.right) if cls is BinOp else (nd.arg,) if cls is Neg or cls is Call else ()
-            todo = [k for k in kids if id(k) not in hashes]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
             if cls is BinOp:
                 h = hash((nd.op, hashes[id(nd.left)], hashes[id(nd.right)]))
             elif cls is Neg or cls is Call:
@@ -122,6 +93,27 @@ class _Node:
                 h = hash(nd.value if cls is Num else nd.name)
             hashes[id(nd)] = h
         return hashes[id(self)]
+
+
+def _shape_number(node: "Expr", shapes: dict) -> int:
+    """The number shapes gives the shape of node, after numbering every new shape met in the walk.
+
+    A shape is a node's class or operator, its value or name, and the numbers
+    of its children, so two trees are equal exactly when their roots get one
+    number.  Number values compare as a tuple of fields does: Num(0.0) is
+    Num(-0.0), and a NaN equals only itself.
+    """
+    number: dict[int, int] = {}  # id of each node -> the number of its shape
+    for nd in _postorder(node):
+        cls = type(nd)
+        if cls is BinOp:
+            shape = (nd.op, number[id(nd.left)], number[id(nd.right)])
+        elif cls is Neg or cls is Call:
+            shape = (nd.func if cls is Call else cls, number[id(nd.arg)])
+        else:
+            shape = (cls, nd.value if cls is Num else nd.name)
+        number[id(nd)] = shapes.setdefault(shape, len(shapes))
+    return number[id(node)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,6 +291,91 @@ def parse(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# tree walks
+#
+# Every pass over a tree but parse is a loop over _postorder(node) that fills
+# a dict keyed by the id of each node (unparse uses it to find the shared
+# nodes, then writes the text from a stack).  So a subtree shared by
+# identity, as diff builds them, is visited once, and a tree of any depth is
+# walked without recursion.
+
+
+def _kids(nd: Expr) -> tuple:
+    cls = type(nd)
+    if cls is BinOp:
+        return (nd.left, nd.right)
+    return (nd.arg,) if cls is Neg or cls is Call else ()
+
+
+# the latest tree walked and its list, so that passes over one tree in a row
+# (free_vars, then compile_expr, of a density) walk it once; a tree is
+# immutable, and the tuple is replaced whole
+_last_walk: tuple = (None, [])
+
+
+def _postorder(node: Expr, follow: Callable[[Expr], tuple] | None = None) -> list[Expr]:
+    """The distinct nodes (by id) that node reaches, each after its children, a left child's before a right child's.
+
+    That is the order in which a recursive walk that skips the nodes it has
+    seen finishes them.  With follow, the walk goes only into the children
+    follow(nd) gives, as a pass that reads only those would recurse.  An
+    explicit stack of (node, whether its children are done) pairs; TypeError
+    at anything that is not a node.  The list of a whole walk is shared with
+    the next whole walk of the same node: read it, do not change it.
+    """
+    global _last_walk
+    root, order = _last_walk
+    if root is node and follow is None:
+        return order
+    order = []
+    seen: set[int] = set()  # ids of the nodes pushed with their children
+    stack = [(node, False)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        nd, done = pop()
+        if done:
+            order.append(nd)
+            continue
+        if id(nd) in seen:
+            continue
+        seen.add(id(nd))
+        cls = type(nd)
+        if follow is not None:
+            kids = follow(nd)
+            if kids:
+                push((nd, True))
+                for kid in reversed(kids):
+                    push((kid, False))
+            else:
+                order.append(nd)
+        elif cls is BinOp:
+            push((nd, True)), push((nd.right, False)), push((nd.left, False))
+        elif cls is Neg or cls is Call:
+            push((nd, True)), push((nd.arg, False))
+        elif cls is Num or cls is Var:
+            order.append(nd)
+        else:
+            raise TypeError(f"not an expression node: {nd!r}")
+    if follow is None:
+        _last_walk = (node, order)
+    return order
+
+
+def _holds(node: Expr, var: str) -> dict[int, bool]:
+    """Whether var occurs in each node of node, by id."""
+    holds: dict[int, bool] = {}
+    for nd in _postorder(node):
+        cls = type(nd)
+        if cls is BinOp:
+            holds[id(nd)] = holds[id(nd.left)] or holds[id(nd.right)]
+        elif cls is Neg or cls is Call:
+            holds[id(nd)] = holds[id(nd.arg)]
+        else:
+            holds[id(nd)] = cls is Var and nd.name == var
+    return holds
+
+
+# ---------------------------------------------------------------------------
 # unparse
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
@@ -312,90 +389,57 @@ def _prec(node: Expr) -> int:
     return _PREC["atom"]
 
 
-# the two left-associative levels; a chain of operators of one level is a left spine
-_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def _spine(node: Expr, keep=None, across: bool = False) -> tuple[list[BinOp], Expr]:
-    """The nodes down the left spine of node that share its level, top first, and the operand below them.
-
-    The levels are '+'/'-' and '*'/'/'.  A parsed sum of n terms, or product
-    of n factors, is n - 1 such nodes deep, so unparse, evaluate, substitute,
-    diff and taylor walk it with this loop instead of one recursive call per
-    operand.  With ``across``, the spine goes on through both levels, as in
-    the derivative of a product, whose left spine alternates them.  When
-    given, keep(nd) is False for the first node below the top that is to
-    count as the operand below the spine.
-    """
-    spine = []
-    if type(node) is not BinOp or node.op not in _LEVEL:
-        return spine, node
-    levels = (1, 2) if across else (_LEVEL[node.op],)
-    while type(node) is BinOp and _LEVEL.get(node.op) in levels:
-        if spine and keep is not None and not keep(node):
-            break
-        spine.append(node)
-        node = node.left
-    return spine, node
-
-
-def _fold(node: Expr, walk, combine, keep=None, across: bool = False):
-    """The chain at node, folded left to right.
-
-    acc starts as walk of the operand below the spine; each spine node nd,
-    bottom first, makes it combine(nd, acc, walk(nd.right)).
-    """
-    spine, node = _spine(node, keep, across)
-    acc = walk(node)
-    for nd in reversed(spine):
-        acc = combine(nd, acc, walk(nd.right))
-    return acc
-
-
 def unparse(node: Expr) -> str:
-    return _unparse(node, {})
+    """The text of node, with parentheses only where precedence needs them.
 
-
-def _unparse(node: Expr, memo: dict) -> str:
-    text = memo.get(id(node))  # id of a node -> its text, so that a shared subtree is written once
-    if text is not None:
-        return text
-    spine, node = _spine(node, lambda s: id(s) not in memo, across=True)
-    if spine:
-        # left-associative: an operand on the spine needs parentheses when it
-        # binds looser than the node above it, a right operand also when it
-        # binds alike; the opening parentheses all come before the bottom operand
-        wrap = [_prec(b) < _LEVEL[nd.op] for nd, b in zip(spine, [*spine[1:], node])]
-        parts = ["(" * sum(wrap), _unparse(node, memo)]
-        for nd, w in zip(reversed(spine), reversed(wrap)):
-            right = _unparse(nd.right, memo)
-            op = f"){nd.op}" if w else nd.op
-            parts.append(f"{op}({right})" if _prec(nd.right) <= _LEVEL[nd.op] else f"{op}{right}")
-        text = "".join(parts)
-        node = spine[0]
-    elif isinstance(node, Num):
-        text = repr(node.value)
-    elif isinstance(node, Var):
-        text = node.name
-    elif isinstance(node, Neg):
-        text = _unparse(node.arg, memo)
-        if _prec(node.arg) < _PREC["neg"]:
-            text = f"({text})"
-        text = f"-{text}"
-    elif isinstance(node, Call):
-        text = f"{node.func}({_unparse(node.arg, memo)})"
-    elif isinstance(node, BinOp) and node.op == "^":
-        left, right = _unparse(node.left, memo), _unparse(node.right, memo)
-        # right-associative
-        if _prec(node.left) <= _PREC["^"]:
-            left = f"({left})"
-        if _prec(node.right) < _PREC["^"]:
-            right = f"({right})"
-        text = f"{left}^{right}"
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    memo[id(node)] = text
-    return text
+    Written left to right from an explicit stack of nodes and pieces of text.
+    A subtree that is a child more than once has its text joined once and
+    reused, so the cost follows the length of the text.
+    """
+    seen: set[int] = set()
+    shared: set[int] = set()  # ids of the nodes that are a child more than once
+    for nd in _postorder(node):
+        for kid in _kids(nd):
+            (shared if id(kid) in seen else seen).add(id(kid))
+    texts: dict[int, str] = {}  # id of a shared node -> its text
+    parts: list[str] = []
+    stack: list = [node]
+    while stack:
+        nd = stack.pop()
+        cls = type(nd)
+        if cls is str:
+            parts.append(nd)
+            continue
+        if cls is tuple:  # a shared node, whose text starts at parts[start], is written
+            nd, start = nd
+            text = texts[id(nd)] = "".join(parts[start:])
+            parts[start:] = [text]
+            continue
+        if id(nd) in texts:
+            parts.append(texts[id(nd)])
+            continue
+        if id(nd) in shared:
+            stack.append((nd, len(parts)))
+        if cls is Num:
+            parts.append(repr(nd.value))
+        elif cls is Var:
+            parts.append(nd.name)
+        elif cls is Neg:
+            parts.append("-")
+            stack += (")", nd.arg, "(") if _prec(nd.arg) < _PREC["neg"] else (nd.arg,)
+        elif cls is Call:
+            parts.append(f"{nd.func}(")
+            stack += (")", nd.arg)
+        elif cls is BinOp and nd.op in _BINOPS:
+            p, left, right = _PREC[nd.op], _prec(nd.left), _prec(nd.right)
+            # '^' is right-associative, the others left-associative
+            wrap_left, wrap_right = (left <= p, right < p) if nd.op == "^" else (left < p, right <= p)
+            stack += (")", nd.right, "(") if wrap_right else (nd.right,)
+            stack.append(nd.op)
+            stack += (")", nd.left, "(") if wrap_left else (nd.left,)
+        else:
+            raise TypeError(f"not an expression node: {nd!r}")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -403,25 +447,8 @@ def _unparse(node: Expr, memo: dict) -> str:
 
 
 def free_vars(node: Expr) -> frozenset[str]:
-    """The variable names in node, from a walk with an explicit stack that visits a shared subtree once."""
-    names: set[str] = set()
-    seen: set[int] = set()
-    stack = [node]
-    while stack:
-        nd = stack.pop()
-        cls = type(nd)
-        if cls is Var:
-            names.add(nd.name)
-        elif cls is BinOp or cls is Neg or cls is Call:
-            if id(nd) not in seen:
-                seen.add(id(nd))
-                if cls is BinOp:
-                    stack += (nd.left, nd.right)
-                else:
-                    stack.append(nd.arg)
-        elif cls is not Num:
-            raise TypeError(f"not an expression node: {nd!r}")
-    return frozenset(names)
+    """The variable names in node."""
+    return frozenset([nd.name for nd in _postorder(node) if type(nd) is Var])
 
 
 def vanishes(node: Expr) -> bool:
@@ -429,23 +456,11 @@ def vanishes(node: Expr) -> bool:
 
     That is a product with such a factor, a quotient with such a numerator, a
     power of one to a positive literal exponent, or a negation, sum or
-    difference of such nodes; a function call never is.  Walked with an
-    explicit stack; a shared subtree is decided once.
+    difference of such nodes; a function call never is.
     """
-    zero: dict[int, bool] = {}
-    stack = [node]
-    while stack:
-        nd = stack[-1]
-        if id(nd) in zero:  # pushed again before it was decided
-            stack.pop()
-            continue
+    zero: dict[int, bool] = {}  # id of each node -> whether it vanishes
+    for nd in _postorder(node):
         cls = type(nd)
-        kids = (nd.left, nd.right) if cls is BinOp else (nd.arg,) if cls is Neg else ()
-        todo = [k for k in kids if id(k) not in zero]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
         if cls is Num:
             z = nd.value == 0.0
         elif cls is Neg:
@@ -506,7 +521,6 @@ _EMIT = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_divide({}, {})",
 # the names an emitted function finds in its globals, besides its constants
 _ENV = {f"_{name}": fn for name, fn in _CALLS.items()}
 _ENV.update(_unbound=_unbound, _divide=_divide, _power=_power)
-_POST = object()  # compile_expr's stack marker
 
 
 def evaluate(node: Expr, bindings: Bindings | None = None) -> float:
@@ -514,39 +528,30 @@ def evaluate(node: Expr, bindings: Bindings | None = None) -> float:
 
     Like compile_expr, it computes a subtree shared by identity once.
     """
-    return _evaluate(node, bindings or {}, {})
+    b = bindings or {}
+    value: dict[int, float] = {}  # id of each node -> its value
+    for nd in _postorder(node):
+        cls = type(nd)
+        if cls is Num:
+            v = nd.value
+        elif cls is Var:
+            v = float(b[nd.name]) if nd.name in b else _unbound(nd.name)
+        elif cls is Neg:
+            v = -value[id(nd.arg)]
+        elif cls is Call:
+            if nd.func not in _CALLS:
+                raise EvalError(f"unknown function {nd.func!r}")
+            v = _CALLS[nd.func](value[id(nd.arg)])
+        elif nd.op in _BINOPS:
+            v = _BINOPS[nd.op](value[id(nd.left)], value[id(nd.right)])
+        else:
+            raise TypeError(f"not an expression node: {nd!r}")
+        value[id(nd)] = v
+    return value[id(node)]
 
 
-def _evaluate(node: Expr, b: Bindings, memo: dict) -> float:
-    v = memo.get(id(node))  # id of a node -> its value
-    if v is not None:
-        return v
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return float(b[node.name]) if node.name in b else _unbound(node.name)
-    if isinstance(node, Neg):
-        v = -_evaluate(node.arg, b, memo)
-    elif isinstance(node, Call):
-        x = _evaluate(node.arg, b, memo)
-        if node.func not in _CALLS:
-            raise EvalError(f"unknown function {node.func!r}")
-        v = _CALLS[node.func](x)
-    elif isinstance(node, BinOp) and node.op in _LEVEL:
-        v = _fold(
-            node, lambda nd: _evaluate(nd, b, memo), lambda nd, u, w: _BINOPS[nd.op](u, w),
-            lambda s: id(s) not in memo, across=True,
-        )
-    elif isinstance(node, BinOp) and node.op == "^":
-        v = _power(_evaluate(node.left, b, memo), _evaluate(node.right, b, memo))
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    memo[id(node)] = v
-    return v
-
-
-# Distinct sources per benchmark pass: at most 24 (42 in a spec-mix run,
-# selftest included), the longest 803 characters.
+# Distinct sources per benchmark pass (seed 901): at most 20 (41 in the first
+# spec-mix pass, selftest included), the longest 765 characters.
 _CODE_CACHE_SIZE = 128
 
 
@@ -560,76 +565,52 @@ def compile_expr(node: Expr, params: Sequence[str]) -> Callable[..., float]:
     """Compile node once into a straight-line function of the positional params.
 
     The emitted function keeps one temporary per distinct node (by identity),
-    so a subtree that diff shares is computed once per call.  Constants are
-    passed by reference, not written into the source, and '/', '^', log and
-    sqrt go through the checked primitives that evaluate uses.  The function
-    returns what evaluate returns at the same bindings and raises where
-    evaluate raises, at the same node: a name outside params raises EvalError
-    when the function is called, not here.  A call of an unknown function
-    (which parse never builds) is rejected here.
+    in the order of _postorder, so a subtree that diff shares is computed
+    once per call.  Constants are passed by reference, not written into the
+    source, and '/', '^', log and sqrt go through the checked primitives that
+    evaluate uses.  The function returns what evaluate returns at the same
+    bindings and raises where evaluate raises, at the same node: a name
+    outside params raises EvalError when the function is called, not here.
+    A call of an unknown function (which parse never builds) is rejected here.
 
     The source therefore depends only on the shape of node: its operators,
     its sharing, its variable names and params.  Its code object is shared
     by shape through a least-recently-used cache of _CODE_CACHE_SIZE sources;
     each call still runs that code in a fresh namespace, so every function
     binds its own constants.  The cache holds no constant and no function,
-    only source strings and their code objects: at worst _CODE_CACHE_SIZE of
-    each, about 3 bytes per source character together (3 KB for the longest
-    source of the benchmark, 803 characters, so about 0.4 MB for a full
-    cache of such sources).  A benchmark pass (seed 901) emits 192 sources on
-    push-sweep, 48 on spec-mix and 45 on hard-depth, of which 20, 17 and 24
-    are distinct, so each pass after the first compiles nothing.
+    only source strings and their code objects, about 3 bytes per source
+    character together.
     """
     env = _ENV.copy()
     args = {name: f"a{i}" for i, name in enumerate(params)}
     lines: list[str] = []
     # id of each visited node, and each variable name, -> its name in the emitted code
     operand: dict = {}
-
-    # post-order, left before right, as evaluate visits the nodes; an explicit
-    # stack, on which _POST above a node marks that node's children as done
-    stack = [node]
-    pop, push = stack.pop, stack.append
-    while stack:
-        nd = pop()
-        if nd is _POST:
-            nd = pop()
-            cls = type(nd)
-            if cls is BinOp:
-                if nd.op not in _EMIT:
-                    raise TypeError(f"not an expression node: {nd!r}")
-                rhs = _EMIT[nd.op].format(operand[id(nd.left)], operand[id(nd.right)])
-            elif cls is Neg:
-                rhs = f"-{operand[id(nd.arg)]}"
-            elif nd.func in _CALLS:
-                rhs = f"_{nd.func}({operand[id(nd.arg)]})"
-            else:
-                raise EvalError(f"unknown function {nd.func!r}")
-        else:
-            k = id(nd)
-            if k in operand:
-                continue
-            cls = type(nd)
-            if cls is BinOp:
-                push(nd), push(_POST), push(nd.right), push(nd.left)
-                continue
-            if cls is Neg or cls is Call:
-                push(nd), push(_POST), push(nd.arg)
-                continue
-            if cls is Num:  # by reference: inf and nan have no literal
-                operand[k] = name = f"k{len(env)}"
-                env[name] = nd.value
-                continue
-            if cls is not Var:
-                raise TypeError(f"not an expression node: {nd!r}")
+    for nd in _postorder(node):
+        cls = type(nd)
+        if cls is Num:  # by reference: inf and nan have no literal
+            operand[id(nd)] = name = f"k{len(env)}"
+            env[name] = nd.value
+            continue
+        if cls is Var:
             name = nd.name
             if name in operand:  # one temporary per variable name
-                operand[k] = operand[name]
+                operand[id(nd)] = operand[name]
                 continue
             rhs = f"float({args[name]})" if name in args else f"_unbound({name!r})"
+        elif cls is Neg:
+            rhs = f"-{operand[id(nd.arg)]}"
+        elif cls is Call:
+            if nd.func not in _CALLS:
+                raise EvalError(f"unknown function {nd.func!r}")
+            rhs = f"_{nd.func}({operand[id(nd.arg)]})"
+        elif nd.op in _EMIT:
+            rhs = _EMIT[nd.op].format(operand[id(nd.left)], operand[id(nd.right)])
+        else:
+            raise TypeError(f"not an expression node: {nd!r}")
         operand[id(nd)] = temp = f"t{len(lines)}"
         if cls is Var:
-            operand[nd.name] = temp
+            operand[name] = temp
         lines.append(f"    {temp} = {rhs}\n")
 
     src = f"def compiled({', '.join(args.values())}):\n{''.join(lines)}    return {operand[id(node)]}\n"
@@ -644,36 +625,21 @@ def substitute(node: Expr, var: str, replacement: Expr) -> Expr:
 
     A subtree shared in node, as diff shares them, maps to one shared result.
     """
-    return _substitute(node, var, replacement, {})
-
-
-def _substitute(nd: Expr, var: str, replacement: Expr, memo: dict) -> Expr:
-    out = memo.get(id(nd))  # id of a node of the input -> its substituted copy
-    if out is None and type(nd) is BinOp and nd.op in _LEVEL:
-        # down the left spine of a sum or product in a loop, as far as the first node already copied
-        spine, nd = _spine(nd, lambda s: id(s) not in memo)
-        out = _substitute(nd, var, replacement, memo)
-        for s in reversed(spine):
-            out = memo[id(s)] = BinOp(s.op, out, _substitute(s.right, var, replacement, memo))
-    elif out is None:
-        if isinstance(nd, Num):
-            out = nd
-        elif isinstance(nd, Var):
-            out = replacement if nd.name == var else nd
-        elif isinstance(nd, Neg):
-            out = Neg(_substitute(nd.arg, var, replacement, memo))
-        elif isinstance(nd, Call):
-            out = Call(nd.func, _substitute(nd.arg, var, replacement, memo))
-        elif isinstance(nd, BinOp):
-            out = BinOp(
-                nd.op,
-                _substitute(nd.left, var, replacement, memo),
-                _substitute(nd.right, var, replacement, memo),
-            )
+    out: dict[int, Expr] = {}  # id of each node of node -> its substituted copy
+    for nd in _postorder(node):
+        cls = type(nd)
+        if cls is Num:
+            r = nd
+        elif cls is Var:
+            r = replacement if nd.name == var else nd
+        elif cls is Neg:
+            r = Neg(out[id(nd.arg)])
+        elif cls is Call:
+            r = Call(nd.func, out[id(nd.arg)])
         else:
-            raise TypeError(f"not an expression node: {nd!r}")
-        memo[id(nd)] = out
-    return out
+            r = BinOp(nd.op, out[id(nd.left)], out[id(nd.right)])
+        out[id(nd)] = r
+    return out[id(node)]
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +703,28 @@ def _div(a: Expr, b: Expr) -> Expr:
     return BinOp("/", a, b)
 
 
-def _diff_rule(nd: BinOp, du: Expr, dv: Expr) -> Expr:
-    """The derivative of nd from du and dv, those of its operands: the sum, product or quotient rule."""
+def _diff_rule(nd: BinOp | Call, du: Expr, dv: Expr | None, var: str) -> Expr:
+    """The derivative of nd from those of its operands: the sum, product, quotient or chain rule.
+
+    For a call, du is the derivative of its argument, which holds var.
+    """
+    if type(nd) is Call:
+        if nd.func == "exp":
+            return _mul(nd, du)
+        if nd.func == "log":
+            return _div(du, nd.arg)
+        if nd.func == "sin":
+            return _mul(Call("cos", nd.arg), du)
+        if nd.func == "cos":
+            return _neg(_mul(Call("sin", nd.arg), du))
+        if nd.func == "sqrt":
+            return _div(du, _mul(Num(2.0), nd))
+        if nd.func == "step":
+            raise DiffError(
+                f"cannot differentiate step() w.r.t. {var!r}: "
+                "piecewise-constant subtree depends on the variable"
+            )
+        raise DiffError(f"unknown function {nd.func!r}")
     if nd.op == "+":
         return _add(du, dv)
     if nd.op == "-":
@@ -749,64 +735,43 @@ def _diff_rule(nd: BinOp, du: Expr, dv: Expr) -> Expr:
 
 
 def diff(node: Expr, var: str) -> Expr:
-    if type(node) is BinOp and node.op in _LEVEL:
-        return _fold(node, lambda nd: diff(nd, var), _diff_rule)
-    if isinstance(node, Num):
-        return Num(0.0)
-    if isinstance(node, Var):
-        return Num(1.0) if node.name == var else Num(0.0)
-    if isinstance(node, Neg):
-        return _neg(diff(node.arg, var))
-    if isinstance(node, Call):
-        if var not in free_vars(node.arg):
-            return Num(0.0)
-        inner = diff(node.arg, var)
-        if node.func == "exp":
-            return _mul(node, inner)
-        if node.func == "log":
-            return _div(inner, node.arg)
-        if node.func == "sin":
-            return _mul(Call("cos", node.arg), inner)
-        if node.func == "cos":
-            return _neg(_mul(Call("sin", node.arg), inner))
-        if node.func == "sqrt":
-            return _div(inner, _mul(Num(2.0), node))
-        if node.func == "step":
-            raise DiffError(
-                f"cannot differentiate step() w.r.t. {var!r}: "
-                "piecewise-constant subtree depends on the variable"
-            )
-        raise DiffError(f"unknown function {node.func!r}")
-    if isinstance(node, BinOp):
-        if node.op == "^":
-            # exponent subtree is constant by parser invariant
-            if var in free_vars(node.right):
+    """The derivative of node in var, built rule by rule from the derivatives of its operands.
+
+    A subtree shared by identity is differentiated once, and its derivative
+    is shared too.  Neither the argument of a call free of var nor the
+    exponent of '^' is differentiated: the first call gives 0, the second
+    is evaluated.
+    """
+    holds = _holds(node, var)
+
+    def operands(nd: Expr) -> tuple:  # the nodes whose derivatives the rule of nd reads
+        if type(nd) is BinOp and nd.op == "^":
+            return (nd.left,)
+        return () if type(nd) is Call and not holds[id(nd.arg)] else _kids(nd)
+
+    d: dict[int, Expr] = {}  # id of each node reached -> its derivative
+    for nd in _postorder(node, operands):
+        cls = type(nd)
+        if cls is Num:
+            out = Num(0.0)
+        elif cls is Var:
+            out = Num(1.0) if nd.name == var else Num(0.0)
+        elif cls is Neg:
+            out = _neg(d[id(nd.arg)])
+        elif cls is Call:
+            out = _diff_rule(nd, d[id(nd.arg)], None, var) if holds[id(nd.arg)] else Num(0.0)
+        elif nd.op == "^":
+            # the exponent is constant by the parser's invariant
+            if holds[id(nd.right)]:
                 raise DiffError("'^' exponent depends on the differentiation variable")
-            c = evaluate(node.right)
-            return _mul(
-                _mul(Num(c), BinOp("^", node.left, Num(c - 1.0))),
-                diff(node.left, var),
-            )
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _depends(nd: Expr, var: str, memo: dict[int, bool]) -> bool:
-    """Whether var occurs in nd; records the answer for every node of nd in memo, by id."""
-    d = memo.get(id(nd))
-    if d is None and type(nd) is BinOp and nd.op in _LEVEL:
-        spine, nd = _spine(nd, lambda s: id(s) not in memo, across=True)
-        d = _depends(nd, var, memo)
-        for s in reversed(spine):
-            d = memo[id(s)] = _depends(s.right, var, memo) | d
-    elif d is None:
-        if isinstance(nd, BinOp):
-            d = _depends(nd.left, var, memo) | _depends(nd.right, var, memo)
-        elif isinstance(nd, (Neg, Call)):
-            d = _depends(nd.arg, var, memo)
+            c = evaluate(nd.right)
+            out = _mul(_mul(Num(c), BinOp("^", nd.left, Num(c - 1.0))), d[id(nd.left)])
+        elif nd.op in _BINOPS:
+            out = _diff_rule(nd, d[id(nd.left)], d[id(nd.right)], var)
         else:
-            d = isinstance(nd, Var) and nd.name == var
-        memo[id(nd)] = d
-    return d
+            raise TypeError(f"not an expression node: {nd!r}")
+        d[id(nd)] = out
+    return d[id(node)]
 
 
 def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = None) -> list[float]:
@@ -814,14 +779,13 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
 
     Truncated series are pushed through the tree by the recurrences of Griewank
     and Walther, Evaluating Derivatives (2008), ch. 13, at O(n^2) per node.
+    A subtree free of var is evaluated once, as a constant series.
     Raises EvalError where evaluate would and DiffError where diff would; a
     power of a series that vanishes at the point has coefficients only below
     its exponent, unless that is a non-negative integer.
     """
     b = {**(bindings or {}), var: at}
     ks = range(1, n + 1)
-    dep: dict[int, bool] = {}  # id of each node -> whether its subtree holds var
-    _depends(node, var, dep)
 
     def mul(u, v):
         return [sum(u[j] * v[k - j] for j in range(k + 1)) for k in range(n + 1)]
@@ -857,30 +821,19 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
             w[k] = (u[k] - sum(v[j] * w[k - j] for j in ks[:k])) / v[0]
         return w
 
-    jets: dict[int, list[float]] = {}  # id of each node -> its series, so that a shared subtree is expanded once
-
-    def jet(nd: Expr) -> list[float]:
-        out = jets.get(id(nd))
-        if out is None:
-            out = jets[id(nd)] = expand(nd)
-        return out
-
-    def expand(nd: Expr) -> list[float]:
-        if not dep[id(nd)]:
+    def expand(nd: Expr) -> list[float]:  # the series of nd from those of its operands in jets
+        if not holds[id(nd)]:
             return [evaluate(nd, b)] + [0.0] * n
-        if type(nd) is BinOp and nd.op in _LEVEL:
-            # a spine node without var is one constant, as in the recursion it replaces
-            return _fold(nd, jet, chain, lambda s: dep[id(s)] and id(s) not in jets, across=True)
         if isinstance(nd, Var):
             return [at, 1.0, *[0.0] * n][: n + 1]
         if isinstance(nd, Neg):
-            return [-c for c in jet(nd.arg)]
+            return [-c for c in jets[id(nd.arg)]]
         if isinstance(nd, Call) and nd.func == "step":
             if n:
                 raise DiffError(f"cannot differentiate step() w.r.t. {var!r}")
             return [evaluate(nd, b)]
         if isinstance(nd, Call):
-            u, v = jet(nd.arg), [0.0] * (n + 1)
+            u, v = jets[id(nd.arg)], [0.0] * (n + 1)
             if nd.func == "sqrt":
                 return power(u, 0.5)
             if nd.func == "exp":
@@ -899,12 +852,23 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
             for k in ks:
                 s[k], c[k] = dot(u, c, k), -dot(u, s, k)
             return s if nd.func == "sin" else c
-        u, v = jet(nd.left), jet(nd.right)
-        if n and dep[id(nd.right)]:
+        u, v = jets[id(nd.left)], jets[id(nd.right)]
+        if nd.op != "^":
+            return chain(nd, u, v)
+        if n and holds[id(nd.right)]:
             raise DiffError("'^' exponent depends on the differentiation variable")
         return power(u, v[0])
 
-    return jet(node)
+    holds = _holds(node, var)
+
+    def operands(nd: Expr) -> tuple:  # the nodes whose series expand(nd) reads
+        # a subtree free of var is one constant, and a step of var is 0 or 1 whatever its argument's series
+        return _kids(nd) if holds[id(nd)] and not (type(nd) is Call and nd.func == "step") else ()
+
+    jets: dict[int, list[float]] = {}  # id of each node reached -> its series
+    for nd in _postorder(node, operands):
+        jets[id(nd)] = expand(nd)
+    return jets[id(node)]
 
 
 def central_fd(node: Expr, var: str, bindings: Bindings, h: float = 1e-4) -> float:

@@ -113,10 +113,10 @@ class SigmaFunction:
     def _x_deriv_ast(self, j: int) -> ex.Expr | None:
         """d^j sigma / dx^j as an expression; None without an AST free of step(x)."""
         if j not in self._xderiv_cache:
-            node = self.ast
+            # the cached derivative of order j - 1, differentiated once
+            node = self.ast if j == 0 else self._x_deriv_ast(j - 1)
             try:
-                for _ in range(j if node is not None else 0):
-                    node = ex.diff(node, "x")
+                node = ex.diff(node, "x") if j and node is not None else node
             except ex.DiffError:
                 node = None
             self._xderiv_cache[j] = [node, None]

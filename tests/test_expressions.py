@@ -494,3 +494,245 @@ def test_compiled_source_is_unchanged(monkeypatch):
         "    t6 = float(a1)\n    t7 = _cos(t6)\n    t8 = _divide(t7, t0)\n    t9 = t5 - t8\n"
         "    t10 = t9 + t0\n    return t10\n"
     )
+
+
+def test_second_derivative_of_a_long_product():
+    # diff walks the alternating '+'/'*' spine of the first derivative in a
+    # loop, and differentiates each shared prefix product once
+    d2 = ex.diff(ex.diff(ex.parse("*".join(["x"] * 3000)), "x"), "x")
+    assert ex.evaluate(d2, {"x": 1.0}) == 3000.0 * 2999.0 == 8_997_000.0
+
+
+def _doubling_dag(levels: int):
+    dag = ex.Var("x")
+    for _ in range(levels):  # 2^levels paths to the leaf, 2 * levels + 1 distinct nodes
+        dag = ex.BinOp("*", dag, ex.Neg(dag))
+    return dag
+
+
+def test_shared_trees_are_walked_once():
+    a, b = _doubling_dag(60), _doubling_dag(60)  # built separately: equal, but nothing shared between them
+    assert a == b and hash(a) == hash(b)
+    assert a != ex.BinOp("*", _doubling_dag(59), ex.Neg(_doubling_dag(58)))
+    d = ex.diff(a, "x")
+    assert _distinct_nodes(d) <= 10 * _distinct_nodes(a)
+    # each level is -(the one below)^2, so a = -x^(2^60) and a' = -2^60 x^(2^60 - 1)
+    assert ex.evaluate(a, {"x": 1.0}) == -1.0
+    assert ex.evaluate(d, {"x": 1.0}) == ex.compile_expr(d, ("x",))(1.0) == -(2.0**60)
+    assert ex.taylor(a, "x", 1.0, 1) == [-1.0, -(2.0**60)]
+    assert ex.free_vars(d) == {"x"} and not ex.vanishes(d)
+    assert ex.evaluate(ex.substitute(a, "x", ex.Num(1.0))) == -1.0
+    assert len(ex.unparse(_doubling_dag(8))) > 2**8  # a shared subtree is written at each of its places
+
+
+# A recursive reference for every pass, on small trees and DAGs: it walks
+# every path, with no memo and no stack of its own.
+
+_REF_CALLS = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
+_REF_BINOPS = {"+": lambda u, v: u + v, "-": lambda u, v: u - v, "*": lambda u, v: u * v}
+
+
+def _ref_evaluate(nd, b):
+    if isinstance(nd, ex.Num):
+        return nd.value
+    if isinstance(nd, ex.Var):
+        return float(b[nd.name])
+    if isinstance(nd, ex.Neg):
+        return -_ref_evaluate(nd.arg, b)
+    if isinstance(nd, ex.Call):
+        return _REF_CALLS[nd.func](_ref_evaluate(nd.arg, b))
+    return _REF_BINOPS[nd.op](_ref_evaluate(nd.left, b), _ref_evaluate(nd.right, b))
+
+
+def _ref_diff(nd, var):
+    """The derivative, with no simplification."""
+    N, B = ex.Num, ex.BinOp
+    if isinstance(nd, ex.Num):
+        return N(0.0)
+    if isinstance(nd, ex.Var):
+        return N(1.0 if nd.name == var else 0.0)
+    if isinstance(nd, ex.Neg):
+        return ex.Neg(_ref_diff(nd.arg, var))
+    if isinstance(nd, ex.Call):
+        outer = {"exp": nd, "sin": ex.Call("cos", nd.arg), "cos": ex.Neg(ex.Call("sin", nd.arg))}[nd.func]
+        return B("*", outer, _ref_diff(nd.arg, var))
+    du, dv = _ref_diff(nd.left, var), _ref_diff(nd.right, var)
+    if nd.op == "*":
+        return B("+", B("*", du, nd.right), B("*", nd.left, dv))
+    return B(nd.op, du, dv)
+
+
+def _ref_free_vars(nd):
+    if isinstance(nd, ex.Var):
+        return {nd.name}
+    return set().union(*(_ref_free_vars(getattr(nd, a)) for a in ("arg", "left", "right") if hasattr(nd, a)))
+
+
+def _ref_vanishes(nd):
+    if isinstance(nd, ex.Num):
+        return nd.value == 0.0
+    if isinstance(nd, ex.Neg):
+        return _ref_vanishes(nd.arg)
+    if isinstance(nd, ex.BinOp):
+        left, right = _ref_vanishes(nd.left), _ref_vanishes(nd.right)
+        return left or right if nd.op == "*" else left and right
+    return False
+
+
+def _ref_unparse(nd):
+    prec = {"+": 1, "-": 1, "*": 2}
+
+    def level(c):
+        return prec[c.op] if isinstance(c, ex.BinOp) else 3 if isinstance(c, ex.Neg) else 5
+
+    if isinstance(nd, ex.Num):
+        return repr(nd.value)
+    if isinstance(nd, ex.Var):
+        return nd.name
+    if isinstance(nd, ex.Neg):
+        arg = _ref_unparse(nd.arg)
+        return f"-({arg})" if level(nd.arg) < 3 else f"-{arg}"
+    if isinstance(nd, ex.Call):
+        return f"{nd.func}({_ref_unparse(nd.arg)})"
+    left, right = _ref_unparse(nd.left), _ref_unparse(nd.right)
+    left = f"({left})" if level(nd.left) < prec[nd.op] else left
+    right = f"({right})" if level(nd.right) <= prec[nd.op] else right
+    return f"{left}{nd.op}{right}"
+
+
+def _ref_substitute(nd, var, replacement):
+    """A copy with var replaced, sharing nothing with nd."""
+    if isinstance(nd, ex.Num):
+        return ex.Num(nd.value)
+    if isinstance(nd, ex.Var):
+        return replacement if nd.name == var else ex.Var(nd.name)
+    if isinstance(nd, ex.Neg):
+        return ex.Neg(_ref_substitute(nd.arg, var, replacement))
+    if isinstance(nd, ex.Call):
+        return ex.Call(nd.func, _ref_substitute(nd.arg, var, replacement))
+    return ex.BinOp(nd.op, _ref_substitute(nd.left, var, replacement), _ref_substitute(nd.right, var, replacement))
+
+
+def _ref_equal(a, b):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, ex.Num):
+        return a.value == b.value
+    if isinstance(a, ex.Var):
+        return a.name == b.name
+    if isinstance(a, ex.Neg):
+        return _ref_equal(a.arg, b.arg)
+    if isinstance(a, ex.Call):
+        return a.func == b.func and _ref_equal(a.arg, b.arg)
+    return a.op == b.op and _ref_equal(a.left, b.left) and _ref_equal(a.right, b.right)
+
+
+def _subtrees(nd):
+    return [nd] + [s for a in ("arg", "left", "right") if hasattr(nd, a) for s in _subtrees(getattr(nd, a))]
+
+
+@st.composite
+def _dags(draw):
+    """A tree of the strategy, then a few nodes over it that reuse its subtrees by identity."""
+    node = draw(_expr)
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from("+-*"))
+        node = ex.BinOp(op, draw(st.sampled_from(_subtrees(node))), node)
+        if draw(st.booleans()):
+            node = ex.Call(draw(st.sampled_from(["exp", "sin", "cos"])), ex.Neg(node))
+    return node
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except OverflowError:
+        return OverflowError
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_dags())
+def test_passes_match_the_recursive_reference(node):
+    point = {"x": 0.7, "y": -0.4}
+    want = _outcome(_ref_evaluate, node, point)
+    assert _outcome(ex.evaluate, node, point) == want
+    assert _outcome(ex.compile_expr(node, ("x", "y")), 0.7, -0.4) == want
+    assert ex.free_vars(node) == _ref_free_vars(node)
+    assert ex.vanishes(node) == _ref_vanishes(node)
+    text = ex.unparse(node)
+    assert text == _ref_unparse(node)
+    assert ex.parse(text) == node and _ref_equal(ex.parse(text), node)
+    copy = _ref_substitute(node, "x", ex.Var("x"))  # the same tree, with nothing shared
+    assert node == copy and hash(node) == hash(copy)
+    other = ex.BinOp("+", node, ex.Num(1.0))
+    assert node != other and not _ref_equal(node, other)
+    swapped = ex.substitute(node, "x", ex.Var("y"))
+    assert _ref_equal(swapped, _ref_substitute(node, "x", ex.Var("y")))
+    ref_d = _ref_diff(node, "x")
+    slope = _outcome(_ref_evaluate, ref_d, point)
+    if want is OverflowError or slope is OverflowError:
+        return
+    sym = ex.evaluate(ex.diff(node, "x"), point)
+    assert sym == pytest.approx(slope, rel=1e-12, abs=1e-12)
+    assert sym == pytest.approx(ex.central_fd(node, "x", point), rel=1e-5, abs=1e-5)
+    curvature = _outcome(_ref_evaluate, _ref_diff(ref_d, "x"), point)
+    if curvature is not OverflowError:
+        jet = ex.taylor(node, "x", 0.7, 2, point)
+        assert jet == pytest.approx([want, slope, curvature / 2], rel=1e-9, abs=1e-9)
+
+
+DEPTH = 5000
+
+
+def _right_nested_sum():
+    node = ex.Var("x")
+    for k in range(DEPTH):
+        node = ex.BinOp("+", ex.BinOp("*", ex.Num(float(k % 3)), ex.Var("x")), node)
+    return node
+
+
+def _neg_chain():
+    node = ex.Var("x")
+    for _ in range(DEPTH):
+        node = ex.Neg(node)
+    return node
+
+
+def _call_chain():
+    node = ex.Var("x")
+    for _ in range(DEPTH):
+        node = ex.Call("sin", node)
+    return node
+
+
+@pytest.mark.parametrize("build", [_right_nested_sum, _neg_chain, _call_chain])
+def test_passes_on_deep_chains(build):
+    # chains as deep as these exceed the interpreter's recursion limit, so the
+    # reference is a loop down the chain; parse refuses their text
+    node, x = build(), 0.3
+    if build is _right_nested_sum:
+        c = 1.0 + sum(float(k % 3) for k in range(DEPTH))
+        value, slope, text_end = c * x, c, "x" + ")" * (DEPTH - 1)
+    elif build is _neg_chain:
+        value, slope, text_end = x, 1.0, "-" * DEPTH + "x"  # an even number of signs
+    else:
+        value, slope = x, 1.0
+        for _ in range(DEPTH):
+            value, slope = math.sin(value), slope * math.cos(value)
+        text_end = "sin(x" + ")" * DEPTH
+    assert ex.evaluate(node, {"x": x}) == pytest.approx(value, rel=1e-12)
+    assert ex.compile_expr(node, ("x",))(x) == ex.evaluate(node, {"x": x})
+    assert ex.taylor(node, "x", x, 1) == pytest.approx([value, slope], rel=1e-9)
+    d = ex.diff(node, "x")
+    assert ex.evaluate(d, {"x": x}) == pytest.approx(slope, rel=1e-9)
+    assert ex.evaluate(d, {"x": x}) == pytest.approx(ex.central_fd(node, "x", {"x": x}), rel=1e-6)
+    assert ex.evaluate(ex.substitute(node, "x", ex.Num(x))) == ex.evaluate(node, {"x": x})
+    text = ex.unparse(node)
+    assert text.endswith(text_end)
+    with pytest.raises(ex.ExprSyntaxError, match="nested more than"):
+        ex.parse(text)
+    assert ex.free_vars(node) == {"x"} and not ex.vanishes(node)
+    assert ex.vanishes(ex.substitute(node, "x", ex.Num(0.0))) is (build is not _call_chain)
+    again = build()
+    assert node == again and hash(node) == hash(again)
+    assert node != ex.substitute(again, "x", ex.Var("y"))

@@ -196,6 +196,26 @@ def test_finite_difference_derivative_stops_at_the_second():
         sig.x_deriv(3)
 
 
+def test_x_derivatives_differentiate_the_cached_lower_order_once(monkeypatch):
+    from asympush import expressions as ex
+
+    text = "exp(-x)*exp(-zeta)/(1+x*zeta)"
+    calls = []
+    diff = ex.diff
+    monkeypatch.setattr(ex, "diff", lambda node, var: calls.append(var) or diff(node, var))
+    sig = sigma_from_expression(text, order=4)
+    got = [sig.x_deriv(j)(0.3, 1.7) for j in range(1, 5)]
+    assert len(calls) == 4  # one diff per order, not j for order j
+    node = ex.parse(text)
+    for j in range(1, 5):
+        node = diff(node, "x")
+        assert sig._x_deriv_ast(j) == node
+        assert got[j - 1] == ex.evaluate(node, {"x": 0.3, "zeta": 1.7})
+    # step(x) blocks differentiation at every order from the first
+    blocked = sigma_from_expression("exp(-zeta)*step(x-0.5)", order=2)
+    assert blocked._x_deriv_ast(0) is blocked.ast and blocked._x_deriv_ast(2) is None
+
+
 def test_hypothesis_diagnostics_detect_scaling_divergence():
     # 1/(x + zeta) is bounded by 1/zeta but its scaled integrals blow up
     sig = sigma_from_expression("1/(x+zeta)", order=0)

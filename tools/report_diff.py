@@ -5,13 +5,14 @@
 Writes the spec-mix specs of each seed (default 777 and 901) with
 ``perfbench.workloads.spec_mix``, runs each spec, and each SPEC.json given
 (for instance ``tools/log_term_specs/*.json``, which reach the log-term paths
-spec-mix does not), through every checkout's ``asympush.cli.main`` in one
-subprocess per checkout (that checkout's ``src`` first on ``sys.path``),
-prints each spec whose report bytes or exit code differ, with the largest
-relative difference |a - b| / max(|a|, |b|) over the numbers of the two
-reports matched by JSON path, and exits 1 if any spec differs.  A value that
-is not a number, or whose path only one report has, counts as an infinite
-difference when it differs.
+spec-mix does not, and ``tools/deep_taylor_specs/*.json``, which take Taylor
+data and x-derivatives to orders 5 and 6), through every checkout's
+``asympush.cli.main`` in one subprocess per checkout (that checkout's ``src``
+first on ``sys.path``), prints each spec whose report bytes or exit code
+differ, with the largest relative difference |a - b| / max(|a|, |b|) over the
+numbers of the two reports matched by JSON path, and exits 1 if any spec
+differs.  A value that is not a number, or whose path only one report has,
+counts as an infinite difference when it differs.
 """
 
 import json
