@@ -258,9 +258,7 @@ def _run_separable(payload, args):
 def _run_pushforward(payload, args):
     dspec = _object(_require(payload, "density", "pushforward"), "density")
     box = tuple(float(v) for v in dspec.get("box", (1.0, 1.0)))
-    u = density_from_expression(
-        _require(dspec, "expr", "density"), box, bool(dspec.get("smooth", True))
-    )
+    u = density_from_expression(_require(dspec, "expr", "density"), box)
     grid = _parse_grid(payload.get("tGrid"), args.grid)
     pred = None
     if "predictionOrder" in payload:

@@ -496,7 +496,10 @@ def _power(a: float, c: float) -> float:
         raise EvalError("0 raised to a negative power")
     if a < 0.0 and c != round(c):
         raise EvalError(f"negative base {a} with non-integer exponent {c}")
-    return a**c
+    try:
+        return a**c
+    except OverflowError:  # past the float range, as for a product: negative only for a < 0 and c odd
+        return -math.inf if a < 0.0 and c % 2.0 == 1.0 else math.inf
 
 
 def _log(a: float) -> float:

@@ -64,7 +64,6 @@ class Density2D:
 
     ast: ex.Expr
     box: tuple[float, float] = (1.0, 1.0)
-    smooth: bool = True
     _fn: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -88,14 +87,12 @@ class Density2D:
         node = ex.substitute(self.ast, "x", tmp)
         node = ex.substitute(node, "y", ex.Var("x"))
         node = ex.substitute(node, "__swap__", ex.Var("y"))
-        return Density2D(node, (self.box[1], self.box[0]), self.smooth)
+        return Density2D(node, (self.box[1], self.box[0]))
 
 
-def density_from_expression(
-    text: str | ex.Expr, box: tuple[float, float] = (1.0, 1.0), smooth: bool = True
-) -> Density2D:
+def density_from_expression(text: str | ex.Expr, box: tuple[float, float] = (1.0, 1.0)) -> Density2D:
     ast = ex.parse(text) if isinstance(text, str) else text
-    return Density2D(ast, box, smooth)
+    return Density2D(ast, box)
 
 
 def push_xy(u: Density2D, t: float, tol: float = DEFAULT_TOL) -> float:
@@ -136,10 +133,9 @@ def sal_prediction_smooth(u: Density2D, J: int, tol: float = DEFAULT_TOL) -> Exp
     z = 1/t, so this is :func:`asymptotic_expansion` of
     :func:`sigma_from_density` read in t, with ln z = -ln t.  Each order j
     takes one regularized moment on each axis of u, and the corner derivative
-    d_x^j d_y^j u(0, 0) gives its t^j ln t term.
+    d_x^j d_y^j u(0, 0) gives its t^j ln t term.  A density without that
+    Taylor data at an axis raises EvalError, or DiffError for a step there.
     """
-    if not u.smooth:
-        raise ValueError("the boundary-Taylor prediction needs a smooth density")
     if J > 6:
         raise ValueError("prediction depth J must be at most 6")
     in_z = asymptotic_expansion(sigma_from_density(u, J), tol).expansion
@@ -204,7 +200,6 @@ class BlowupDensity(Density2D):
     """
 
     box: tuple[float, float] = (1.0, math.inf)
-    smooth: bool = field(default=True, init=False, repr=False)
     family: IndexFamily = field(kw_only=True)
 
     def __post_init__(self):

@@ -42,7 +42,6 @@ from . import expressions as ex
 from .asymfun import (
     AsymFunction,
     MissingExpansionData,
-    finite_difference,
     power_log_multiply,
     reg_integral,
     schwartz,
@@ -110,29 +109,24 @@ class SigmaFunction:
             return 0.0
         return self.fn(x, zeta)
 
-    def _x_deriv_ast(self, j: int) -> ex.Expr | None:
-        """d^j sigma / dx^j as an expression; None without an AST free of step(x)."""
-        if j not in self._xderiv_cache:
-            # the cached derivative of order j - 1, differentiated once
-            node = self.ast if j == 0 else self._x_deriv_ast(j - 1)
-            try:
-                node = ex.diff(node, "x") if j and node is not None else node
-            except ex.DiffError:
-                node = None
-            self._xderiv_cache[j] = [node, None]
-        return self._xderiv_cache[j][0]
+    def _x_deriv_ast(self, j: int) -> ex.Expr:
+        """d^j sigma / dx^j as an expression; MissingExpansionData without an AST free of step(x)."""
+        cache = self._xderiv_cache
+        if self.ast is None:
+            raise MissingExpansionData(f"x-derivative of order {j}: sigma has no expression")
+        for i in range(j + 1):  # each order the cached one below, differentiated once
+            if i not in cache:
+                try:
+                    cache[i] = [ex.diff(cache[i - 1][0], "x") if i else self.ast, None]
+                except ex.DiffError as e:
+                    raise MissingExpansionData(f"x-derivative of order {j}: {e}") from e
+        return cache[j][0]
 
     def x_deriv(self, j: int) -> Callable[[float, float], float]:
-        """d^j sigma / dx^j as a function of (x, zeta).
-
-        Without an expression to differentiate, finite differences answer
-        for j <= 2 only (:func:`asymfun.finite_difference`).
-        """
+        """d^j sigma / dx^j as a function of (x, zeta), from the expression (:meth:`_x_deriv_ast`)."""
         if j == 0:
             return self.__call__
         node = self._x_deriv_ast(j)
-        if node is None:
-            return finite_difference(self, j, self.x_support or (-math.inf, math.inf))
         entry = self._xderiv_cache[j]  # compiled once, beside its expression, with sigma's support hints
         if entry[1] is None:
             fn = ex.compile_expr(node, ("x", "zeta"))
@@ -167,9 +161,9 @@ class SigmaFunction:
         if self.zeta_vanishes_below is not None and self.zeta_vanishes_below > 0:
             inf_side = make_side([], 40.0, "infinity")
             support = (0.0, 1.0 / self.zeta_vanishes_below)
-        elif (node := self._x_deriv_ast(j)) is not None:
+        else:
             try:
-                cs = ex.taylor(node, "zeta", 0.0, 2, {"x": 0.0})
+                cs = ex.taylor(self._x_deriv_ast(j), "zeta", 0.0, 2, {"x": 0.0})
             except (ex.EvalError, ex.DiffError) as e:
                 raise MissingExpansionData(
                     f"small-argument Taylor data for boundary function j={j} "
@@ -177,11 +171,6 @@ class SigmaFunction:
                 ) from e
             inf_side = make_side([(-m, (c * scale,)) for m, c in enumerate(cs)], 1.0, "infinity")
             support = None
-        else:
-            raise MissingExpansionData(
-                f"no small-argument data for boundary function j={j}: "
-                "declare a vanishing cutoff or use a step-free expression"
-            )
         q = AsymFunction(fn=fn, exp0=make_side(zero_terms, order_zero, "zero"), exp_inf=inf_side, support=support)
         return SigmaTerm(complex(j), (q,))
 
@@ -401,11 +390,9 @@ def check_hypotheses(
     def coeff_deriv(c: AsymFunction, K: int, x: float) -> complex:
         if K == 0:
             return c(x)
-        if c.ast is not None:
-            return ex.taylor(c.ast, "x", x, K)[K] * factorial(K)
-        if K > 1:
+        if c.ast is None:
             raise ex.DiffError(f"no expression for derivative {K} of a term coefficient")
-        return finite_difference(c, K, (0.0, math.inf))(x)
+        return ex.taylor(c.ast, "x", x, K)[K] * factorial(K)
 
     terms = [term for term in sigma.terms if term.exponent.real > -p - 1]
     samples = [(zeta, x) for zeta in np.geomspace(1.0, zeta_max, n_grid) for x in np.geomspace(1e-3, zeta, 6)]

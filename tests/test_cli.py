@@ -238,15 +238,23 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_sal_past_the_finite_difference_limit_exits_3(tmp_path, capsys):
-    # step(5-x) blocks diff, so the z^-4 boundary term needs a 3rd finite difference
+def test_sal_with_a_step_in_x_exits_3(tmp_path, capsys):
+    # step(5-x) blocks diff, so the z^-2 boundary term has no x-derivative
     sigma = {
         "expr": "exp(-x)*exp(-zeta)*step(5-x)*step(zeta-0.001)", "order": 4,
         "xSupport": [0.0, 5.0], "zetaVanishesBelow": 0.001,
     }
     spec = write_spec(tmp_path / "fd.json", {"kind": "sal", "sigma": sigma})
     assert main(["run", spec]) == 3
-    assert "finite differences support at most 2" in capsys.readouterr().err
+    assert "x-derivative of order 1: cannot differentiate step()" in capsys.readouterr().err
+
+
+def test_pushforward_prediction_without_taylor_data_exits_3(tmp_path, capsys):
+    # sqrt(x) has no x-derivative at the axis x = 0
+    payload = {"kind": "pushforward", "density": {"expr": "sqrt(x)*exp(-y)"}, "tGrid": [0.1], "predictionOrder": 1}
+    spec = write_spec(tmp_path / "pf.json", payload)
+    assert main(["run", spec]) == 3
+    assert "0 raised to 0.5 has no derivative" in capsys.readouterr().err
 
 
 def test_failed_diagnostics_exit_4_with_report(tmp_path, capsys):

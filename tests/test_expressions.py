@@ -67,6 +67,26 @@ def test_evaluate_domain_errors():
             ex.evaluate(ex.parse(text), point)
 
 
+def test_power_past_the_float_range_is_infinite():
+    # as a product there is: the sign is negative only for a negative base and an odd power
+    cases = [
+        ("x^400", 10.0, math.inf),
+        ("x^401", -10.0, -math.inf),
+        ("x^400", -10.0, math.inf),
+        ("x^(-3)", -1e-200, -math.inf),
+        ("x^(-2)", -1e-200, math.inf),
+        ("x^(-2.5)", 1e-200, math.inf),
+    ]
+    for text, x, want in cases:
+        node = ex.parse(text)
+        assert ex.evaluate(node, {"x": x}) == want, text
+        assert ex.compile_expr(node, ("x",))(x) == want, text
+        assert ex.taylor(node, "x", x, 0) == [want], text
+    assert ex.evaluate(ex.parse("x*x*x"), {"x": -1e200}) == -math.inf  # the product it follows
+    # a quotient by an overflowed power is 0, not an OverflowError
+    assert ex.evaluate(ex.parse("exp(-x)/(1+x)^6"), {"x": 1e60}) == 0.0
+
+
 def test_step_is_right_continuous():
     node = ex.parse("step(x)")
     assert ex.evaluate(node, {"x": 0.0}) == 1.0

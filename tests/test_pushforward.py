@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from asympush.asymfun import from_expression, power_log_multiply, reg_integral
 from asympush.expansions import make_side
 from asympush.indexsets import complete, nullfaces
 from asympush.pushforward import (
+    Density2D,
     DivergentIntegral,
     F_pushforward,
     blowup_density_from_expression,
@@ -55,7 +56,7 @@ def test_out_of_range_t():
 
 def test_support_away_from_level_line():
     # support sits in [1,2]^2: the hyperbola xy = 0.5 misses it entirely
-    u = density_from_expression("step(x-1)*step(y-1)", box=(2.0, 2.0), smooth=False)
+    u = density_from_expression("step(x-1)*step(y-1)", box=(2.0, 2.0))
     assert push_xy(u, 0.5) == 0.0
 
 
@@ -84,9 +85,19 @@ def test_prediction_zero_density_empty():
 
 
 def test_prediction_rejects_nonsmooth():
-    u = density_from_expression("1", smooth=False)
-    with pytest.raises(ValueError):
-        sal_prediction_smooth(u, 1)
+    # the engine finds the Taylor data missing at an axis and raises a typed error
+    cases = [
+        ("sqrt(x)+1", ex.EvalError),
+        ("x^1.5*exp(-y)", ex.EvalError),
+        ("1/(x+y)", ex.EvalError),
+        ("step(x-1)*step(y-1)", ex.DiffError),
+    ]
+    for text, error in cases:
+        with pytest.raises(error):
+            sal_prediction_smooth(density_from_expression(text, box=(2.0, 2.0)), 1)
+    # a density with Taylor data at both axes needs no flag: u = 1 reads -ln t
+    pred = sal_prediction_smooth(density_from_expression("1"), 1)
+    assert pred.coefficient(0.0, 1) == pytest.approx(-1.0, abs=1e-12)
 
 
 def residual_decay(text, J, n_points):
@@ -300,9 +311,11 @@ def test_fiber_expansion_of_a_density_nonzero_at_the_corner():
 
 def test_blowup_density_adds_only_its_family():
     d = blowup_density_from_expression("x*y", smooth_family((1, 0)), box=(1.0, 2.0))
-    assert d.smooth and d.box == (1.0, 2.0)
+    assert d.box == (1.0, 2.0)
+    added = {f.name for f in fields(d)} - {f.name for f in fields(Density2D)}
+    assert added == {"family"}
     with pytest.raises(TypeError):
-        type(d)(d.ast, (1.0, 2.0), False, family=d.family)
+        type(d)(d.ast, (1.0, 2.0), d.family)
 
 
 def test_sigma_matches_product_form():

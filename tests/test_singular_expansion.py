@@ -84,6 +84,16 @@ def test_verify_expansion_residual_decay():
     assert vr.decay_exponent == pytest.approx(-4.0, abs=0.3)
 
 
+def test_expansion_through_an_overflowing_power():
+    # the 5th x-derivative holds (1+x+zeta)^-6, whose power passes the float
+    # range near y = 1/zeta = 0, where exp(-zeta) has made the term 0
+    text = "exp(-x-zeta)/(1+x+zeta)"
+    rep = asymptotic_expansion(sigma_from_expression(text, order=5), run_diagnostics=True)
+    assert rep.diagnostics.ok
+    vr = verify_expansion(rep.expansion, sigma_from_expression(text, order=5), [16.0, 32.0, 64.0, 128.0, 256.0])
+    assert vr.decay_exponent <= -5.7
+
+
 def test_verify_expansion_grid_validation():
     sig = sigma_from_expression("exp(-x)*exp(-zeta)", order=1)
     rep = asymptotic_expansion(sig)
@@ -120,7 +130,7 @@ def test_hypothesis_diagnostics_pass():
 
 
 def test_remainder_sampler_notes_coefficient_without_second_derivative():
-    # a term coefficient without an expression has no K=2 derivative; the
+    # a term coefficient without an expression has no K=1 or K=2 derivative; the
     # sampler must note the failed samples rather than read the derivative as 0,
     # once per (J, K) pair, and a pair with no sample left has no constant
     with_ast = schwartz("exp(-2*x)")
@@ -134,10 +144,10 @@ def test_remainder_sampler_notes_coefficient_without_second_derivative():
     assert not any("remainder sample failed" in n for n in diags[0].notes)
     assert diags[0].ok and not any(math.isnan(c) for c in diags[0].remainder_constants.values())
     failed = [n for n in diags[1].notes if "remainder sample failed" in n]
-    assert failed == [f"remainder sample failed at J={J} K=2" for J in range(3)]
+    assert failed == [f"remainder sample failed at J={J} K={K}" for J in range(3) for K in (1, 2)]
     assert not diags[1].ok
     for (J, K), c in diags[1].remainder_constants.items():
-        assert math.isnan(c) == (K == 2), (J, K)
+        assert math.isnan(c) == (K >= 1), (J, K)
 
 
 def test_remainder_constant_that_grows_with_zeta_fails():
@@ -170,30 +180,31 @@ def test_remainder_sampler_keeps_the_imaginary_part_of_exponents():
     assert all(abs(c) < 1e-9 for c in diag.remainder_constants.values())
 
 
-def test_finite_difference_derivative_stays_inside_the_support():
-    # step(5-x) blocks symbolic differentiation; at the edge x=0 of x_support
-    # the stencil must not read the zeros that the support puts at x < 0
-    sig = sigma_from_expression(
-        "exp(-x)*exp(-zeta)*step(5-x)*step(zeta-0.001)", order=2,
-        x_support=(0.0, 5.0), zeta_vanishes_below=0.001,
-    )
-    for x in (0.0, 0.002, 2.0, 5.0):
-        want = -math.exp(-x - 1.0)
-        assert sig.x_deriv(1)(x, 1.0) == pytest.approx(want, rel=1e-4), x
-    # the z^-2 coefficient is the regularized integral of zeta * d_x sigma(0, zeta)
-    assert asymptotic_expansion(sig).expansion.coefficient(-2.0, 0).real == pytest.approx(-1.0, abs=1e-4)
+def test_step_in_x_has_no_x_derivative():
+    # step(5-x) blocks symbolic differentiation, and derivatives read from
+    # samples would miss the default tol without saying so
+    def sig(order):
+        return sigma_from_expression(
+            "exp(-x)*exp(-zeta)*step(5-x)*step(zeta-0.001)", order=order,
+            x_support=(0.0, 5.0), zeta_vanishes_below=0.001,
+        )
+
+    assert sig(1).x_deriv(0)(2.0, 1.0) == pytest.approx(math.exp(-3.0), rel=1e-15)
+    with pytest.raises(MissingExpansionData, match="x-derivative of order 1: cannot differentiate step"):
+        sig(1).x_deriv(1)
+    # order 1 needs no derivative for its z^-1 term, but its remainder sampler does
+    assert asymptotic_expansion(sig(1)).expansion.coefficient(-1.0, 0).real == pytest.approx(math.exp(-0.001), abs=1e-9)
+    for order, diagnostics in ((1, True), (2, False)):
+        with pytest.raises(MissingExpansionData, match="x-derivative of order 1"):
+            asymptotic_expansion(sig(order), run_diagnostics=diagnostics)
 
 
-def test_finite_difference_derivative_stops_at_the_second():
-    # past j = 2 the stencil's error is no longer small: at (2, 1) it read
-    # 0.0679 for j = 4 against exp(-3) = 0.0498
-    sig = sigma_from_expression(
-        "exp(-x)*exp(-zeta)*step(5-x)*step(zeta-0.001)", order=4,
-        x_support=(0.0, 5.0), zeta_vanishes_below=0.001,
-    )
-    assert sig.x_deriv(2)(2.0, 1.0) == pytest.approx(math.exp(-3.0), rel=1e-8)
-    with pytest.raises(MissingExpansionData, match="order 3"):
-        sig.x_deriv(3)
+def test_sigma_without_an_expression_has_no_x_derivative():
+    sig = SigmaFunction(fn=lambda x, z: math.exp(-x - z), order=2, zeta_vanishes_below=0.001)
+    assert sig.x_deriv(0)(1.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+    for j in (1, 2):
+        with pytest.raises(MissingExpansionData, match=f"x-derivative of order {j}: sigma has no expression"):
+            sig.x_deriv(j)
 
 
 def test_x_derivatives_differentiate_the_cached_lower_order_once(monkeypatch):
@@ -213,7 +224,9 @@ def test_x_derivatives_differentiate_the_cached_lower_order_once(monkeypatch):
         assert got[j - 1] == ex.evaluate(node, {"x": 0.3, "zeta": 1.7})
     # step(x) blocks differentiation at every order from the first
     blocked = sigma_from_expression("exp(-zeta)*step(x-0.5)", order=2)
-    assert blocked._x_deriv_ast(0) is blocked.ast and blocked._x_deriv_ast(2) is None
+    assert blocked._x_deriv_ast(0) is blocked.ast
+    with pytest.raises(MissingExpansionData, match="x-derivative of order 2"):
+        blocked._x_deriv_ast(2)
 
 
 def test_hypothesis_diagnostics_detect_scaling_divergence():
