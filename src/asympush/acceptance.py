@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import expressions as ex
 from .asymfun import (
     AsymFunction,
@@ -92,6 +90,8 @@ def _criterion_1() -> tuple[bool, str]:
 
 
 def _criterion_2() -> tuple[bool, str]:
+    import numpy as np
+
     u0 = density_from_expression("1")
     worst = max(
         abs(push_xy(u0, t) + math.log(t)) for t in np.geomspace(1e-4, 0.5, 20)
@@ -176,6 +176,8 @@ def _criterion_5() -> tuple[bool, str]:
 
 
 def _criterion_6() -> tuple[bool, str]:
+    import numpy as np
+
     u = density_from_expression("exp(-x-y)")
     pred = sal_prediction_smooth(u, 3)
     ts = np.geomspace(1e-3, 1e-1, 12)
@@ -248,6 +250,8 @@ def _criterion_9() -> tuple[bool, str]:
 
 
 def _criterion_10() -> tuple[bool, str]:
+    import numpy as np
+
     u = density_from_expression("x")
     worst = max(
         abs(push_xy(u, t) - (1.0 - t)) for t in np.geomspace(1e-4, 0.9, 15)

@@ -44,6 +44,9 @@ class Expansion:
     _table: tuple[tuple[complex, tuple[complex, ...]], ...] = field(
         init=False, repr=False, compare=False
     )
+    # the terms grouped into runs (see _runs), or None when no run has two terms
+    _runs: tuple[tuple, ...] | None = field(init=False, repr=False, compare=False)
+    _sign: float = field(init=False, repr=False, compare=False)  # +1 at zero, -1 at infinity
 
     def __post_init__(self):
         if self.side not in ("zero", "infinity"):
@@ -70,6 +73,8 @@ class Expansion:
         object.__setattr__(
             self, "_table", tuple((t.exponent, t.poly.coeffs[::-1]) for t in self.terms)
         )
+        object.__setattr__(self, "_runs", _runs(self.terms, sign))
+        object.__setattr__(self, "_sign", sign)
 
     def poly_at(self, exponent: complex) -> LogPolynomial:
         for t in self.terms:
@@ -87,21 +92,90 @@ class Expansion:
     def at_log(self, L: float) -> complex:
         """The expansion at x = e^L.
 
-        The same operations in the same order as summing
-        ``cmath.exp(t.exponent * L) * t.poly(L)`` over the terms with ``sum``,
-        so the value is identical to the last bit; pure-power cancellation
-        in the subtracted integrands depends on that.
+        A run of terms a, a+1, a+2, ... at zero (a, a-1, ... at infinity) is
+        e^(aL) times a polynomial in y = e^L (e^-L at infinity) and L: one
+        Horner pass in y per log power, then one in L.  One ``math.exp``
+        gives y for every run, so a run costs one complex exponential
+        however many terms it holds.  A run of one term is evaluated as
+        ``cmath.exp(a * L) * p(L)``, and a side whose runs all hold one term
+        gives the sum of those over the terms, with ``sum``, to the last
+        bit; pure-power cancellation in the subtracted integrands depends on
+        that.  A longer run may differ from that sum in the last bits, as
+        e^((a+n)L) differs from e^(aL) y^n.  Where y would pass 1 (x > 1 at
+        zero, x < 1 at infinity) and could overflow, the terms are summed one
+        by one, as on a side without runs.
         """
-        if not self._table:
-            return 0j
+        runs = self._runs
+        if runs is None or L * self._sign > 0.0:
+            if not self._table:
+                return 0j
+            exp = cmath.exp
+            total = 0
+            for alpha, coeffs in self._table:
+                acc = 0j
+                for c in coeffs:
+                    acc = acc * L + c
+                total += exp(alpha * L) * acc
+            return total
         exp = cmath.exp
+        y = math.exp(L * self._sign)
         total = 0
-        for alpha, coeffs in self._table:
-            acc = 0j
-            for c in coeffs:
-                acc = acc * L + c
+        for alpha, columns in runs:
+            acc = None
+            for p, rest in columns:  # Horner in y per log power, then in L
+                for c in rest:
+                    p = p * y + c
+                acc = p if acc is None else acc * L + p
             total += exp(alpha * L) * acc
         return total
+
+
+# A run takes at most this many missing terms between two of its terms:
+# each costs one Horner step, and a new run one complex exponential.
+_MAX_GAP = 3
+
+
+def _runs(terms: Sequence[Term], sign: float) -> tuple[tuple, ...] | None:
+    """The terms, leading first, grouped into runs a, a + sign, a + 2 sign, ...
+
+    The exponents of a run share their imaginary part, and each differs from
+    the leading one a by exactly an integer in floating point, at most
+    _MAX_GAP + 1 past the run's last term so far.  A run is (a, columns):
+    one column per log power, from the top one down, each (first, rest)
+    with the coefficients of that power from the run's last term to its
+    leading one, 0 for a missing term, floats when all are real, and
+    (0.0, ()) when all are 0.  A run of one term has columns (0j, ()) and
+    then (c, ()) per coefficient, so that at_log makes the term sum's
+    operations.  None when no run holds two terms.
+    """
+    groups: list[list] = []  # [a, offset of the last term, {offset: coefficients}]
+    for t in terms:
+        e = t.exponent
+        for g in groups:
+            d = sign * (e.real - g[0].real)
+            if e.imag == g[0].imag and d.is_integer() and d - g[1] <= _MAX_GAP + 1:
+                g[1] = n = int(d)
+                g[2][n] = t.poly.coeffs
+                break
+        else:
+            groups.append([e, 0, {0: t.poly.coeffs}])
+    if len(groups) == len(terms):
+        return None
+    runs = []
+    for a, last, members in groups:
+        if not last:  # one term: acc = 0j, then Horner in L, as in the term sum
+            coeffs = members[0][::-1]
+            runs.append((a, ((0j, ()),) + tuple((c, ()) for c in coeffs)))
+            continue
+        rows = [members.get(n, ()) for n in range(last, -1, -1)]
+        columns = []
+        for k in range(max(map(len, rows)) - 1, -1, -1):
+            col = [r[k] if k < len(r) else 0j for r in rows]
+            if not any(c.imag for c in col):
+                col = [c.real for c in col]
+            columns.append((col[0], tuple(col[1:])) if any(col) else (0.0, ()))
+        runs.append((a, tuple(columns)))
+    return tuple(runs)
 
 
 def make_side(

@@ -21,6 +21,7 @@ import functools
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -502,6 +503,15 @@ def _power(a: float, c: float) -> float:
         return -math.inf if a < 0.0 and c % 2.0 == 1.0 else math.inf
 
 
+# the largest argument whose exp is finite
+_EXP_MAX = math.log(sys.float_info.max)
+
+
+def _exp(a: float) -> float:
+    # past the float range, as for a product; compile_expr inlines the same test
+    return math.inf if a > _EXP_MAX else math.exp(a)
+
+
 def _log(a: float) -> float:
     if a <= 0.0:
         raise EvalError(f"log of non-positive value {a}")
@@ -518,12 +528,15 @@ def _step(a: float) -> float:
     return 1.0 if a >= 0.0 else 0.0
 
 
-_CALLS = {"exp": math.exp, "log": _log, "sin": math.sin, "cos": math.cos, "sqrt": _sqrt, "step": _step}
+_CALLS = {"exp": _exp, "log": _log, "sin": math.sin, "cos": math.cos, "sqrt": _sqrt, "step": _step}
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power}
 _EMIT = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_divide({}, {})", "^": "_power({}, {})"}
-# the names an emitted function finds in its globals, besides its constants
+# the names an emitted function finds in its globals, besides its constants;
+# exp is emitted as _exp's range test inline (1e999 is the literal of inf),
+# which saves the frame of a call to _exp
 _ENV = {f"_{name}": fn for name, fn in _CALLS.items()}
-_ENV.update(_unbound=_unbound, _divide=_divide, _power=_power)
+_ENV.update(_unbound=_unbound, _divide=_divide, _power=_power, _exp=math.exp)
+_EMIT_EXP = f"1e999 if {{0}} > {_EXP_MAX!r} else _exp({{0}})"
 
 
 def evaluate(node: Expr, bindings: Bindings | None = None) -> float:
@@ -554,7 +567,7 @@ def evaluate(node: Expr, bindings: Bindings | None = None) -> float:
 
 
 # Distinct sources per benchmark pass (seed 901): at most 20 (41 in the first
-# spec-mix pass, selftest included), the longest 765 characters.
+# spec-mix pass, selftest included), the longest 838 characters.
 _CODE_CACHE_SIZE = 128
 
 
@@ -571,9 +584,10 @@ def compile_expr(node: Expr, params: Sequence[str]) -> Callable[..., float]:
     in the order of _postorder, so a subtree that diff shares is computed
     once per call.  Constants are passed by reference, not written into the
     source, and '/', '^', log and sqrt go through the checked primitives that
-    evaluate uses.  The function returns what evaluate returns at the same
-    bindings and raises where evaluate raises, at the same node: a name
-    outside params raises EvalError when the function is called, not here.
+    evaluate uses; exp is emitted as _exp's range test, inline.  The function
+    returns what evaluate returns at the same bindings and raises where
+    evaluate raises, at the same node: a name outside params raises
+    EvalError when the function is called, not here.
     A call of an unknown function (which parse never builds) is rejected here.
 
     The source therefore depends only on the shape of node: its operators,
@@ -606,7 +620,8 @@ def compile_expr(node: Expr, params: Sequence[str]) -> Callable[..., float]:
         elif cls is Call:
             if nd.func not in _CALLS:
                 raise EvalError(f"unknown function {nd.func!r}")
-            rhs = f"_{nd.func}({operand[id(nd.arg)]})"
+            arg = operand[id(nd.arg)]
+            rhs = _EMIT_EXP.format(arg) if nd.func == "exp" else f"_{nd.func}({arg})"
         elif nd.op in _EMIT:
             rhs = _EMIT[nd.op].format(operand[id(nd.left)], operand[id(nd.right)])
         else:
@@ -840,7 +855,7 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
             if nd.func == "sqrt":
                 return power(u, 0.5)
             if nd.func == "exp":
-                v[0] = math.exp(u[0])
+                v[0] = _exp(u[0])
                 for k in ks:
                     v[k] = dot(u, v, k)
                 return v

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import expressions as ex
 from .asymfun import from_expression
 from .expansions import Expansion, in_t
@@ -163,6 +161,8 @@ def fit_asymptotics(
     basis: Sequence[tuple[float, int]],
 ) -> FitResult:
     """Least squares of sampled values against the basis {t^a ln^b t}; warns above CONDITION_WARN."""
+    import numpy as np
+
     basis = tuple((float(a), int(b)) for a, b in basis)
     if len(samples) < 2 * len(basis):
         raise ValueError("need at least twice as many samples as basis elements")

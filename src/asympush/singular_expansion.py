@@ -36,8 +36,6 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import expressions as ex
 from .asymfun import (
     AsymFunction,
@@ -383,6 +381,8 @@ def check_hypotheses(
     Remainder constants are sampled for x^J d_x^K of the remainder, with J up
     to min(MAX_JK, max(p, 1)) and K up to min(MAX_JK, p).
     """
+    import numpy as np
+
     p, r = sigma.order, sigma.log_bound
     notes: list[str] = []
     ok = True
@@ -499,6 +499,8 @@ def verify_expansion(
     tol: float = DEFAULT_TOL,
 ) -> ResidualReport:
     """Compare the truncated expansion against direct quadrature on a z grid."""
+    import numpy as np
+
     if list(z_grid) != sorted(z_grid) or (z_grid and z_grid[0] < 2.0):
         raise ValueError("z grid must be increasing with entries >= 2")
     rows = []

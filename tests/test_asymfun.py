@@ -23,7 +23,7 @@ from asympush.asymfun import (
 )
 from asympush.expansions import Expansion, Term, make_side
 from asympush.logpoly import LogPolynomial
-from asympush.quadrature import quad_interval
+from asympush.quadrature import quad_01, quad_1inf, quad_interval
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -332,6 +332,75 @@ def test_side_evaluation_is_bit_identical_to_the_term_sum(raw, x):
     want = sum(cmath.exp(t.exponent * L) * t.poly(L) for t in side.terms)
     for got in (side(x), side.at_log(L)):
         assert got.real == want.real and got.imag == want.imag
+
+
+_coeff = st.tuples(st.integers(-3000, 3000), st.integers(-3000, 3000)).map(
+    lambda c: complex(c[0] / 1000, c[1] / 1000)
+)
+_run = st.tuples(
+    st.floats(0.0, 1.5),  # |Re| of the leading exponent
+    st.sampled_from([0.0, 0.0, 0.75, -0.75, 2.0]),  # Im(exponent), shared by the run
+    st.dictionaries(  # integer offset from the leading exponent -> coefficients of ln^0 ..
+        st.integers(0, 3),
+        st.one_of(
+            st.integers(-3000, 3000).filter(bool).map(lambda n: [n / 1000]),  # real, no log power
+            st.lists(_coeff, min_size=1, max_size=3).filter(lambda cs: cs[-1] != 0),
+        ),
+        min_size=1, max_size=4,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(_run, min_size=1, max_size=3),
+    st.sampled_from(["zero", "infinity"]),
+    st.floats(-200.0, 200.0),
+    st.booleans(),
+)
+def test_side_evaluation_by_runs_matches_the_term_sum(runs, side, L, conjugate):
+    # offsets 0..3 leave gaps; with conjugate, each complex run gets its conjugate run
+    sign = 1.0 if side == "zero" else -1.0
+    terms = []
+    for re, im, rows in runs:
+        for n, coeffs in rows.items():
+            a = complex(sign * (n - re), im)
+            terms.append((a, LogPolynomial(coeffs)))
+            if conjugate and im:
+                terms.append((a.conjugate(), LogPolynomial([complex(c).conjugate() for c in coeffs])))
+    e = make_side(terms, max(sign * a.real for a, _ in terms) + 1.0, side)
+    parts = [cmath.exp(t.exponent * L) * t.poly(L) for t in e.terms]
+    # relative to the terms' magnitudes: both sums lose as much to cancellation
+    assert abs(e.at_log(L) - sum(parts)) <= 1e-13 * sum(map(abs, parts))
+
+
+def test_integer_spaced_terms_form_runs():
+    # e^(-1.3x) x^-0.37: nine terms -0.37, 0.63, ..., one run without log powers
+    side = power_log_multiply(schwartz("exp(-1.3*x)", 8), -0.37).exp0
+    assert len(side.terms) == 9 and [r[0] for r in side._runs] == [-0.37 + 0j]
+    # a gap of three missing terms joins a run, a gap of four starts a new one
+    gapped = make_side([(0.5, [1.0]), (4.5, [2.0]), (9.5, [3.0])], 11.0, "zero")
+    assert [r[0] for r in gapped._runs] == [0.5 + 0j, 9.5 + 0j]
+    for L in (-30.0, -1.0, -1e-3, 0.0, 2.0):
+        want = sum(cmath.exp(t.exponent * L) * t.poly(L) for t in side.terms)
+        assert side.at_log(L) == pytest.approx(want, rel=1e-14, abs=0.0)
+    # no two terms an integer apart, so no runs: the terms are summed one by one
+    assert make_side([(0.5, [1.0]), (1.25, [2.0]), (2.5 + 1.0j, [1.0])], 4.0, "zero")._runs is None
+
+
+@pytest.mark.parametrize("alpha", [-2.5, -1.3, -1.0, -0.4, 0.7, -1.0 + 2.0j])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_pure_power_minus_its_side_is_zero_at_quadrature_nodes(alpha, k):
+    f = pure_power(alpha, k)
+    for side, quad in ((f.exp0, quad_01), (f.exp_inf, quad_1inf)):
+        seen = []
+
+        def remainder(x, side=side, seen=seen):
+            seen.append(f(x) - side.at_log(math.log(x)))
+            return seen[-1]
+
+        quad(remainder, 1e-10, u_max=60.0)
+        assert seen and all(v == 0 for v in seen)
 
 
 def test_empty_side_evaluates_to_complex_zero():

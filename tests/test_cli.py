@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -422,6 +423,59 @@ def test_main_shares_one_parser_across_calls(tmp_path, capsys):
     fresh = tmp_path / "fresh"
     _python(f"from asympush.cli import main; main(['run', {spec!r}, '--out', {str(fresh)!r}])")
     assert (fresh / "push.report.json").read_bytes() == (tmp_path / "push.report.json").read_bytes()
+
+
+def test_half_line_and_indexset_specs_load_no_numpy(tmp_path):
+    specs = {
+        "reg": {"kind": "reginteg", "function": EXP_FUNCTION},
+        "mel": {"kind": "mellin", "function": EXP_FUNCTION, "points": [[0.5, 1.0]], "finitePartAt": 0.0},
+        "sub": {"kind": "substitution", "function": ONE_OVER_ONE_PLUS_X, "t": [0.5, 2.0]},
+        "idx": {
+            "kind": "indexset",
+            "operation": "push",
+            "truncation": 5,
+            "sets": {"X0": [[0, 0, 0]], "Y0": [[0, 0, 0]]},
+            "matrix": {"facesX": ["X0", "Y0"], "facesY": ["T0"], "e": [[1], [1]]},
+        },
+    }
+    paths = [write_spec(tmp_path / f"{stem}.json", payload) for stem, payload in specs.items()]
+    code = (
+        "import contextlib, io, sys\n"
+        "from asympush.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['run', p, '--out', {str(tmp_path / 'out')!r}]) for p in {paths!r}]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    assert _python(code).strip() == "[0, 0, 0, 0] False"
+
+
+def test_mellin_spec_with_gapped_log_runs_matches_mpmath(tmp_path):
+    # x^-0.4 ln x / (1 + x^2), declared in runs spaced by 2 at both ends; its
+    # Mellin transform is d/dz of (pi/2) / sin(pi (z - 0.4) / 2)
+    mp = pytest.importorskip("mpmath")
+    spec = Path(__file__).resolve().parents[1] / "tools" / "log_term_specs" / "mellin_gapped_log_runs.json"
+    assert main(["run", str(spec), "--out", str(tmp_path), "--json-only"]) == 0
+    rep = read_report(tmp_path, "mellin_gapped_log_runs")
+    with mp.workdps(40):
+
+        def transform(w):  # at z = 0.4 + w
+            u = mp.pi * w / 2
+            return -(mp.pi / 2) ** 2 * mp.cos(u) / mp.sin(u) ** 2
+
+        # the closed form is the integral where it converges, 0.4 < Re z < 2.4
+        z = mp.mpf(1)
+        direct = mp.quad(lambda x: x ** (z - mp.mpf("1.4")) * mp.log(x) / (1 + x * x), [0, 1, mp.inf])
+        assert abs(direct - transform(z - mp.mpf("0.4"))) <= 1e-20
+        assert len(rep["points"]) == 6
+        for p in rep["points"]:
+            want = complex(transform(mp.mpc(*p["z"]) - mp.mpf("0.4")))
+            assert abs(complex(*p["value"]) - want) <= 1e-9 * max(1.0, abs(want)), p
+        # the double pole at z = 0.4: the constant Laurent coefficient
+        w = mp.mpf("1e-15")
+        want = float(transform(w) + 1 / w**2)
+    assert rep["finitePart"]["z"] == 0.4
+    assert rep["finitePart"]["value"][0] == pytest.approx(want, abs=1e-9)
+    assert rep["finitePart"]["value"][1] == 0.0
 
 
 def test_selftest_loads_no_numpy_random():

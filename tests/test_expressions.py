@@ -87,6 +87,23 @@ def test_power_past_the_float_range_is_infinite():
     assert ex.evaluate(ex.parse("exp(-x)/(1+x)^6"), {"x": 1e60}) == 0.0
 
 
+def test_exp_past_the_float_range_is_infinite():
+    cases = [
+        ("exp(x)", 1000.0, math.inf),
+        ("1/(1+exp(x))", 1000.0, 0.0),
+        ("exp(x)", 709.782712893384, 1.7976931348622732e308),  # the largest finite value
+        ("exp(x)", -1000.0, 0.0),
+    ]
+    for text, x, want in cases:
+        node = ex.parse(text)
+        assert ex.evaluate(node, {"x": x}) == want, text
+        assert ex.compile_expr(node, ("x",))(x) == want, text
+        assert ex.taylor(node, "x", x, 0) == [want], text
+    node = ex.parse("exp(x)")
+    assert math.isnan(ex.evaluate(node, {"x": math.nan}))
+    assert math.isnan(ex.compile_expr(node, ("x",))(math.nan))
+
+
 def test_step_is_right_continuous():
     node = ex.parse("step(x)")
     assert ex.evaluate(node, {"x": 0.0}) == 1.0
@@ -495,7 +512,8 @@ def test_compiled_source_is_unchanged(monkeypatch):
     density = ex.parse("exp(-0.5*x-1.2*y)*(1+0.3*x+0.7*x*y+1.1*y^2)")
     assert _emitted_source(monkeypatch, density, ("x", "y")) == (
         "def compiled(a0, a1):\n    t0 = -k9\n    t1 = float(a0)\n    t2 = t0 * t1\n"
-        "    t3 = float(a1)\n    t4 = k10 * t3\n    t5 = t2 - t4\n    t6 = _exp(t5)\n"
+        "    t3 = float(a1)\n    t4 = k10 * t3\n    t5 = t2 - t4\n"
+        "    t6 = 1e999 if t5 > 709.782712893384 else _exp(t5)\n"
         "    t7 = k12 * t1\n    t8 = k11 + t7\n    t9 = k13 * t1\n    t10 = t9 * t3\n"
         "    t11 = t8 + t10\n    t12 = _power(t3, k15)\n    t13 = k14 * t12\n"
         "    t14 = t11 + t13\n    t15 = t6 * t14\n    return t15\n"
