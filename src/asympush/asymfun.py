@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import expressions as ex
-from .expansions import Expansion, Term, make_side
+from .expansions import Expansion, Term, _typed, make_side
 from .logpoly import (
     EXPONENT_TOL,
     LogPolynomial,
@@ -97,6 +97,11 @@ class AsymFunction:
         return list(self.support) if self.support else []
 
 
+def _evaluator(f: AsymFunction) -> Callable[[float], complex]:
+    """f itself where a support cuts it off, else its compiled ``fn``, one call frame less."""
+    return f if f.support is not None else f.fn
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -127,11 +132,11 @@ def pure_power(alpha: complex, k: int = 0) -> AsymFunction:
     """x^alpha ln^k x with the single term declared on both sides."""
     alpha = complex(alpha)
     poly = LogPolynomial((0,) * k + (1,))
+    a, exp = _typed(alpha)
 
     def fn(x: float) -> complex:
         L = math.log(x)
-        v = cmath.exp(alpha * L) * L**k
-        return v.real if alpha.imag == 0 else v
+        return exp(a * L) * L**k
 
     return AsymFunction(
         fn=fn,
@@ -227,17 +232,18 @@ def _halves(f: AsymFunction, z: complex, tol: float) -> tuple[complex, complex]:
     p, q = f.exp0.order, f.exp_inf.order
     if not 1.0 - p < z.real < 1.0 + q:
         raise ValueError(f"z = {z} outside the continuation strip ({1.0 - p}, {1.0 + q})")
-    zm1 = z - 1.0
+    zm1, exp = _typed(z - 1.0)
     at0, at_inf = f.exp0.at_log, f.exp_inf.at_log
+    fx = _evaluator(f)
 
     # one log per node, shared by the subtracted side and the weight x^{z-1}
     def low_fn(x: float) -> complex:
         L = math.log(x)
-        return (f(x) - at0(L)) * cmath.exp(zm1 * L)
+        return (fx(x) - at0(L)) * exp(zm1 * L)
 
     def high_fn(x: float) -> complex:
         L = math.log(x)
-        return (f(x) - at_inf(L)) * cmath.exp(zm1 * L)
+        return (fx(x) - at_inf(L)) * exp(zm1 * L)
 
     # noise grows only on a side with terms: x^-s0 at zero, x^s1 at infinity
     g0 = g1 = 0.0
@@ -376,8 +382,9 @@ def rescale(f: AsymFunction, t: float) -> AsymFunction:
     support = None
     if f.support is not None:
         support = (f.support[0] / t, f.support[1] / t)
+    fx = _evaluator(f)
     return AsymFunction(
-        fn=lambda x: f(t * x),
+        fn=lambda x: fx(t * x),
         exp0=make_side(remap(f.exp0), f.exp0.order, "zero"),
         exp_inf=make_side(remap(f.exp_inf), f.exp_inf.order, "infinity"),
         support=support,
@@ -412,9 +419,12 @@ def power_log_multiply(f: AsymFunction, alpha: complex, j: int = 0) -> AsymFunct
     def shift(side: Expansion) -> list[tuple[complex, LogPolynomial]]:
         return [(t.exponent + alpha, t.poly.times_log_power(j)) for t in side.terms]
 
+    fx = _evaluator(f)
+    a, exp = _typed(alpha)
+
     def fn(x: float) -> complex:
         L = math.log(x)
-        return f(x) * cmath.exp(alpha * L) * L**j
+        return fx(x) * exp(a * L) * L**j
 
     return AsymFunction(
         fn=fn,

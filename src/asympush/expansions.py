@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .logpoly import EXPONENT_TOL, LogPolynomial
 
@@ -40,8 +40,8 @@ class Expansion:
     order: float
     side: str  # "zero" | "infinity"
     log_power: int = 0
-    # (exponent, coefficients from the top power down) per term, for evaluation
-    _table: tuple[tuple[complex, tuple[complex, ...]], ...] = field(
+    # (exponent and its exp as from _typed, coefficients from the top power down) per term
+    _table: tuple[tuple[complex, Callable, tuple[complex, ...]], ...] = field(
         init=False, repr=False, compare=False
     )
     # the terms grouped into runs (see _runs), or None when no run has two terms
@@ -70,9 +70,8 @@ class Expansion:
         for t in self.terms:
             if t.poly.is_zero:
                 raise ValueError(f"term at exponent {t.exponent} has zero polynomial")
-        object.__setattr__(
-            self, "_table", tuple((t.exponent, t.poly.coeffs[::-1]) for t in self.terms)
-        )
+        table = tuple((*_typed(t.exponent), _real(t.poly.coeffs[::-1])) for t in self.terms)
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_runs", _runs(self.terms, sign))
         object.__setattr__(self, "_sign", sign)
 
@@ -95,32 +94,31 @@ class Expansion:
         A run of terms a, a+1, a+2, ... at zero (a, a-1, ... at infinity) is
         e^(aL) times a polynomial in y = e^L (e^-L at infinity) and L: one
         Horner pass in y per log power, then one in L.  One ``math.exp``
-        gives y for every run, so a run costs one complex exponential
-        however many terms it holds.  A run of one term is evaluated as
-        ``cmath.exp(a * L) * p(L)``, and a side whose runs all hold one term
-        gives the sum of those over the terms, with ``sum``, to the last
-        bit; pure-power cancellation in the subtracted integrands depends on
-        that.  A longer run may differ from that sum in the last bits, as
-        e^((a+n)L) differs from e^(aL) y^n.  Where y would pass 1 (x > 1 at
-        zero, x < 1 at infinity) and could overflow, the terms are summed one
-        by one, as on a side without runs.
+        gives y for every run, so a run costs one exponential, ``math.exp``
+        for a real a, however many terms it holds; real data give a float,
+        the real part of the all-complex evaluation to the last bit.  A run
+        of one term is evaluated as ``exp(a * L) * p(L)``, and a side whose
+        runs all hold one term gives the sum of those over the terms, with
+        ``sum``, to the last bit; pure-power cancellation in the subtracted
+        integrands depends on that.  A longer run may differ from that sum
+        in the last bits, as e^((a+n)L) differs from e^(aL) y^n.  Where y
+        would pass 1 (x > 1 at zero, x < 1 at infinity) and could overflow,
+        the terms are summed one by one, as on a side without runs.
         """
         runs = self._runs
         if runs is None or L * self._sign > 0.0:
             if not self._table:
                 return 0j
-            exp = cmath.exp
             total = 0
-            for alpha, coeffs in self._table:
-                acc = 0j
+            for alpha, exp, coeffs in self._table:
+                acc = 0
                 for c in coeffs:
                     acc = acc * L + c
                 total += exp(alpha * L) * acc
             return total
-        exp = cmath.exp
         y = math.exp(L * self._sign)
         total = 0
-        for alpha, columns in runs:
+        for alpha, exp, columns in runs:
             acc = None
             for p, rest in columns:  # Horner in y per log power, then in L
                 for c in rest:
@@ -131,8 +129,18 @@ class Expansion:
 
 
 # A run takes at most this many missing terms between two of its terms:
-# each costs one Horner step, and a new run one complex exponential.
+# each costs one Horner step, and a new run one exponential.
 _MAX_GAP = 3
+
+
+def _typed(a: complex) -> tuple[complex | float, Callable]:
+    """The exponent, a float when real, and the exp to take it with."""
+    return (a.real, math.exp) if a.imag == 0 else (a, cmath.exp)
+
+
+def _real(coeffs: tuple[complex, ...]) -> tuple[complex | float, ...]:
+    """The coefficients, as floats when all are real."""
+    return coeffs if any(c.imag for c in coeffs) else tuple(c.real for c in coeffs)
 
 
 def _runs(terms: Sequence[Term], sign: float) -> tuple[tuple, ...] | None:
@@ -140,13 +148,13 @@ def _runs(terms: Sequence[Term], sign: float) -> tuple[tuple, ...] | None:
 
     The exponents of a run share their imaginary part, and each differs from
     the leading one a by exactly an integer in floating point, at most
-    _MAX_GAP + 1 past the run's last term so far.  A run is (a, columns):
-    one column per log power, from the top one down, each (first, rest)
-    with the coefficients of that power from the run's last term to its
-    leading one, 0 for a missing term, floats when all are real, and
-    (0.0, ()) when all are 0.  A run of one term has columns (0j, ()) and
-    then (c, ()) per coefficient, so that at_log makes the term sum's
-    operations.  None when no run holds two terms.
+    _MAX_GAP + 1 past the run's last term so far.  A run is (a, exp, columns)
+    with a and exp as from _typed: one column per log power, from the top
+    one down, each (first, rest) with the coefficients of that power from
+    the run's last term to its leading one, 0 for a missing term, floats
+    when all are real, and (0.0, ()) when all are 0.  A run of one term has
+    columns (0, ()) and then (c, ()) per coefficient, as in _table, so that
+    at_log makes the term sum's operations.  None when no run holds two terms.
     """
     groups: list[list] = []  # [a, offset of the last term, {offset: coefficients}]
     for t in terms:
@@ -163,18 +171,16 @@ def _runs(terms: Sequence[Term], sign: float) -> tuple[tuple, ...] | None:
         return None
     runs = []
     for a, last, members in groups:
-        if not last:  # one term: acc = 0j, then Horner in L, as in the term sum
-            coeffs = members[0][::-1]
-            runs.append((a, ((0j, ()),) + tuple((c, ()) for c in coeffs)))
+        if not last:  # one term: acc = 0, then Horner in L, as in the term sum
+            coeffs = _real(members[0][::-1])
+            runs.append((*_typed(a), ((0, ()),) + tuple((c, ()) for c in coeffs)))
             continue
         rows = [members.get(n, ()) for n in range(last, -1, -1)]
         columns = []
         for k in range(max(map(len, rows)) - 1, -1, -1):
-            col = [r[k] if k < len(r) else 0j for r in rows]
-            if not any(c.imag for c in col):
-                col = [c.real for c in col]
-            columns.append((col[0], tuple(col[1:])) if any(col) else (0.0, ()))
-        runs.append((a, tuple(columns)))
+            col = _real(tuple(r[k] if k < len(r) else 0j for r in rows))
+            columns.append((col[0], col[1:]) if any(col) else (0.0, ()))
+        runs.append((*_typed(a), tuple(columns)))
     return tuple(runs)
 
 

@@ -800,22 +800,29 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
     A subtree free of var is evaluated once, as a constant series.
     Raises EvalError where evaluate would and DiffError where diff would; a
     power of a series that vanishes at the point has coefficients only below
-    its exponent, unless that is a non-negative integer.
+    its exponent, unless that is a non-negative integer, and a power or log
+    whose value or argument overflows none past it.  Sums skip products with a zero factor, so
+    0 * inf, a NaN, never forms, and every finite sum keeps its bits.
     """
     b = {**(bindings or {}), var: at}
     ks = range(1, n + 1)
 
+    def conv(u, v, k, first=0):  # sum_{j=first..k} u_j v_{k-j}
+        return sum((u[j] * v[k - j] for j in range(first, k + 1) if u[j] and v[k - j]), 0.0)
+
     def mul(u, v):
-        return [sum(u[j] * v[k - j] for j in range(k + 1)) for k in range(n + 1)]
+        return [conv(u, v, k) for k in range(n + 1)]
 
     def dot(u, v, k):  # (1/k) sum_j j u_j v_{k-j}, the chain rule on series
-        return sum(j * u[j] * v[k - j] for j in ks[:k]) / k
+        return sum((j * u[j] * v[k - j] for j in ks[:k] if u[j] and v[k - j]), 0.0) / k
 
     def power(u, c):
         v = [_power(u[0], c) if u[0] else 1.0] + [0.0] * n
+        if n and math.isinf(v[0]):
+            raise EvalError(f"{u[0]} raised to {c} overflows: no Taylor coefficients past its value")
         if u[0]:
             for k in ks:
-                v[k] = ((c + 1.0) * dot(u, v, k) - sum(u[j] * v[k - j] for j in ks[:k])) / u[0]
+                v[k] = ((c + 1.0) * dot(u, v, k) - conv(u, v, k, 1)) / u[0]
         elif c == round(c) and c >= 0.0:  # u^c = O((var - at)^c): n + 1 factors suffice
             for _ in range(min(int(c), n + 1)):
                 v = mul(v, u)
@@ -836,7 +843,7 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
             raise EvalError("division by zero")
         w = [0.0] * (n + 1)
         for k in range(n + 1):
-            w[k] = (u[k] - sum(v[j] * w[k - j] for j in ks[:k])) / v[0]
+            w[k] = (u[k] - conv(v, w, k, 1)) / v[0]
         return w
 
     def expand(nd: Expr) -> list[float]:  # the series of nd from those of its operands in jets
@@ -860,6 +867,8 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
                     v[k] = dot(u, v, k)
                 return v
             if nd.func == "log":
+                if n and math.isinf(u[0]):
+                    raise EvalError(f"log of {u[0]}, an overflow: no Taylor coefficients past its value")
                 v[0] = _log(u[0])
                 for k in ks:
                     v[k] = (u[k] - dot(v, u, k)) / u[0]

@@ -40,6 +40,7 @@ from . import expressions as ex
 from .asymfun import (
     AsymFunction,
     MissingExpansionData,
+    _evaluator,
     power_log_multiply,
     reg_integral,
     schwartz,
@@ -241,8 +242,9 @@ def _multiple(source: AsymFunction, scale: complex, power: int = 1) -> _Multiple
         )
 
     near, far = (source.exp0, source.exp_inf)[::power]  # strip (1 - r0, 1 + r1) -> (-1 - r1, r0 - 1)
+    fx = _evaluator(source)
     return _Multiple(
-        lambda v: scale * source(v**power), side(near, "zero", 1 - power), side(far, "infinity", power - 1),
+        lambda v: scale * fx(v**power), side(near, "zero", 1 - power), side(far, "infinity", power - 1),
         source=source, scale=scale, power=power,
     )
 

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asympush import asymfun
 from asympush.asymfun import (
     AsymFunction,
     MissingExpansionData,
@@ -407,3 +408,94 @@ def test_empty_side_evaluates_to_complex_zero():
     side = make_side([], 1.0, "infinity")
     assert side(2.0) == 0j and isinstance(side(2.0), complex)
     assert side.at_log(0.5) == 0j and isinstance(side.at_log(0.5), complex)
+
+
+def _complex_at_log(e: Expansion, L: float) -> complex:
+    """at_log on the same terms and runs, every exponent and coefficient cast to complex."""
+    if e._runs is None or L * e._sign > 0.0:
+        total = 0
+        for alpha, _, coeffs in e._table:
+            acc = 0j
+            for c in coeffs:
+                acc = acc * L + complex(c)
+            total += cmath.exp(complex(alpha) * L) * acc
+        return total
+    y = math.exp(L * e._sign)
+    total = 0
+    for alpha, _, columns in e._runs:
+        acc = None
+        for p, rest in columns:
+            p = complex(p)
+            for c in rest:
+                p = p * y + complex(c)
+            acc = p if acc is None else acc * L + p
+        total += cmath.exp(complex(alpha) * L) * acc
+    return total
+
+
+_real_run = st.tuples(
+    st.floats(0.0, 1.5),  # |leading exponent|
+    st.dictionaries(  # integer offset from the leading exponent -> coefficients of ln^0 ..
+        st.integers(0, 3),
+        st.lists(st.integers(-3000, 3000).map(lambda n: n / 1000), min_size=1, max_size=3).filter(
+            lambda cs: cs[-1] != 0
+        ),
+        min_size=1, max_size=4,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_real_run, min_size=1, max_size=3), st.sampled_from(["zero", "infinity"]), st.floats(-200.0, 200.0))
+def test_real_side_is_a_float_bit_identical_to_the_complex_evaluation(runs, side, L):
+    # runs of up to four offsets and runs of one term; L > 0 at zero (< 0 at
+    # infinity) sums the terms one by one
+    sign = 1.0 if side == "zero" else -1.0
+    terms = [(sign * (n - re), LogPolynomial(cs)) for re, rows in runs for n, cs in rows.items()]
+    e = make_side(terms, max(sign * a for a, _ in terms) + 1.0, side)
+    got, want = e.at_log(L), _complex_at_log(e, L)
+    assert type(got) is float and want.imag == 0.0
+    assert got == want.real
+
+
+_REAL_DATA = [
+    pytest.param(lambda: pure_power(-0.4), (0.3, 1.0, 1.7), id="x^-0.4"),
+    pytest.param(lambda: pure_power(-2.5, 2), (1.0, 2.2), id="x^-2.5 ln^2 x"),
+    pytest.param(lambda: pure_power(0.7, 1), (0.1, 1.0), id="x^0.7 ln x"),
+    pytest.param(lambda: schwartz("exp(-x)", 8), (0.5, 1.0, 2.3), id="exp(-x)"),
+    pytest.param(lambda: schwartz("exp(-1.3*x)*cos(x)", 5), (-1.5, 1.0, 3.0), id="exp(-1.3x) cos x"),
+    pytest.param(lambda: power_log_multiply(schwartz("exp(-1.3*x)", 8), -0.37), (0.6, 1.0, 2.5), id="runs"),
+    pytest.param(lambda: power_log_multiply(schwartz("1/(1+x)^6", 4), 0.4, 1), (-0.1, 1.0), id="log runs"),
+]
+
+
+@pytest.mark.parametrize("build, zs", _REAL_DATA)
+def test_real_half_line_integrals_match_the_complex_integrand(build, zs, monkeypatch):
+    # each quad_01/quad_1inf call of reg_integral and of mellin at real z
+    # returns what the same call returns on the all-complex integrand
+    f = build()
+    calls = []
+
+    def recorded(quad):
+        def run(fn, tol, points=None, u_max=200.0):
+            calls.append((quad, tol, points, u_max, quad(fn, tol, points=points, u_max=u_max)))
+            return calls[-1][-1]
+        return run
+
+    monkeypatch.setattr(asymfun, "quad_01", recorded(quad_01))
+    monkeypatch.setattr(asymfun, "quad_1inf", recorded(quad_1inf))
+    for z in zs:
+        calls.clear()
+        if z == 1.0:
+            reg_integral(f)
+        else:
+            mellin(f, z)
+        assert [c[0] for c in calls] == [quad_01, quad_1inf]
+        zm1 = complex(z) - 1.0
+        for (quad, tol, points, u_max, got), side in zip(calls, (f.exp0, f.exp_inf)):
+
+            def old(x, side=side):
+                L = math.log(x)
+                return (f(x) - _complex_at_log(side, L)) * cmath.exp(zm1 * L)
+
+            assert got == quad(old, tol, points=points, u_max=u_max), (z, side.side)

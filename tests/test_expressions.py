@@ -104,6 +104,22 @@ def test_exp_past_the_float_range_is_infinite():
     assert math.isnan(ex.compile_expr(node, ("x",))(math.nan))
 
 
+def test_taylor_past_the_float_range_has_no_nan():
+    # e^1000/k! and e^1000 (1000/k! + 1/(k-1)!) are all +inf; 0 * inf would be NaN
+    for text in ("exp(x)", "x*exp(x)"):
+        assert ex.taylor(ex.parse(text), "x", 1000.0, 3) == [math.inf] * 4, text
+    # e^-1000 underflows in every coefficient
+    assert ex.taylor(ex.parse("1/(1+exp(x))"), "x", 1000.0, 3) == [0.0] * 4
+    # (1e200)^3 overflows, but its coefficient 3e200 of (x - 1e200)^2 does not
+    node = ex.parse("x^3")
+    assert ex.taylor(node, "x", 1e200, 0) == [math.inf]
+    with pytest.raises(ex.EvalError, match="overflows"):
+        ex.taylor(node, "x", 1e200, 3)
+    # log(e^1000) is 1000 with slope 1, but its argument read inf: inf/inf
+    with pytest.raises(ex.EvalError, match="overflow"):
+        ex.taylor(ex.parse("log(exp(x))"), "x", 1000.0, 1)
+
+
 def test_step_is_right_continuous():
     node = ex.parse("step(x)")
     assert ex.evaluate(node, {"x": 0.0}) == 1.0
