@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import expressions as ex
 from .asymfun import (
@@ -53,8 +52,7 @@ from .singular_expansion import (
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all"]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

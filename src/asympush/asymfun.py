@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import expressions as ex
+from ._record import Record
 from .expansions import Expansion, Term, _typed, make_side
 from .logpoly import (
     EXPONENT_TOL,
@@ -67,13 +67,16 @@ class MissingExpansionData(ValueError):
     """The function lacks declared data, or an expression to take derivatives of, that a result needs."""
 
 
-@dataclass(frozen=True)
-class AsymFunction:
-    fn: Callable[[float], complex]
-    exp0: Expansion
-    exp_inf: Expansion
-    support: tuple[float, float] | None = None
-    ast: ex.Expr | None = None
+class AsymFunction(Record):
+    __slots__ = ("fn", "exp0", "exp_inf", "support", "ast")
+
+    def __init__(self, fn: Callable[[float], complex], exp0: Expansion, exp_inf: Expansion,
+                 support: tuple[float, float] | None = None, ast: ex.Expr | None = None):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "exp0", exp0)
+        object.__setattr__(self, "exp_inf", exp_inf)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "ast", ast)
 
     def __call__(self, x: float) -> complex:
         if self.support is not None:
@@ -309,14 +312,12 @@ def reg_integral(f: AsymFunction, tol: float = DEFAULT_TOL) -> complex:
 # Mellin transform
 
 
-@dataclass(frozen=True)
-class MellinPole:
+class MellinPole(NamedTuple):
     location: complex
     order: int
 
 
-@dataclass(frozen=True)
-class MellinResult:
+class MellinResult(NamedTuple):
     value: complex | None  # None when z sits on a pole
     poles: tuple[MellinPole, ...]
 

@@ -18,61 +18,59 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from ._record import Record
 from .logpoly import EXPONENT_TOL, LogPolynomial
 
 __all__ = ["Term", "Expansion", "make_side", "in_t"]
 
 
-@dataclass(frozen=True)
-class Term:
-    exponent: complex
-    poly: LogPolynomial
+class Term(Record):
+    __slots__ = ("exponent", "poly")
+
+    def __init__(self, exponent: complex, poly: LogPolynomial):
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "poly", poly)
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(Record):
     """Finite expansion at one end, under the order convention of the module docstring."""
 
-    terms: tuple[Term, ...]
-    order: float
-    side: str  # "zero" | "infinity"
-    log_power: int = 0
-    # (exponent and its exp as from _typed, coefficients from the top power down) per term
-    _table: tuple[tuple[complex, Callable, tuple[complex, ...]], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    # the terms grouped into runs (see _runs), or None when no run has two terms
-    _runs: tuple[tuple, ...] | None = field(init=False, repr=False, compare=False)
-    _sign: float = field(init=False, repr=False, compare=False)  # +1 at zero, -1 at infinity
+    # _table: (exponent and its exp as from _typed, coefficients from the top power down) per term;
+    # _runs: the terms grouped into runs (see _runs), or None when no run has two terms;
+    # _sign: +1 at zero, -1 at infinity
+    __slots__ = ("terms", "order", "side", "log_power", "_table", "_runs", "_sign")
 
-    def __post_init__(self):
-        if self.side not in ("zero", "infinity"):
-            raise ValueError(f"side must be 'zero' or 'infinity', got {self.side!r}")
+    def __init__(self, terms: tuple[Term, ...], order: float, side: str, log_power: int = 0):
+        if side not in ("zero", "infinity"):
+            raise ValueError(f"side must be 'zero' or 'infinity', got {side!r}")
         # terms run from the leading one; terms of equal Re, such as a
         # conjugate pair, must differ in Im
-        exps = [t.exponent for t in self.terms]
-        sign = 1.0 if self.side == "zero" else -1.0
+        exps = [t.exponent for t in terms]
+        sign = 1.0 if side == "zero" else -1.0
         for a, b in zip(exps, exps[1:]):
             if sign * (b.real - a.real) < 0 or b == a:
                 raise ValueError(
-                    f"{self.side}-side exponents must run from the leading term and differ, "
+                    f"{side}-side exponents must run from the leading term and differ, "
                     f"got {a} before {b}"
                 )
         # the last term is the one nearest the remainder: it may not pass
         # v^(order-1) at zero or v^(-order-1) at infinity
-        if exps and sign * exps[-1].real > self.order - sign + EXPONENT_TOL:
+        if exps and sign * exps[-1].real > order - sign + EXPONENT_TOL:
             raise ValueError(
-                f"{self.side}-side exponent {exps[-1]} lies beyond the remainder of order {self.order}"
+                f"{side}-side exponent {exps[-1]} lies beyond the remainder of order {order}"
             )
-        for t in self.terms:
+        for t in terms:
             if t.poly.is_zero:
                 raise ValueError(f"term at exponent {t.exponent} has zero polynomial")
-        table = tuple((*_typed(t.exponent), _real(t.poly.coeffs[::-1])) for t in self.terms)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "log_power", log_power)
+        table = tuple((*_typed(t.exponent), _real(t.poly.coeffs[::-1])) for t in terms)
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_runs", _runs(self.terms, sign))
+        object.__setattr__(self, "_runs", _runs(terms, sign))
         object.__setattr__(self, "_sign", sign)
 
     def poly_at(self, exponent: complex) -> LogPolynomial:
@@ -86,7 +84,7 @@ class Expansion:
         return self.poly_at(exponent).coefficient(log_power)
 
     def __call__(self, x: float) -> complex:
-        return self.at_log(math.log(x)) if self._table else 0j
+        return self.at_log(math.log(x)) if self._table else 0.0
 
     def at_log(self, L: float) -> complex:
         """The expansion at x = e^L.
@@ -96,7 +94,9 @@ class Expansion:
         Horner pass in y per log power, then one in L.  One ``math.exp``
         gives y for every run, so a run costs one exponential, ``math.exp``
         for a real a, however many terms it holds; real data give a float,
-        the real part of the all-complex evaluation to the last bit.  A run
+        the real part of the all-complex evaluation to the last bit, and a
+        side with no terms gives 0.0, so that the subtracted integrand of a
+        real function stays real.  A run
         of one term is evaluated as ``exp(a * L) * p(L)``, and a side whose
         runs all hold one term gives the sum of those over the terms, with
         ``sum``, to the last bit; pure-power cancellation in the subtracted
@@ -108,7 +108,7 @@ class Expansion:
         runs = self._runs
         if runs is None or L * self._sign > 0.0:
             if not self._table:
-                return 0j
+                return 0.0
             total = 0
             for alpha, exp, coeffs in self._table:
                 acc = 0

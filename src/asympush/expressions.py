@@ -22,8 +22,9 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
+
+from ._record import Record
 
 __all__ = [
     "Expr",
@@ -67,7 +68,7 @@ class DiffError(ValueError):
     """Differentiation through step() w.r.t. an involved variable."""
 
 
-class _Node:
+class _Node(Record):
     """Structural == and hash of expression nodes, as loops over _postorder.
 
     A subtree shared by identity is compared and hashed once, and a tree of
@@ -117,32 +118,42 @@ def _shape_number(node: "Expr", shapes: dict) -> int:
     return number[id(node)]
 
 
-@dataclass(frozen=True, eq=False)
 class Num(_Node):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True, eq=False)
 class Var(_Node):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True, eq=False)
 class Neg(_Node):
-    arg: "Expr"
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True, eq=False)
 class BinOp(_Node):
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):  # op is one of + - * / ^
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False)
 class Call(_Node):
-    func: str
-    arg: "Expr"
+    __slots__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: Expr):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "arg", arg)
 
 
 Expr = Num | Var | Neg | BinOp | Call
@@ -524,19 +535,34 @@ def _sqrt(a: float) -> float:
     return math.sqrt(a)
 
 
+def _overflow(func: str, a: float):
+    raise EvalError(f"{func} of {a}, an overflow: no value past the float range")
+
+
+def _sin(a: float) -> float:
+    return _overflow("sin", a) if math.isinf(a) else math.sin(a)
+
+
+def _cos(a: float) -> float:
+    return _overflow("cos", a) if math.isinf(a) else math.cos(a)
+
+
 def _step(a: float) -> float:
     return 1.0 if a >= 0.0 else 0.0
 
 
-_CALLS = {"exp": _exp, "log": _log, "sin": math.sin, "cos": math.cos, "sqrt": _sqrt, "step": _step}
+_CALLS = {"exp": _exp, "log": _log, "sin": _sin, "cos": _cos, "sqrt": _sqrt, "step": _step}
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power}
 _EMIT = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_divide({}, {})", "^": "_power({}, {})"}
 # the names an emitted function finds in its globals, besides its constants;
-# exp is emitted as _exp's range test inline (1e999 is the literal of inf),
-# which saves the frame of a call to _exp
+# exp, sin and cos are emitted as the range tests of _exp, _sin and _cos
+# inline (1e999 is the literal of inf), which saves the frame of a wrapper
 _ENV = {f"_{name}": fn for name, fn in _CALLS.items()}
-_ENV.update(_unbound=_unbound, _divide=_divide, _power=_power, _exp=math.exp)
-_EMIT_EXP = f"1e999 if {{0}} > {_EXP_MAX!r} else _exp({{0}})"
+_ENV.update(_unbound=_unbound, _divide=_divide, _power=_power, _overflow=_overflow)
+_ENV.update(_exp=math.exp, _sin=math.sin, _cos=math.cos)
+_EMIT_CALL = {name: f"_{name}({{0}})" for name in _CALLS}
+_EMIT_CALL["exp"] = f"1e999 if {{0}} > {_EXP_MAX!r} else _exp({{0}})"
+_EMIT_CALL.update({f: f"_{f}({{0}}) if -1e999 != {{0}} != 1e999 else _overflow({f!r}, {{0}})" for f in ("sin", "cos")})
 
 
 def evaluate(node: Expr, bindings: Bindings | None = None) -> float:
@@ -584,7 +610,7 @@ def compile_expr(node: Expr, params: Sequence[str]) -> Callable[..., float]:
     in the order of _postorder, so a subtree that diff shares is computed
     once per call.  Constants are passed by reference, not written into the
     source, and '/', '^', log and sqrt go through the checked primitives that
-    evaluate uses; exp is emitted as _exp's range test, inline.  The function
+    evaluate uses; exp, sin and cos are emitted as their range tests, inline.  The function
     returns what evaluate returns at the same bindings and raises where
     evaluate raises, at the same node: a name outside params raises
     EvalError when the function is called, not here.
@@ -620,8 +646,7 @@ def compile_expr(node: Expr, params: Sequence[str]) -> Callable[..., float]:
         elif cls is Call:
             if nd.func not in _CALLS:
                 raise EvalError(f"unknown function {nd.func!r}")
-            arg = operand[id(nd.arg)]
-            rhs = _EMIT_EXP.format(arg) if nd.func == "exp" else f"_{nd.func}({arg})"
+            rhs = _EMIT_CALL[nd.func].format(operand[id(nd.arg)])
         elif nd.op in _EMIT:
             rhs = _EMIT[nd.op].format(operand[id(nd.left)], operand[id(nd.right)])
         else:
@@ -875,6 +900,8 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
                 return v
             if nd.func not in ("sin", "cos"):
                 raise EvalError(f"unknown function {nd.func!r}")
+            if math.isinf(u[0]):
+                _overflow(nd.func, u[0])
             s, c = [math.sin(u[0])] + v[1:], [math.cos(u[0])] + v[1:]
             for k in ks:
                 s[k], c[k] = dot(u, c, k), -dot(u, s, k)

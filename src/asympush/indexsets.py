@@ -13,9 +13,10 @@ this module needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
+from typing import NamedTuple
 
+from ._record import Record
 from .logpoly import EXPONENT_TOL
 
 __all__ = [
@@ -36,17 +37,28 @@ __all__ = [
 DEFAULT_TRUNCATION = 5.0
 
 
-@dataclass(frozen=True, order=True)
-class IndexEntry:
-    """One allowed term: exponent alpha (stored as re/im) and log power k."""
+class IndexEntry(Record):
+    """One allowed term: exponent alpha (stored as re/im) and log power k, ordered as (re, im, k)."""
 
-    re: float
-    im: float
-    k: int
+    __slots__ = ("re", "im", "k")
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(self, re: float, im: float, k: int):
+        if k < 0:
             raise ValueError("log power must be nonnegative")
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "k", k)
+
+    # inline tuples, no helper: sorted calls __lt__ ~1M times per hard-depth pass; > and >= reflect these
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.re, self.im, self.k) < (other.re, other.im, other.k)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.re, self.im, self.k) <= (other.re, other.im, other.k)
+        return NotImplemented
 
     @property
     def alpha(self) -> complex:
@@ -73,8 +85,7 @@ def _dedup(entries, tol: float) -> tuple[IndexEntry, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(NamedTuple):
     """Materialized index set: entries with Re alpha < truncation, sorted."""
 
     entries: tuple[IndexEntry, ...]
@@ -149,22 +160,26 @@ def extended_union(K: IndexSet, I: IndexSet, tol: float = EXPONENT_TOL) -> Index
     return complete(out, N)
 
 
-@dataclass(frozen=True)
-class ExponentMatrix:
-    """e[i][j] = order with which target face faces_y[j] pulls back at faces_x[i]."""
-
+class _Matrix(NamedTuple):
     faces_x: tuple[str, ...]
     faces_y: tuple[str, ...]
     e: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if len(self.e) != len(self.faces_x):
+
+class ExponentMatrix(_Matrix):
+    """e[i][j] = order with which target face faces_y[j] pulls back at faces_x[i]."""
+
+    __slots__ = ()
+
+    def __new__(cls, faces_x: tuple[str, ...], faces_y: tuple[str, ...], e: tuple[tuple[int, ...], ...]):
+        if len(e) != len(faces_x):
             raise ValueError("exponent matrix must have one row per source face")
-        for row in self.e:
-            if len(row) != len(self.faces_y):
+        for row in e:
+            if len(row) != len(faces_y):
                 raise ValueError("exponent matrix must have one column per target face")
             if any((not isinstance(v, int)) or v < 0 for v in row):
                 raise ValueError("exponent matrix entries must be nonnegative integers")
+        return super().__new__(cls, faces_x, faces_y, e)
 
     def entry(self, G: str, H: str) -> int:
         return self.e[self.faces_x.index(G)][self.faces_y.index(H)]
@@ -183,8 +198,7 @@ def nullfaces(matrix: ExponentMatrix) -> set[str]:
     }
 
 
-@dataclass(frozen=True)
-class PushForwardResult:
+class PushForwardResult(NamedTuple):
     family: IndexFamily
     notes: tuple[str, ...] = ()
 
@@ -230,8 +244,7 @@ def push_index_family(
     return PushForwardResult(out, tuple(notes))
 
 
-@dataclass(frozen=True)
-class IntegrabilityReport:
+class IntegrabilityReport(NamedTuple):
     ok: bool
     violations: tuple[tuple[str, IndexEntry], ...] = ()
 

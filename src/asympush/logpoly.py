@@ -10,8 +10,9 @@ building blocks of regularized integration and Mellin continuation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb
+
+from ._record import Record
 
 __all__ = [
     "LogPolynomial",
@@ -33,11 +34,10 @@ class PoleError(ZeroDivisionError):
     """Moment requested at (or too close to) the pole alpha = -1."""
 
 
-@dataclass(frozen=True)
-class LogPolynomial:
+class LogPolynomial(Record):
     """Polynomial sum(coeffs[i] * L**i); the zero polynomial has no coefficients."""
 
-    coeffs: tuple[complex, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = [complex(c) for c in coeffs]

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from math import factorial
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 from . import expressions as ex
+from ._record import Record
 from .asymfun import from_expression
 from .expansions import Expansion, in_t
 from .indexsets import (
@@ -51,8 +51,7 @@ class DivergentIntegral(RuntimeError):
     """A monitored singular integral failed to converge near a boundary face."""
 
 
-@dataclass(frozen=True)
-class Density2D:
+class Density2D(Record):
     """Density u(x, y) dx dy on the box [0, X] x [0, Y].
 
     The stored expression is the smooth part; the box cut-off is applied at
@@ -60,18 +59,18 @@ class Density2D:
     origin, where all boundary Taylor data is taken).
     """
 
-    ast: ex.Expr
-    box: tuple[float, float] = (1.0, 1.0)
-    _fn: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
+    __slots__ = ("ast", "box", "_fn")
 
-    def __post_init__(self):
-        X, Y = self.box
+    def __init__(self, ast: ex.Expr, box: tuple[float, float] = (1.0, 1.0)):
+        X, Y = box
         if not (X > 0 and Y > 0):
             raise ValueError("support box must have positive side lengths")
-        extra = ex.free_vars(self.ast) - {"x", "y"}
+        extra = ex.free_vars(ast) - {"x", "y"}
         if extra:
             raise ValueError(f"density has free variables besides x, y: {sorted(extra)}")
-        object.__setattr__(self, "_fn", ex.compile_expr(self.ast, ("x", "y")))
+        object.__setattr__(self, "ast", ast)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "_fn", ex.compile_expr(ast, ("x", "y")))
 
     def __call__(self, x: float, y: float) -> float:
         X, Y = self.box
@@ -147,8 +146,7 @@ def sal_prediction_smooth(u: Density2D, J: int, tol: float = DEFAULT_TOL) -> Exp
 CONDITION_WARN = 1e8  # condition number above which fit_asymptotics warns
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     basis: tuple[tuple[float, int], ...]
     coefficients: tuple[float, ...]
     residual: float  # rms over the sample grid
@@ -189,7 +187,6 @@ def fit_asymptotics(
 # the blow-up model
 
 
-@dataclass(frozen=True)
 class BlowupDensity(Density2D):
     """Coefficient u_A of a logarithmic density on the blown-up quadrant.
 
@@ -199,14 +196,14 @@ class BlowupDensity(Density2D):
     boundary faces G1, G2, G3.  Evaluation is that of :class:`Density2D`.
     """
 
-    box: tuple[float, float] = (1.0, math.inf)
-    family: IndexFamily = field(kw_only=True)
+    __slots__ = ("family",)
 
-    def __post_init__(self):
-        super().__post_init__()
-        missing = [G for G in ("G1", "G2", "G3") if G not in self.family]
+    def __init__(self, ast: ex.Expr, box: tuple[float, float] = (1.0, math.inf), *, family: IndexFamily):
+        super().__init__(ast, box)
+        missing = [G for G in ("G1", "G2", "G3") if G not in family]
         if missing:
             raise ValueError(f"index family must cover faces G1, G2, G3; missing {missing}")
+        object.__setattr__(self, "family", family)
 
     def u_B(self, zeta: float, t: float) -> float:
         """The same coefficient in the (zeta, t) chart."""
@@ -306,8 +303,7 @@ def F_pushforward(d: BlowupDensity, t: float, tol: float = DEFAULT_TOL) -> float
 CONDC_LEVELS = 26  # dyadic shells of condition_C_check toward the front face
 
 
-@dataclass(frozen=True)
-class ConditionCReport:
+class ConditionCReport(NamedTuple):
     """Sampled front-face boundedness check next to the index-set verdict."""
 
     values: dict  # (p, t) -> integral value, math.inf when divergent

@@ -32,11 +32,11 @@ remainder constants and probe the integrability conditions numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import expressions as ex
+from ._record import Record
 from .asymfun import (
     AsymFunction,
     MissingExpansionData,
@@ -74,8 +74,7 @@ class HypothesisFailure(RuntimeError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class SigmaTerm:
+class SigmaTerm(NamedTuple):
     """One declared term: zeta^exponent * sum_i coeffs[i](x) ln^i zeta at zeta = inf,
     or, on the x side, x^exponent * sum_i coeffs[i](1/zeta) ln^i x at x = 0."""
 
@@ -83,21 +82,36 @@ class SigmaTerm:
     coeffs: tuple[AsymFunction, ...]
 
 
-@dataclass
-class SigmaFunction:
-    fn: Callable[[float, float], float]
-    order: int  # p: expansion depth (a separable sigma's is the order q of its t-expansion)
-    terms: tuple[SigmaTerm, ...] = ()
-    log_bound: int = 0  # r: log power allowed in the remainder
-    ast: ex.Expr | None = None  # in variables x, zeta
-    x_support: tuple[float, float] | None = None
-    # sigma vanishes for zeta below this cutoff (support hint); when absent
-    # and the AST is step-free, small-zeta data is derived by Taylor expansion
-    zeta_vanishes_below: float | None = None
-    # declared x = 0 terms, coefficients in y = 1/zeta; None: sigma is smooth
-    # in x, and boundary_function builds them from its Taylor data
-    x_terms: tuple[SigmaTerm, ...] | None = None
-    _xderiv_cache: dict = field(default_factory=dict, repr=False)  # j -> [expression, SigmaFunction of it]
+class SigmaFunction(Record):
+    __slots__ = (
+        "fn", "order", "terms", "log_bound", "ast", "x_support", "zeta_vanishes_below", "x_terms",
+        "_xderiv_cache",  # j -> [expression, SigmaFunction of it]
+    )
+
+    def __init__(
+        self,
+        fn: Callable[[float, float], float],
+        order: int,  # p: expansion depth (a separable sigma's is the order q of its t-expansion)
+        terms: tuple[SigmaTerm, ...] = (),
+        log_bound: int = 0,  # r: log power allowed in the remainder
+        ast: ex.Expr | None = None,  # in variables x, zeta
+        x_support: tuple[float, float] | None = None,
+        # sigma vanishes for zeta below this cutoff (support hint); when absent
+        # and the AST is step-free, small-zeta data is derived by Taylor expansion
+        zeta_vanishes_below: float | None = None,
+        # declared x = 0 terms, coefficients in y = 1/zeta; None: sigma is smooth
+        # in x, and boundary_function builds them from its Taylor data
+        x_terms: tuple[SigmaTerm, ...] | None = None,
+    ):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "log_bound", log_bound)
+        object.__setattr__(self, "ast", ast)
+        object.__setattr__(self, "x_support", x_support)
+        object.__setattr__(self, "zeta_vanishes_below", zeta_vanishes_below)
+        object.__setattr__(self, "x_terms", x_terms)
+        object.__setattr__(self, "_xderiv_cache", {})
 
     def __call__(self, x: float, zeta: float) -> float:
         if self.x_support is not None:
@@ -202,8 +216,7 @@ def sigma_from_expression(
 # the central expansion
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     expansion: Expansion
     diagnostics: "HypothesisDiagnostics | None" = None
     notes: tuple[str, ...] = ()
@@ -223,15 +236,19 @@ def _corner_log(terms: list, at: complex, poly: LogPolynomial, power: int, sign:
             terms.append((at, [c * sign**m * a for m, a in enumerate(base.antiderivative().coeffs)]))
 
 
-@dataclass(frozen=True)
 class _Multiple(AsymFunction):
     """scale * source(v^power), power 1 or -1, with the source's expansions; :func:`_moment` takes
     its moments on the source, where the data lives: source(1/y) and the swapped terms do not
     cancel to the last bit, and the cut-off of a subtracted integral amplifies the rest."""
 
-    source: AsymFunction | None = None
-    scale: complex = 1.0
-    power: int = 1
+    __slots__ = ("source", "scale", "power")
+
+    def __init__(self, fn, exp0, exp_inf, support=None, ast=None, source: AsymFunction | None = None,
+                 scale: complex = 1.0, power: int = 1):
+        super().__init__(fn, exp0, exp_inf, support, ast)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "power", power)
 
 
 def _multiple(source: AsymFunction, scale: complex, power: int = 1) -> _Multiple:
@@ -363,8 +380,7 @@ def corollary_expansion(phi: str | ex.Expr, f: AsymFunction, q: float, tol: floa
 MAX_JK = 2  # highest power x^J and x-derivative d_x^K of the sampled remainder
 
 
-@dataclass(frozen=True)
-class HypothesisDiagnostics:
+class HypothesisDiagnostics(NamedTuple):
     remainder_constants: dict  # (J, K) -> sampled constant
     boundary_integrals: dict  # j -> value or math.inf
     growth_model: str  # "constant" | "log" | "power" | "n/a"
@@ -471,8 +487,7 @@ def check_hypotheses(
     )
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     rows: tuple[tuple[float, float, float, float], ...]  # z, direct, predicted, |residual|
     decay_exponent: float | None
     log_power: float | None

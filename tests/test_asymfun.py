@@ -404,10 +404,23 @@ def test_pure_power_minus_its_side_is_zero_at_quadrature_nodes(alpha, k):
         assert seen and all(v == 0 for v in seen)
 
 
-def test_empty_side_evaluates_to_complex_zero():
+def test_empty_side_evaluates_to_real_zero(monkeypatch):
     side = make_side([], 1.0, "infinity")
-    assert side(2.0) == 0j and isinstance(side(2.0), complex)
-    assert side.at_log(0.5) == 0j and isinstance(side.at_log(0.5), complex)
+    assert side(2.0) == 0.0 and type(side(2.0)) is float
+    assert side.at_log(0.5) == 0.0 and type(side.at_log(0.5)) is float
+    # so the [1, inf) half of a schwartz function integrates real values at real z
+    seen = []
+
+    def recording(fn, *args, **kwargs):
+        seen.append(type(fn(2.0)))
+        return quad_1inf(fn, *args, **kwargs)
+
+    monkeypatch.setattr(asymfun, "quad_1inf", recording)
+    f = schwartz("exp(-x)")
+    assert reg_integral(f) == pytest.approx(1.0, abs=1e-12)
+    assert mellin(f, 2.5).value == pytest.approx(math.gamma(2.5), abs=1e-12)
+    mellin(f, 2.5 + 1j)  # a complex z still gives complex values
+    assert seen == [float, float, complex]
 
 
 def _complex_at_log(e: Expansion, L: float) -> complex:

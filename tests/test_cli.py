@@ -478,6 +478,13 @@ def test_mellin_spec_with_gapped_log_runs_matches_mpmath(tmp_path):
     assert rep["finitePart"]["value"][1] == 0.0
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the value types are slotted classes and NamedTuples: importing the
+    # package generates no dataclass code
+    code = "import sys\nimport asympush.cli\nprint(sorted(m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules))\n"
+    assert _python(code).strip() == "[]"
+
+
 def test_selftest_loads_no_numpy_random():
     code = (
         "import contextlib, io, sys\n"

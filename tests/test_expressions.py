@@ -104,6 +104,27 @@ def test_exp_past_the_float_range_is_infinite():
     assert math.isnan(ex.compile_expr(node, ("x",))(math.nan))
 
 
+@pytest.mark.parametrize("text, func", [("sin(exp(x))", "sin"), ("cos(exp(x))", "cos"), ("sin(-exp(x))", "sin"),
+                                        ("cos(x*exp(x))", "cos")])
+def test_sin_and_cos_of_an_overflow_raise_eval_error(text, func):
+    # sin(inf) has no value: a typed EvalError in every path, not math's ValueError
+    node = ex.parse(text)
+    calls = (
+        lambda: ex.evaluate(node, {"x": 1000.0}),
+        lambda: ex.compile_expr(node, ("x",))(1000.0),
+        lambda: ex.taylor(node, "x", 1000.0, 0),
+        lambda: ex.taylor(node, "x", 1000.0, 2),
+    )
+    for call in calls:
+        with pytest.raises(ex.EvalError, match=f"^{func} of -?inf, an overflow"):
+            call()
+    # below the overflow, and at a NaN, the three paths still agree with math
+    for x in (700.0, math.nan):
+        want = ex.evaluate(node, {"x": x})
+        got = ex.compile_expr(node, ("x",))(x)
+        assert got == want or math.isnan(got) and math.isnan(want)
+
+
 def test_taylor_past_the_float_range_has_no_nan():
     # e^1000/k! and e^1000 (1000/k! + 1/(k-1)!) are all +inf; 0 * inf would be NaN
     for text in ("exp(x)", "x*exp(x)"):
@@ -527,26 +548,27 @@ def _emitted_source(monkeypatch, node, params):
 def test_compiled_source_is_unchanged(monkeypatch):
     density = ex.parse("exp(-0.5*x-1.2*y)*(1+0.3*x+0.7*x*y+1.1*y^2)")
     assert _emitted_source(monkeypatch, density, ("x", "y")) == (
-        "def compiled(a0, a1):\n    t0 = -k9\n    t1 = float(a0)\n    t2 = t0 * t1\n"
-        "    t3 = float(a1)\n    t4 = k10 * t3\n    t5 = t2 - t4\n"
+        "def compiled(a0, a1):\n    t0 = -k10\n    t1 = float(a0)\n    t2 = t0 * t1\n"
+        "    t3 = float(a1)\n    t4 = k11 * t3\n    t5 = t2 - t4\n"
         "    t6 = 1e999 if t5 > 709.782712893384 else _exp(t5)\n"
-        "    t7 = k12 * t1\n    t8 = k11 + t7\n    t9 = k13 * t1\n    t10 = t9 * t3\n"
-        "    t11 = t8 + t10\n    t12 = _power(t3, k15)\n    t13 = k14 * t12\n"
+        "    t7 = k13 * t1\n    t8 = k12 + t7\n    t9 = k14 * t1\n    t10 = t9 * t3\n"
+        "    t11 = t8 + t10\n    t12 = _power(t3, k16)\n    t13 = k15 * t12\n"
         "    t14 = t11 + t13\n    t15 = t6 * t14\n    return t15\n"
     )
     shared = ex.diff(ex.parse("x*log(x)/sqrt(1+y)-step(y)*z"), "x")
     assert _emitted_source(monkeypatch, shared, ("x", "y")) == (
         "def compiled(a0, a1):\n    t0 = float(a0)\n    t1 = _log(t0)\n"
-        "    t2 = _divide(k9, t0)\n    t3 = t0 * t2\n    t4 = t1 + t3\n    t5 = float(a1)\n"
-        "    t6 = k10 + t5\n    t7 = _sqrt(t6)\n    t8 = t4 * t7\n    t9 = _power(t7, k11)\n"
+        "    t2 = _divide(k10, t0)\n    t3 = t0 * t2\n    t4 = t1 + t3\n    t5 = float(a1)\n"
+        "    t6 = k11 + t5\n    t7 = _sqrt(t6)\n    t8 = t4 * t7\n    t9 = _power(t7, k12)\n"
         "    t10 = _divide(t8, t9)\n    return t10\n"
     )
     unbound = ex.parse("step(x)*z+sin(x)-cos(y)/x+x")
     assert _emitted_source(monkeypatch, unbound, ("x", "y")) == (
         "def compiled(a0, a1):\n    t0 = float(a0)\n    t1 = _step(t0)\n"
-        "    t2 = _unbound('z')\n    t3 = t1 * t2\n    t4 = _sin(t0)\n    t5 = t3 + t4\n"
-        "    t6 = float(a1)\n    t7 = _cos(t6)\n    t8 = _divide(t7, t0)\n    t9 = t5 - t8\n"
-        "    t10 = t9 + t0\n    return t10\n"
+        "    t2 = _unbound('z')\n    t3 = t1 * t2\n"
+        "    t4 = _sin(t0) if -1e999 != t0 != 1e999 else _overflow('sin', t0)\n    t5 = t3 + t4\n"
+        "    t6 = float(a1)\n    t7 = _cos(t6) if -1e999 != t6 != 1e999 else _overflow('cos', t6)\n"
+        "    t8 = _divide(t7, t0)\n    t9 = t5 - t8\n    t10 = t9 + t0\n    return t10\n"
     )
 
 
