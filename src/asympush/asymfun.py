@@ -35,6 +35,7 @@ from .logpoly import (
     LogPolynomial,
     moment_tail,
     moment_unit_interval,
+    shifted,
 )
 from .quadrature import DEFAULT_TOL, quad_01, quad_1inf, quad_interval
 
@@ -236,17 +237,30 @@ def _halves(f: AsymFunction, z: complex, tol: float) -> tuple[complex, complex]:
     if not 1.0 - p < z.real < 1.0 + q:
         raise ValueError(f"z = {z} outside the continuation strip ({1.0 - p}, {1.0 + q})")
     zm1, exp = _typed(z - 1.0)
-    at0, at_inf = f.exp0.at_log, f.exp_inf.at_log
     fx = _evaluator(f)
 
-    # one log per node, shared by the subtracted side and the weight x^{z-1}
-    def low_fn(x: float) -> complex:
-        L = math.log(x)
-        return (fx(x) - at0(L)) * exp(zm1 * L)
+    def remainder(side: Expansion) -> Callable[[float], complex]:
+        """x -> (f(x) - side(x)) x^{z-1}, one log per node, shared by the side and the weight.
 
-    def high_fn(x: float) -> complex:
-        L = math.log(x)
-        return (fx(x) - at_inf(L)) * exp(zm1 * L)
+        An empty side subtracts 0.0, and at z = 1 the weight is 1.0: both
+        are left out.  That leaves every float value as it was, and a
+        complex one too, but for the sign of a zero part (the complex
+        product with 1.0 + 0j can turn -0.0 into 0.0) and the NaN it makes
+        of the other part of an infinite one.
+        """
+        if not side.terms:
+            if zm1 == 0:
+                return fx
+            return lambda x: fx(x) * exp(zm1 * math.log(x))
+        at = side._at  # at_log without the method's frame
+        if zm1 == 0:
+            return lambda x: fx(x) - at(math.log(x))
+
+        def fn(x: float) -> complex:
+            L = math.log(x)
+            return (fx(x) - at(L)) * exp(zm1 * L)
+
+        return fn
 
     # noise grows only on a side with terms: x^-s0 at zero, x^s1 at infinity
     g0 = g1 = 0.0
@@ -256,8 +270,8 @@ def _halves(f: AsymFunction, z: complex, tol: float) -> tuple[complex, complex]:
         g1 = max(0.0, max(t.exponent.real for t in f.exp_inf.terms)) + z.real - 2.0
     u0 = _cutoff(p - 1.0 + z.real, g0, tol)
     u1 = _cutoff(q + 1.0 - z.real, g1, tol)
-    low, _ = quad_01(low_fn, tol, points=f.quad_points(), u_max=u0)
-    high, _ = quad_1inf(high_fn, tol, points=f.quad_points(), u_max=u1)
+    low, _ = quad_01(remainder(f.exp0), tol, points=f.quad_points(), u_max=u0)
+    high, _ = quad_1inf(remainder(f.exp_inf), tol, points=f.quad_points(), u_max=u1)
     for t in f.exp0.terms:
         a = t.exponent + zm1
         if abs(a + 1.0) > EXPONENT_TOL:
@@ -374,11 +388,13 @@ def rescale(f: AsymFunction, t: float) -> AsymFunction:
         raise ValueError("scale factor must be positive")
     lt = math.log(t)
 
-    def remap(side: Expansion) -> list[tuple[complex, LogPolynomial]]:
-        return [
-            (trm.exponent, trm.poly.shift(lt).scale(cmath.exp(trm.exponent * lt)))
-            for trm in side.terms
-        ]
+    def remap(side: Expansion) -> list[tuple[complex, list[complex]]]:
+        # the coefficients of poly.shift(lt).scale(t^a), with no LogPolynomial in between
+        out = []
+        for trm in side.terms:
+            s = cmath.exp(trm.exponent * lt)
+            out.append((trm.exponent, [s * c for c in (shifted(trm.poly.coeffs, lt) if lt else trm.poly.coeffs)]))
+        return out
 
     support = None
     if f.support is not None:

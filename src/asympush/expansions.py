@@ -20,7 +20,7 @@ import cmath
 import math
 from typing import Callable, Sequence
 
-from ._record import Record
+from ._record import Record, _rebuild
 from .logpoly import EXPONENT_TOL, LogPolynomial
 
 __all__ = ["Term", "Expansion", "make_side", "in_t"]
@@ -37,41 +37,44 @@ class Term(Record):
 class Expansion(Record):
     """Finite expansion at one end, under the order convention of the module docstring."""
 
+    # _sign: +1 at zero, -1 at infinity.  Built on first evaluation (see
+    # __getattr__), so that sides that are only read never build them:
     # _table: (exponent and its exp as from _typed, coefficients from the top power down) per term;
     # _runs: the terms grouped into runs (see _runs), or None when no run has two terms;
-    # _sign: +1 at zero, -1 at infinity
-    __slots__ = ("terms", "order", "side", "log_power", "_table", "_runs", "_sign")
+    # _at: the evaluator at_log calls, chosen by the shape of the side (see _evaluator)
+    __slots__ = ("terms", "order", "side", "log_power", "_sign", "_table", "_runs", "_at")
 
     def __init__(self, terms: tuple[Term, ...], order: float, side: str, log_power: int = 0):
-        if side not in ("zero", "infinity"):
-            raise ValueError(f"side must be 'zero' or 'infinity', got {side!r}")
+        sign = _side_sign(side)
         # terms run from the leading one; terms of equal Re, such as a
         # conjugate pair, must differ in Im
         exps = [t.exponent for t in terms]
-        sign = 1.0 if side == "zero" else -1.0
         for a, b in zip(exps, exps[1:]):
             if sign * (b.real - a.real) < 0 or b == a:
                 raise ValueError(
                     f"{side}-side exponents must run from the leading term and differ, "
                     f"got {a} before {b}"
                 )
-        # the last term is the one nearest the remainder: it may not pass
-        # v^(order-1) at zero or v^(-order-1) at infinity
-        if exps and sign * exps[-1].real > order - sign + EXPONENT_TOL:
-            raise ValueError(
-                f"{side}-side exponent {exps[-1]} lies beyond the remainder of order {order}"
-            )
+        _check_remainder(terms, order, side, sign)
         for t in terms:
             if t.poly.is_zero:
                 raise ValueError(f"term at exponent {t.exponent} has zero polynomial")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "log_power", log_power)
-        table = tuple((*_typed(t.exponent), _real(t.poly.coeffs[::-1])) for t in terms)
+        _fill(self, terms, order, side, log_power, sign)
+
+    def __getattr__(self, name: str):
+        # called only for an unset slot or an unknown name
+        if name not in ("_table", "_runs", "_at"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        table = tuple([(*_typed(t.exponent), _real(t.poly.coeffs[::-1])) for t in self.terms])
+        runs = _runs(self.terms, self._sign)
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_runs", _runs(terms, sign))
-        object.__setattr__(self, "_sign", sign)
+        object.__setattr__(self, "_runs", runs)
+        object.__setattr__(self, "_at", _evaluator(table, runs, self._sign))
+        return object.__getattribute__(self, name)
+
+    def __reduce__(self):  # the tables and the evaluator, a closure, are rebuilt on first use
+        state = {n: getattr(self, n) for n in ("terms", "order", "side", "log_power", "_sign")}
+        return _rebuild, (type(self), state)
 
     def poly_at(self, exponent: complex) -> LogPolynomial:
         for t in self.terms:
@@ -84,7 +87,7 @@ class Expansion(Record):
         return self.poly_at(exponent).coefficient(log_power)
 
     def __call__(self, x: float) -> complex:
-        return self.at_log(math.log(x)) if self._table else 0.0
+        return self._at(math.log(x)) if self.terms else 0.0
 
     def at_log(self, L: float) -> complex:
         """The expansion at x = e^L.
@@ -105,18 +108,77 @@ class Expansion(Record):
         would pass 1 (x > 1 at zero, x < 1 at infinity) and could overflow,
         the terms are summed one by one, as on a side without runs.
         """
-        runs = self._runs
-        if runs is None or L * self._sign > 0.0:
-            if not self._table:
-                return 0.0
-            total = 0
-            for alpha, exp, coeffs in self._table:
-                acc = 0
-                for c in coeffs:
-                    acc = acc * L + c
-                total += exp(alpha * L) * acc
-            return total
-        y = math.exp(L * self._sign)
+        return self._at(L)
+
+
+def _side_sign(side: str) -> float:
+    if side not in ("zero", "infinity"):
+        raise ValueError(f"side must be 'zero' or 'infinity', got {side!r}")
+    return 1.0 if side == "zero" else -1.0
+
+
+def _check_remainder(terms: Sequence[Term], order: float, side: str, sign: float) -> None:
+    # the last term is the one nearest the remainder: it may not pass
+    # v^(order-1) at zero or v^(-order-1) at infinity
+    if terms and sign * terms[-1].exponent.real > order - sign + EXPONENT_TOL:
+        raise ValueError(
+            f"{side}-side exponent {terms[-1].exponent} lies beyond the remainder of order {order}"
+        )
+
+
+def _fill(e: Expansion, terms: tuple[Term, ...], order: float, side: str, log_power: int, sign: float) -> Expansion:
+    object.__setattr__(e, "terms", terms)
+    object.__setattr__(e, "order", order)
+    object.__setattr__(e, "side", side)
+    object.__setattr__(e, "log_power", log_power)
+    object.__setattr__(e, "_sign", sign)
+    return e
+
+
+def _zero(L: float) -> float:
+    return 0.0
+
+
+def _evaluator(table: tuple, runs: tuple | None, sign: float) -> Callable[[float], complex]:
+    """at_log of a side with these tables: a loop chosen once by the side's shape.
+
+    Each loop makes the floating-point operations of the general one, in its
+    order: 0.0 for no terms; the terms one by one for a side without runs;
+    for one run of one log power, one Horner pass in y; for other runs, a
+    Horner pass in y per log power, then one in L.
+    """
+    if not table:
+        return _zero
+
+    def by_terms(L: float) -> complex:
+        total = 0
+        for alpha, exp, coeffs in table:
+            acc = 0
+            for c in coeffs:
+                acc = acc * L + c
+            total += exp(alpha * L) * acc
+        return total
+
+    if runs is None:
+        return by_terms
+    if len(runs) == 1 and len(runs[0][2]) == 1:
+        ((alpha, exp, ((first, rest),)),) = runs
+
+        def one_run(L: float) -> complex:
+            if L * sign > 0.0:
+                return by_terms(L)
+            y = math.exp(L * sign)
+            p = first
+            for c in rest:
+                p = p * y + c
+            return 0 + exp(alpha * L) * p  # the general loop's total starts at 0
+
+        return one_run
+
+    def by_runs(L: float) -> complex:
+        if L * sign > 0.0:
+            return by_terms(L)
+        y = math.exp(L * sign)
         total = 0
         for alpha, exp, columns in runs:
             acc = None
@@ -126,6 +188,8 @@ class Expansion(Record):
                 acc = p if acc is None else acc * L + p
             total += exp(alpha * L) * acc
         return total
+
+    return by_runs
 
 
 # A run takes at most this many missing terms between two of its terms:
@@ -140,7 +204,10 @@ def _typed(a: complex) -> tuple[complex | float, Callable]:
 
 def _real(coeffs: tuple[complex, ...]) -> tuple[complex | float, ...]:
     """The coefficients, as floats when all are real."""
-    return coeffs if any(c.imag for c in coeffs) else tuple(c.real for c in coeffs)
+    for c in coeffs:
+        if c.imag:
+            return coeffs
+    return tuple([c.real for c in coeffs])
 
 
 def _runs(terms: Sequence[Term], sign: float) -> tuple[tuple, ...] | None:
@@ -190,20 +257,43 @@ def make_side(
     side: str,
     log_power: int = 0,
 ) -> Expansion:
-    """Merge coincident exponents (within tolerance), drop zeros, sort leading-first."""
+    """Merge coincident exponents (within tolerance), drop zeros, sort leading-first.
+
+    Terms that already run from the leading one, each more than EXPONENT_TOL
+    past the one before in Re, or in Im at an equal Re (by ascending Im at
+    zero, descending at infinity), and none of them zero, as every transform
+    of a side and every Taylor side gives them, are taken as they come, in
+    one pass: no two of them are within EXPONENT_TOL, so merging and sorting
+    them would change nothing.
+    """
+    sign = _side_sign(side)
+    pairs = [(complex(a), p if isinstance(p, LogPolynomial) else LogPolynomial(p)) for a, p in terms]
+    if not (
+        all(not p.is_zero for _, p in pairs)
+        and all(
+            sign * (b.real - a.real) > EXPONENT_TOL or (b.real == a.real and sign * (b.imag - a.imag) > EXPONENT_TOL)
+            for (a, _), (b, _) in zip(pairs, pairs[1:])
+        )
+    ):
+        pairs = _merged(pairs, side)
+    terms = tuple(Term(a, p) for a, p in pairs)
+    _check_remainder(terms, order, side, sign)
+    return _fill(object.__new__(Expansion), terms, order, side, log_power, sign)
+
+
+def _merged(pairs: list[tuple[complex, LogPolynomial]], side: str) -> list[tuple[complex, LogPolynomial]]:
+    """The terms with coincident exponents merged, zeros dropped, leading first."""
     merged: list[tuple[complex, LogPolynomial]] = []
-    for alpha, poly in terms:
-        if not isinstance(poly, LogPolynomial):
-            poly = LogPolynomial(poly)
+    for alpha, poly in pairs:
         for i, (a, p) in enumerate(merged):
             if abs(a - alpha) <= EXPONENT_TOL:
                 merged[i] = (a, p + poly)
                 break
         else:
-            merged.append((complex(alpha), poly))
+            merged.append((alpha, poly))
     merged = [(a, p) for a, p in merged if not p.is_zero]
     merged.sort(key=lambda t: (t[0].real, t[0].imag), reverse=(side == "infinity"))
-    return Expansion(tuple(Term(a, p) for a, p in merged), order, side, log_power)
+    return merged
 
 
 def in_t(terms, order: float, shift: float = 0.0, log_power: int = 0) -> Expansion:

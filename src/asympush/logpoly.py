@@ -85,12 +85,7 @@ class LogPolynomial(Record):
         """The polynomial L -> self(L + c), expanded in powers of L."""
         if self.is_zero or c == 0:
             return self
-        out = [0j] * len(self.coeffs)
-        for i, a in enumerate(self.coeffs):
-            # a * (L + c)^i
-            for m in range(i + 1):
-                out[m] += a * comb(i, m) * c ** (i - m)
-        return LogPolynomial(tuple(out))
+        return LogPolynomial(shifted(self.coeffs, c))
 
     def times_log_power(self, j: int) -> "LogPolynomial":
         """Multiply by L**j."""
@@ -99,6 +94,18 @@ class LogPolynomial(Record):
         if self.is_zero or j == 0:
             return self
         return LogPolynomial((0,) * j + self.coeffs)
+
+
+def shifted(coeffs: tuple[complex, ...], c: complex) -> list[complex]:
+    """The coefficients of L -> p(L + c), p = sum(coeffs[i] * L**i), trailing zeros dropped."""
+    out = [0j] * len(coeffs)
+    for i, a in enumerate(coeffs):
+        # a * (L + c)^i
+        for m in range(i + 1):
+            out[m] += a * comb(i, m) * c ** (i - m)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def _check_moment_args(alpha: complex, k: int) -> None:

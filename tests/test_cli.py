@@ -478,6 +478,40 @@ def test_mellin_spec_with_gapped_log_runs_matches_mpmath(tmp_path):
     assert rep["finitePart"]["value"][1] == 0.0
 
 
+LOG_TERM_SPECS = Path(__file__).resolve().parents[1] / "tools" / "log_term_specs"
+
+
+def test_substitution_spec_with_complex_log_runs_matches_mpmath(tmp_path):
+    # x^-0.4 cos(0.7 ln x) ln x / (1 + x^2) = Re x^(-0.4+0.7i) ln x / (1 + x^2),
+    # declared as conjugate runs spaced by 2 at both ends; its integral
+    # converges, and is d/da of (pi/2) / cos(pi a/2) at a = -0.4 + 0.7i
+    mp = pytest.importorskip("mpmath")
+    assert main(["run", str(LOG_TERM_SPECS / "substitution_complex_log_runs.json"), "--out", str(tmp_path),
+                 "--json-only"]) == 0
+    rows = read_report(tmp_path, "substitution_complex_log_runs")["values"]
+    with mp.workdps(30):
+        base = float(mp.re(mp.diff(lambda a: mp.pi / (2 * mp.cos(mp.pi * a / 2)), mp.mpc(-0.4, 0.7))))
+    assert [row["t"] for row in rows] == [0.5, 1.0, 2.5, 8.0]
+    for row in rows:
+        # no term at exponent -1, so the scaling rule is base / t
+        assert row["value"][0] == pytest.approx(base / row["t"], rel=1e-12, abs=0.0)
+        assert row["value"][1] == 0.0
+        assert abs(complex(*row["rescaledValue"]) - base / row["t"]) <= 1e-8
+        assert row["agreement"] <= 1e-8
+
+
+def test_reginteg_spec_with_support_matches_mpmath(tmp_path):
+    # x^-1.5 ln x e^-x cut off at x = 2: its regularized integral is d/ds of
+    # the lower incomplete gamma function, continued to s = -0.5
+    mp = pytest.importorskip("mpmath")
+    assert main(["run", str(LOG_TERM_SPECS / "reginteg_supported_log_run.json"), "--out", str(tmp_path),
+                 "--json-only"]) == 0
+    value = read_report(tmp_path, "reginteg_supported_log_run")["value"]
+    with mp.workdps(30):
+        want = float(mp.diff(lambda s: mp.gammainc(s, 0, 2), -0.5))
+    assert value[0] == pytest.approx(want, rel=1e-12, abs=0.0) and value[1] == 0.0
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # the value types are slotted classes and NamedTuples: importing the
     # package generates no dataclass code
