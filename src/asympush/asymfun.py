@@ -244,9 +244,10 @@ def _halves(f: AsymFunction, z: complex, tol: float) -> tuple[complex, complex]:
 
         An empty side subtracts 0.0, and at z = 1 the weight is 1.0: both
         are left out.  That leaves every float value as it was, and a
-        complex one too, but for the sign of a zero part (the complex
-        product with 1.0 + 0j can turn -0.0 into 0.0) and the NaN it makes
-        of the other part of an infinite one.
+        complex one too, but for the sign of a zero part and the NaN of the
+        other part of an infinite one: before Python 3.14 the product with
+        1.0 was a complex one, with 1.0 + 0j, which turns -0.0 into 0.0 and
+        inf * 0.0 into NaN.
         """
         if not side.terms:
             if zm1 == 0:

@@ -20,7 +20,7 @@ import cmath
 import math
 from typing import Callable, Sequence
 
-from ._record import Record, _rebuild
+from ._record import Record
 from .logpoly import EXPONENT_TOL, LogPolynomial
 
 __all__ = ["Term", "Expansion", "make_side", "in_t"]
@@ -37,8 +37,7 @@ class Term(Record):
 class Expansion(Record):
     """Finite expansion at one end, under the order convention of the module docstring."""
 
-    # _sign: +1 at zero, -1 at infinity.  Built on first evaluation (see
-    # __getattr__), so that sides that are only read never build them:
+    # _sign: +1 at zero, -1 at infinity;
     # _table: (exponent and its exp as from _typed, coefficients from the top power down) per term;
     # _runs: the terms grouped into runs (see _runs), or None when no run has two terms;
     # _at: the evaluator at_log calls, chosen by the shape of the side (see _evaluator)
@@ -61,20 +60,8 @@ class Expansion(Record):
                 raise ValueError(f"term at exponent {t.exponent} has zero polynomial")
         _fill(self, terms, order, side, log_power, sign)
 
-    def __getattr__(self, name: str):
-        # called only for an unset slot or an unknown name
-        if name not in ("_table", "_runs", "_at"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        table = tuple([(*_typed(t.exponent), _real(t.poly.coeffs[::-1])) for t in self.terms])
-        runs = _runs(self.terms, self._sign)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_runs", runs)
-        object.__setattr__(self, "_at", _evaluator(table, runs, self._sign))
-        return object.__getattribute__(self, name)
-
-    def __reduce__(self):  # the tables and the evaluator, a closure, are rebuilt on first use
-        state = {n: getattr(self, n) for n in ("terms", "order", "side", "log_power", "_sign")}
-        return _rebuild, (type(self), state)
+    def __reduce__(self):  # the evaluator, a closure, does not pickle: the copy builds its own
+        return Expansion, (self.terms, self.order, self.side, self.log_power)
 
     def poly_at(self, exponent: complex) -> LogPolynomial:
         for t in self.terms:
@@ -132,6 +119,11 @@ def _fill(e: Expansion, terms: tuple[Term, ...], order: float, side: str, log_po
     object.__setattr__(e, "side", side)
     object.__setattr__(e, "log_power", log_power)
     object.__setattr__(e, "_sign", sign)
+    table = tuple([(*_typed(t.exponent), _real(t.poly.coeffs[::-1])) for t in terms])
+    runs = _runs(terms, sign)
+    object.__setattr__(e, "_table", table)
+    object.__setattr__(e, "_runs", runs)
+    object.__setattr__(e, "_at", _evaluator(table, runs, sign))
     return e
 
 
@@ -260,20 +252,16 @@ def make_side(
     """Merge coincident exponents (within tolerance), drop zeros, sort leading-first.
 
     Terms that already run from the leading one, each more than EXPONENT_TOL
-    past the one before in Re, or in Im at an equal Re (by ascending Im at
-    zero, descending at infinity), and none of them zero, as every transform
-    of a side and every Taylor side gives them, are taken as they come, in
-    one pass: no two of them are within EXPONENT_TOL, so merging and sorting
+    past the one before in Re, and none of them zero, as every transform of
+    a side and every Taylor side gives them, are taken as they come, in one
+    pass: no two of them are within EXPONENT_TOL, so merging and sorting
     them would change nothing.
     """
     sign = _side_sign(side)
     pairs = [(complex(a), p if isinstance(p, LogPolynomial) else LogPolynomial(p)) for a, p in terms]
     if not (
         all(not p.is_zero for _, p in pairs)
-        and all(
-            sign * (b.real - a.real) > EXPONENT_TOL or (b.real == a.real and sign * (b.imag - a.imag) > EXPONENT_TOL)
-            for (a, _), (b, _) in zip(pairs, pairs[1:])
-        )
+        and all(sign * (b.real - a.real) > EXPONENT_TOL for (a, _), (b, _) in zip(pairs, pairs[1:]))
     ):
         pairs = _merged(pairs, side)
     terms = tuple(Term(a, p) for a, p in pairs)

@@ -423,6 +423,26 @@ def test_empty_side_evaluates_to_real_zero(monkeypatch):
     assert seen == [float, float, complex]
 
 
+def test_remainder_at_z_one_is_f_minus_its_side_without_a_weight(monkeypatch):
+    # at z = 1 the integrands are f - side, and f itself where the side is
+    # empty: no product with x^0 = 1.0.  Before Python 3.14 that product was
+    # a complex one with 1.0 + 0j, which made NaN of the other part of an
+    # infinite value and turned -0.0 into 0.0; these values pin that it is gone
+    values = {0.5: complex(math.inf, 1.0), 2.0: complex(2.0, math.inf), 4.0: complex(-0.0, -2.0)}
+    f = AsymFunction(values.__getitem__, make_side([(0.0, [0.5])], 2.0, "zero"), make_side([], 1.0, "infinity"))
+    integrands = []
+
+    def recording(fn, *args, **kwargs):
+        integrands.append(fn)
+        return 0.0, 0.0
+
+    monkeypatch.setattr(asymfun, "quad_01", recording)
+    monkeypatch.setattr(asymfun, "quad_1inf", recording)
+    reg_integral(f)
+    low, high = integrands
+    assert [repr(low(0.5)), repr(high(2.0)), repr(high(4.0))] == ["(inf+1j)", "(2+infj)", "(-0-2j)"]
+
+
 def _complex_at_log(e: Expansion, L: float) -> complex:
     """at_log on the same terms and runs, every exponent and coefficient cast to complex."""
     if e._runs is None or L * e._sign > 0.0:

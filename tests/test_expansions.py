@@ -8,7 +8,6 @@ evaluation loops, compared by repr, so that signed zeros count.
 """
 
 import cmath
-import copy
 import json
 import math
 from pathlib import Path
@@ -16,16 +15,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asympush.asymfun import from_expression, from_json, power_log_multiply, reg_integral, rescale, schwartz
+from asympush.asymfun import from_expression, from_json, power_log_multiply, rescale, schwartz
 from asympush.expansions import Expansion, Term, make_side
 from asympush.logpoly import EXPONENT_TOL, LogPolynomial
-from asympush.singular_expansion import (
-    _Multiple,
-    _multiple,
-    _separable_sigma,
-    asymptotic_expansion,
-    separable_expansion,
-)
+from asympush.singular_expansion import _multiple
 
 LOG_TERM_SPECS = Path(__file__).resolve().parents[1] / "tools" / "log_term_specs"
 
@@ -69,15 +62,6 @@ def _loops_at_log(e: Expansion, L: float) -> complex:
             acc = p if acc is None else acc * L + p
         total += exp(alpha * L) * acc
     return total
-
-
-def _built(e: Expansion) -> bool:
-    """Whether the side has built its tables, read without building them."""
-    try:
-        Expansion.__dict__["_at"].__get__(e, Expansion)
-    except AttributeError:
-        return False
-    return True
 
 
 def _outcome(fn, L: float) -> str:
@@ -146,10 +130,11 @@ def test_make_side_takes_ordered_terms_as_they_come():
     terms = [(0.0, [1.0, -0.0, 2.0]), (0.5 + 1j, [complex(-0.0, 1.0)]), (1.5 - 1j, [complex(-0.0, -1.0)])]
     side = make_side(terms, 3.0, "zero")
     assert repr([t.poly.coeffs for t in side.terms]) == repr([tuple(map(complex, cs)) for _, cs in terms])
-    # a conjugate pair at infinity, by descending Im, comes as it is too
+    # terms of equal Re, such as a conjugate pair, go through the merge, which
+    # sorts them by ascending Im at zero, descending at infinity
     pair = make_side([(-1.0 + 2j, [1.0]), (-1.0 - 2j, [1.0]), (-2.0, [0.5])], 2.0, "infinity")
     assert [t.exponent for t in pair.terms] == [-1.0 + 2j, -1.0 - 2j, -2.0]
-    for side, sign in (("zero", 1), ("infinity", -1)):  # by ascending Im at zero, descending at infinity
+    for side, sign in (("zero", 1), ("infinity", -1)):
         swapped = make_side([(sign * 1.0 + 2j * sign, [1.0]), (sign * 1.0 - 2j * sign, [2.0])], 3.0, side)
         assert [t.exponent for t in swapped.terms] == [sign * 1.0 - 2j * sign, sign * 1.0 + 2j * sign]
         near = make_side([(sign * 1.0 + 0.75j, [1.0]), (sign * 1.0 + (0.75 + sign * 4e-10) * 1j, [2.0])], 3.0, side)
@@ -254,20 +239,3 @@ def test_every_shape_evaluates_as_the_general_loops(L):
     ]
     for e in sides:
         assert _outcome(e.at_log, L) == _outcome(lambda L: _loops_at_log(e, L), L)
-
-
-def test_sides_that_are_only_read_build_no_tables():
-    f = schwartz("exp(-x)", 8)
-    assert not _built(f.exp0) and not _built(f.exp_inf)
-    reg_integral(f)  # evaluates the side at zero; the empty side at infinity is not called
-    assert _built(f.exp0) and not _built(f.exp_inf)
-    g = from_json(json.loads((LOG_TERM_SPECS / "substitution_complex_log_runs.json").read_text())["function"])
-    sigma = _separable_sigma("exp(-x)", power_log_multiply(g, 1.0), 1.5)
-    results = [asymptotic_expansion(sigma).expansion, separable_expansion("exp(-x)", g, 1.5)]
-    coefficients = [c for term in (*sigma.terms, *sigma.x_terms) for c in term.coeffs]
-    assert coefficients and all(isinstance(c, _Multiple) for c in coefficients)
-    for e in results + [side for c in coefficients for side in (c.exp0, c.exp_inf)]:
-        assert not _built(e)
-    # a copy of an evaluated side is equal to it, and builds its own tables
-    twin = copy.deepcopy(f.exp0)
-    assert twin == f.exp0 and not _built(twin) and twin.at_log(-0.5) == f.exp0.at_log(-0.5)

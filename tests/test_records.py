@@ -136,13 +136,16 @@ def test_records_pickle():
     side = expansions.make_side([(0, [1.0]), (1, [2.0, 1.0])], 3.0, "zero")
     back = pickle.loads(pickle.dumps(side))
     assert back == side and back.at_log(-0.7) == side.at_log(-0.7)
-    # an evaluated side holds its evaluator, a closure, which is rebuilt rather than pickled
+    # a side holds its evaluator, a closure, which is rebuilt rather than pickled
     far = expansions.make_side([(-1, [1.0]), (-2, [0.5]), (-3, [0.25])], 3.0, "infinity")
     f = asymfun.AsymFunction(math.exp, side, far)
     assert f.exp0.at_log(-0.7) == side.at_log(-0.7) and far(2.0) == 0.65625
     for obj in (side, far, f):
         for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
             assert twin == obj
+    for obj in (side, far):
+        twin = copy.deepcopy(obj)
+        assert (repr(twin._table), repr(twin._runs)) == (repr(obj._table), repr(obj._runs))
     back = pickle.loads(pickle.dumps(f))
     assert (back.exp0.at_log(-0.7), back.exp_inf(2.0), back(0.5)) == (side.at_log(-0.7), 0.65625, math.exp(0.5))
 
