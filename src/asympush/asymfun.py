@@ -60,7 +60,7 @@ __all__ = [
     "power_log_multiply",
 ]
 
-# bookkeeping epsilon for remainder orders of the primitive
+# bookkeeping epsilon for remainder orders of the primitive and of boundary functions
 ORDER_EPS = 0.01
 
 
@@ -149,17 +149,11 @@ def pure_power(alpha: complex, k: int = 0) -> AsymFunction:
     )
 
 
-def schwartz(expr: str | ex.Expr, n_taylor: int = 8, order_inf: float = 40.0) -> AsymFunction:
-    """Rapidly decaying smooth function: Taylor terms at 0, nothing at infinity."""
-    ast = ex.parse(expr) if isinstance(expr, str) else expr
-    terms = [(m, (c,)) for m, c in enumerate(ex.taylor(ast, "x", 0.0, n_taylor))]
-
-    return AsymFunction(
-        fn=ex.compile_expr(ast, ("x",)),
-        exp0=make_side(terms, n_taylor + 1.0, "zero"),
-        exp_inf=make_side([], order_inf, "infinity"),
-        ast=ast,
-    )
+def schwartz(expr: str | ex.Expr, n_taylor: int = 8) -> AsymFunction:
+    """Rapidly decaying smooth function: Taylor terms at 0, nothing at infinity, to order 40."""
+    f = from_expression(expr, order_inf=40.0)  # checks the variables before taylor evaluates
+    terms = [(m, (c,)) for m, c in enumerate(ex.taylor(f.ast, "x", 0.0, n_taylor))]
+    return AsymFunction(f.fn, make_side(terms, n_taylor + 1.0, "zero"), f.exp_inf, ast=f.ast)
 
 
 def _terms_from_json(items) -> list[tuple[complex, Sequence[complex]]]:
@@ -273,19 +267,26 @@ def _halves(f: AsymFunction, z: complex, tol: float) -> tuple[complex, complex]:
     u1 = _cutoff(q + 1.0 - z.real, g1, tol)
     low, _ = quad_01(remainder(f.exp0), tol, points=f.quad_points(), u_max=u0)
     high, _ = quad_1inf(remainder(f.exp_inf), tol, points=f.quad_points(), u_max=u1)
-    for t in f.exp0.terms:
+    return _plus_moments(low, f.exp0, zm1, moment_unit_interval), _plus_moments(high, f.exp_inf, zm1, moment_tail)
+
+
+def _plus_moments(total: complex, side: Expansion, zm1: complex, moment: Callable) -> complex:
+    """``total`` plus the moment of x^{z-1} times each term of the side, term by term.
+
+    A term's log powers are summed before the term is added, so the two
+    terms of a conjugate pair add exact conjugates, and a real total stays
+    exactly real when they are next to each other, as make_side's (Re, Im)
+    order puts them unless two pairs share a real part.
+    """
+    for t in side.terms:
         a = t.exponent + zm1
         if abs(a + 1.0) > EXPONENT_TOL:
+            term = 0
             for k, c in enumerate(t.poly.coeffs):
                 if c != 0:
-                    low += c * moment_unit_interval(a, k)
-    for t in f.exp_inf.terms:
-        a = t.exponent + zm1
-        if abs(a + 1.0) > EXPONENT_TOL:
-            for k, c in enumerate(t.poly.coeffs):
-                if c != 0:
-                    high += c * moment_tail(a, k)
-    return low, high
+                    term += c * moment(a, k)
+            total += term
+    return total
 
 
 def primitive(f: AsymFunction, tol: float = DEFAULT_TOL) -> AsymFunction:

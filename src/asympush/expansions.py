@@ -35,7 +35,7 @@ class Term(Record):
 
 
 class Expansion(Record):
-    """Finite expansion at one end, under the order convention of the module docstring."""
+    """Finite expansion at one end, in the module docstring's convention; built as by make_side."""
 
     # _sign: +1 at zero, -1 at infinity;
     # _table: (exponent and its exp as from _typed, coefficients from the top power down) per term;
@@ -43,22 +43,8 @@ class Expansion(Record):
     # _at: the evaluator at_log calls, chosen by the shape of the side (see _evaluator)
     __slots__ = ("terms", "order", "side", "log_power", "_sign", "_table", "_runs", "_at")
 
-    def __init__(self, terms: tuple[Term, ...], order: float, side: str, log_power: int = 0):
-        sign = _side_sign(side)
-        # terms run from the leading one; terms of equal Re, such as a
-        # conjugate pair, must differ in Im
-        exps = [t.exponent for t in terms]
-        for a, b in zip(exps, exps[1:]):
-            if sign * (b.real - a.real) < 0 or b == a:
-                raise ValueError(
-                    f"{side}-side exponents must run from the leading term and differ, "
-                    f"got {a} before {b}"
-                )
-        _check_remainder(terms, order, side, sign)
-        for t in terms:
-            if t.poly.is_zero:
-                raise ValueError(f"term at exponent {t.exponent} has zero polynomial")
-        _fill(self, terms, order, side, log_power, sign)
+    def __init__(self, terms: Sequence[Term], order: float, side: str, log_power: int = 0):
+        _build(self, [(t.exponent, t.poly) for t in terms], order, side, log_power)
 
     def __reduce__(self):  # the evaluator, a closure, does not pickle: the copy builds its own
         return Expansion, (self.terms, self.order, self.side, self.log_power)
@@ -98,22 +84,24 @@ class Expansion(Record):
         return self._at(L)
 
 
-def _side_sign(side: str) -> float:
+def _build(e: Expansion, terms: Sequence, order: float, side: str, log_power: int) -> Expansion:
+    """Fill ``e`` with the (exponent, polynomial) pairs as :func:`make_side` describes them."""
     if side not in ("zero", "infinity"):
         raise ValueError(f"side must be 'zero' or 'infinity', got {side!r}")
-    return 1.0 if side == "zero" else -1.0
-
-
-def _check_remainder(terms: Sequence[Term], order: float, side: str, sign: float) -> None:
+    sign = 1.0 if side == "zero" else -1.0
+    pairs = [(complex(a), p if isinstance(p, LogPolynomial) else LogPolynomial(p)) for a, p in terms]
+    if not (
+        all(not p.is_zero for _, p in pairs)
+        and all(sign * (b.real - a.real) > EXPONENT_TOL for (a, _), (b, _) in zip(pairs, pairs[1:]))
+    ):
+        pairs = _merged(pairs, side)
+    terms = tuple(Term(a, p) for a, p in pairs)
     # the last term is the one nearest the remainder: it may not pass
     # v^(order-1) at zero or v^(-order-1) at infinity
     if terms and sign * terms[-1].exponent.real > order - sign + EXPONENT_TOL:
         raise ValueError(
             f"{side}-side exponent {terms[-1].exponent} lies beyond the remainder of order {order}"
         )
-
-
-def _fill(e: Expansion, terms: tuple[Term, ...], order: float, side: str, log_power: int, sign: float) -> Expansion:
     object.__setattr__(e, "terms", terms)
     object.__setattr__(e, "order", order)
     object.__setattr__(e, "side", side)
@@ -257,16 +245,7 @@ def make_side(
     pass: no two of them are within EXPONENT_TOL, so merging and sorting
     them would change nothing.
     """
-    sign = _side_sign(side)
-    pairs = [(complex(a), p if isinstance(p, LogPolynomial) else LogPolynomial(p)) for a, p in terms]
-    if not (
-        all(not p.is_zero for _, p in pairs)
-        and all(sign * (b.real - a.real) > EXPONENT_TOL for (a, _), (b, _) in zip(pairs, pairs[1:]))
-    ):
-        pairs = _merged(pairs, side)
-    terms = tuple(Term(a, p) for a, p in pairs)
-    _check_remainder(terms, order, side, sign)
-    return _fill(object.__new__(Expansion), terms, order, side, log_power, sign)
+    return _build(object.__new__(Expansion), terms, order, side, log_power)
 
 
 def _merged(pairs: list[tuple[complex, LogPolynomial]], side: str) -> list[tuple[complex, LogPolynomial]]:

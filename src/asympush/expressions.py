@@ -925,8 +925,8 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
     return jets[id(node)]
 
 
-def central_fd(node: Expr, var: str, bindings: Bindings, h: float = 1e-4) -> float:
-    """Richardson-extrapolated central finite difference, for checking diff."""
+def central_fd(node: Expr, var: str, bindings: Bindings) -> float:
+    """Richardson-extrapolated central finite difference, steps 1e-4 and 5e-5, for checking diff."""
 
     def d(step: float) -> float:
         up = dict(bindings)
@@ -935,5 +935,5 @@ def central_fd(node: Expr, var: str, bindings: Bindings, h: float = 1e-4) -> flo
         dn[var] = bindings[var] - step
         return (evaluate(node, up) - evaluate(node, dn)) / (2.0 * step)
 
-    d1, d2 = d(h), d(h / 2.0)
+    d1, d2 = d(1e-4), d(5e-5)
     return (4.0 * d2 - d1) / 3.0

@@ -481,28 +481,26 @@ def quad_01(f, tol: float = DEFAULT_TOL, points=None, u_max: float = U_MAX):
     whose integrand decays at a known rate can shrink it to keep round-off
     from the subtracted-expansion cancellation out of the result.
     """
-    pts = [u for u in _U_SPLITS if u < u_max]
-    if points:
-        pts += [-math.log(p) for p in points if math.exp(-u_max) < p < 1.0]
-
-    def g(u):
-        x = math.exp(-u)
-        return f(x) * x
-
-    return _check(*_qags(g, 0.0, u_max, tol, pts), tol, "(0, 1]")
+    return _half_line(f, -1.0, tol, points, u_max)
 
 
 def quad_1inf(f, tol: float = DEFAULT_TOL, points=None, u_max: float = U_MAX):
     """Integrate f over [1, inf) via the substitution x = e^{u}."""
+    return _half_line(f, 1.0, tol, points, u_max)
+
+
+def _half_line(f, sign: float, tol: float, points, u_max: float):
+    """Integrate f over (0, 1] (sign -1) or [1, inf) (sign +1) via x = e^{sign u}, u in [0, u_max]."""
     pts = [u for u in _U_SPLITS if u < u_max]
     if points:
-        pts += [math.log(p) for p in points if 1.0 < p < math.exp(u_max)]
+        lo, hi = (math.exp(-u_max), 1.0) if sign < 0 else (1.0, math.exp(u_max))
+        pts += [sign * math.log(p) for p in points if lo < p < hi]
 
     def g(u):
-        x = math.exp(u)
+        x = math.exp(sign * u)
         return f(x) * x
 
-    return _check(*_qags(g, 0.0, u_max, tol, pts), tol, "[1, inf)")
+    return _check(*_qags(g, 0.0, u_max, tol, pts), tol, "(0, 1]" if sign < 0 else "[1, inf)")
 
 
 # The divergence monitor: the last SHELL_WINDOW shells carry more than

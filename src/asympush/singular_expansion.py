@@ -38,6 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 from . import expressions as ex
 from ._record import Record
 from .asymfun import (
+    ORDER_EPS,
     AsymFunction,
     MissingExpansionData,
     _evaluator,
@@ -161,7 +162,7 @@ class SigmaFunction(Record):
             return scale * dj(0.0, 1.0 / y)
 
         # sigma's remainder is O(zeta^{-p-1}) = O(y^{p+1})
-        order_zero = self.order + 2 - 0.01
+        order_zero = self.order + 2 - ORDER_EPS
         zero_terms = []
         for term in self.terms:
             if -term.exponent.real > order_zero - 1:
@@ -389,15 +390,12 @@ class HypothesisDiagnostics(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def check_hypotheses(
-    sigma: SigmaFunction,
-    zeta_max: float = 100.0,
-    n_grid: int = 10,
-) -> HypothesisDiagnostics:
+def check_hypotheses(sigma: SigmaFunction) -> HypothesisDiagnostics:
     """Sampled estimates for the remainder bound and integrability conditions.
 
     Remainder constants are sampled for x^J d_x^K of the remainder, with J up
-    to min(MAX_JK, max(p, 1)) and K up to min(MAX_JK, p).
+    to min(MAX_JK, max(p, 1)) and K up to min(MAX_JK, p), at ten zeta from 1
+    to 100 and six x from 1e-3 to zeta at each, both geometrically spaced.
     """
     import numpy as np
 
@@ -413,7 +411,7 @@ def check_hypotheses(
         return ex.taylor(c.ast, "x", x, K)[K] * factorial(K)
 
     terms = [term for term in sigma.terms if term.exponent.real > -p - 1]
-    samples = [(zeta, x) for zeta in np.geomspace(1.0, zeta_max, n_grid) for x in np.geomspace(1e-3, zeta, 6)]
+    samples = [(zeta, x) for zeta in np.geomspace(1.0, 100.0, 10) for x in np.geomspace(1e-3, zeta, 6)]
     rems = []  # per K, d_x^K of the remainder at each sample; None where it cannot be evaluated
     for K in range(min(MAX_JK, max(p, 0)) + 1):
         dK, row = sigma.x_deriv(K), []

@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,12 +55,39 @@ def test_side_admits_a_conjugate_pair_and_rejects_a_wrong_order():
         x = 3.0
         assert expansion(x) == pytest.approx(x**-1.5 * math.cos(2.0 * math.log(x)), rel=1e-14)
     one = LogPolynomial((1.0,))
-    with pytest.raises(ValueError):
-        Expansion((Term(1j, one), Term(-0.5, one)), 2.0, "zero")
-    with pytest.raises(ValueError):
-        Expansion((Term(1j, one), Term(1j, one)), 2.0, "zero")
-    with pytest.raises(ValueError):
-        Expansion((Term(-2.0, one), Term(-1.0, one)), 4.0, "infinity")
+    # the constructor merges, drops zeros and sorts as make_side does
+    for terms, order, side in (
+        ((Term(1j, one), Term(-0.5, one)), 2.0, "zero"),  # unordered
+        ((Term(1j, one), Term(1j, one)), 2.0, "zero"),  # duplicate
+        ((Term(-2.0, one), Term(-1.0, one)), 4.0, "infinity"),  # unordered at infinity
+        ((Term(-0.5, LogPolynomial((0.0,))), Term(0.5, one)), 2.0, "zero"),  # zero polynomial
+    ):
+        built = Expansion(terms, order, side)
+        made = make_side([(t.exponent, t.poly) for t in terms], order, side)
+        for attr in ("terms", "_table", "_runs"):
+            assert repr(getattr(built, attr)) == repr(getattr(made, attr))
+    # a term past the remainder still raises from both
+    with pytest.raises(ValueError, match="beyond the remainder"):
+        Expansion((Term(1.5, one),), 2.0, "zero")
+    with pytest.raises(ValueError, match="beyond the remainder"):
+        make_side([(1.5, one)], 2.0, "zero")
+
+
+def test_conjugate_pairs_leave_no_imaginary_residue():
+    # a real function declared with conjugate pairs of log terms at both ends:
+    # each term's moments are summed before they are added, so a pair adds
+    # exact conjugates and the regularized integral is exactly real
+    spec = Path(__file__).resolve().parents[1] / "tools" / "log_term_specs" / "substitution_complex_log_runs.json"
+    f = from_json(json.loads(spec.read_text())["function"])
+    for t in (0.3, 0.5, 2.5, 5.0, 8.0):
+        value = reg_integral(rescale(f, t))
+        assert value.imag == 0.0
+        assert value.real == pytest.approx(scale_reg_integral(f, t).real, rel=1e-8)
+
+
+def test_schwartz_rejects_a_free_variable_besides_x():
+    with pytest.raises(ValueError, match=r"free variables besides x: \['y'\]"):
+        schwartz("exp(-y)")
 
 
 def test_pure_power_reg_is_zero():

@@ -211,6 +211,20 @@ def test_finite_part_at_double_pole_is_reported(tmp_path):
     assert rep["finitePart"]["value"][1] == 0.0
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "separable", "phi": "exp(-y)", "f": {"expr": "exp(-x)", "infinity": {"order": 40}}, "q": 1.5},
+        {"kind": "reginteg", "function": {"expr": "exp(-y)", "infinity": {"order": 40}}},
+    ],
+    ids=["separable phi", "reginteg function"],
+)
+def test_stray_variable_exits_2(tmp_path, capsys, payload):
+    spec = write_spec(tmp_path / "stray.json", payload)
+    assert main(["run", spec]) == 2
+    assert "invalid spec: expression has free variables besides x: ['y']" in capsys.readouterr().err
+
+
 def test_invalid_kind_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path / "bad.json", {"kind": "nonsense"})
     assert main(["run", spec]) == 2

@@ -152,7 +152,7 @@ def test_remainder_sampler_notes_coefficient_without_second_derivative():
 
 def test_remainder_constant_that_grows_with_zeta_fails():
     # nothing is declared, so the remainder exp(-x)/zeta must be O(zeta^-2):
-    # the sampled constant grows like zeta (99.9 at zeta_max 100)
+    # the sampled constant grows like zeta (99.9 at zeta = 100)
     sig = sigma_from_expression("exp(-x)/zeta", order=1, zeta_vanishes_below=1.0)
     diag = check_hypotheses(sig)
     assert diag.remainder_constants[(0, 0)] == pytest.approx(99.9, abs=0.01)
@@ -258,7 +258,7 @@ def test_separable_expansion_exponential():
 
 def test_separable_order_exceeding_declared_data():
     with pytest.raises(MissingExpansionData):
-        separable_expansion("exp(-x)", schwartz("exp(-x)", order_inf=1.5), q=5.0)
+        separable_expansion("exp(-x)", from_expression("exp(-x)", order_inf=1.5), q=5.0)
 
 
 def test_corollary_expansion_exponential():
