@@ -15,7 +15,6 @@ The package turns three pieces of asymptotic analysis into computations:
 from .asymfun import (
     AsymFunction,
     from_expression,
-    from_json,
     lim_inf,
     lim_zero,
     mellin,
@@ -57,7 +56,6 @@ from .pushforward import (
 )
 from .quadrature import QuadratureError, quad_01, quad_1inf, quad_interval
 from .singular_expansion import (
-    HypothesisFailure,
     MissingExpansionData,
     SigmaFunction,
     SigmaTerm,

@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple
 
 from . import expressions as ex
 from .asymfun import (
+    RAPID_DECAY_ORDER,
     AsymFunction,
     from_expression,
     mellin,
@@ -45,6 +46,7 @@ from .pushforward import (
 )
 from .singular_expansion import (
     asymptotic_expansion,
+    fit_decay,
     sigma_from_expression,
     verify_expansion,
 )
@@ -123,7 +125,7 @@ def _mellin_suite() -> list[tuple[str, AsymFunction, complex, complex, int]]:
     pw = AsymFunction(
         fn=piecewise,
         exp0=make_side([(-1.0 + 0j, LogPolynomial((1.0,)))], 10.0, "zero"),
-        exp_inf=make_side([], 40.0, "infinity"),
+        exp_inf=make_side([], RAPID_DECAY_ORDER, "infinity"),
     )
     return [
         ("exp(-x)", exp_f, 1.0, 0j, 1),  # Gamma(1)
@@ -179,11 +181,7 @@ def _criterion_6() -> tuple[bool, str]:
     u = density_from_expression("exp(-x-y)")
     pred = sal_prediction_smooth(u, 3)
     ts = np.geomspace(1e-3, 1e-1, 12)
-    res = np.array([abs(push_xy(u, t, 1e-12) - pred(t).real) for t in ts])
-    L = np.log(ts)
-    A = np.column_stack([np.ones_like(L), L, np.log(np.abs(L))])
-    coef, *_ = np.linalg.lstsq(A, np.log(res), rcond=None)
-    slope = float(coef[1])
+    slope, _ = fit_decay(ts, [abs(push_xy(u, t, 1e-12) - pred(t).real) for t in ts])
     return slope >= 3.7, f"residual decay exponent {slope:.3f} (>=3.7, one log factor allowed)"
 
 

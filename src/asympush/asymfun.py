@@ -47,7 +47,6 @@ __all__ = [
     "from_expression",
     "pure_power",
     "schwartz",
-    "from_json",
     "lim_zero",
     "lim_inf",
     "primitive",
@@ -62,6 +61,8 @@ __all__ = [
 
 # bookkeeping epsilon for remainder orders of the primitive and of boundary functions
 ORDER_EPS = 0.01
+# the order at infinity of a function that decays faster than any power: nothing is declared there
+RAPID_DECAY_ORDER = 40.0
 
 
 class MissingExpansionData(ValueError):
@@ -101,6 +102,12 @@ class AsymFunction(Record):
         return list(self.support) if self.support else []
 
 
+def _check_support(support: tuple[float, float] | None, what: str) -> None:
+    """ValueError unless support is None or an interval [a, b] with 0 <= a < b."""
+    if support is not None and not 0.0 <= support[0] < support[1]:
+        raise ValueError(f"{what} must satisfy 0 <= a < b, not {tuple(support)}")
+
+
 def _evaluator(f: AsymFunction) -> Callable[[float], complex]:
     """f itself where a support cuts it off, else its compiled ``fn``, one call frame less."""
     return f if f.support is not None else f.fn
@@ -118,11 +125,8 @@ def from_expression(
     order_inf: float = 1.0,
     support: tuple[float, float] | None = None,
 ) -> AsymFunction:
-    ast = ex.parse(expr) if isinstance(expr, str) else expr
-    extra = ex.free_vars(ast) - {"x"}
-    if extra:
-        raise ValueError(f"expression has free variables besides x: {sorted(extra)}")
-
+    ast = ex.parse_in(expr, ("x",))
+    _check_support(support, "support")
     return AsymFunction(
         fn=ex.compile_expr(ast, ("x",)),
         exp0=make_side([(a, LogPolynomial(c)) for a, c in zero_terms], order_zero, "zero"),
@@ -150,33 +154,10 @@ def pure_power(alpha: complex, k: int = 0) -> AsymFunction:
 
 
 def schwartz(expr: str | ex.Expr, n_taylor: int = 8) -> AsymFunction:
-    """Rapidly decaying smooth function: Taylor terms at 0, nothing at infinity, to order 40."""
-    f = from_expression(expr, order_inf=40.0)  # checks the variables before taylor evaluates
+    """Rapidly decaying smooth function: Taylor terms at 0, nothing at infinity, to RAPID_DECAY_ORDER."""
+    f = from_expression(expr, order_inf=RAPID_DECAY_ORDER)  # checks the variables before taylor evaluates
     terms = [(m, (c,)) for m, c in enumerate(ex.taylor(f.ast, "x", 0.0, n_taylor))]
     return AsymFunction(f.fn, make_side(terms, n_taylor + 1.0, "zero"), f.exp_inf, ast=f.ast)
-
-
-def _terms_from_json(items) -> list[tuple[complex, Sequence[complex]]]:
-    out = []
-    for item in items:
-        re, im = item["exponent"]
-        coeffs = [complex(c[0], c[1]) for c in item["logCoeffs"]]
-        out.append((complex(re, im), coeffs))
-    return out
-
-
-def from_json(d: dict) -> AsymFunction:
-    support = tuple(d["support"]) if d.get("support") else None
-    zero = d.get("zero", {})
-    inf = d.get("infinity", {})
-    return from_expression(
-        d["expr"],
-        zero_terms=_terms_from_json(zero.get("terms", ())),
-        order_zero=float(zero.get("order", 1.0)),
-        inf_terms=_terms_from_json(inf.get("terms", ())),
-        order_inf=float(inf.get("order", 1.0)),
-        support=support,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from pathlib import Path
 from . import expressions as ex
 from .acceptance import CRITERIA, run_all
 from .asymfun import (
-    from_json,
+    AsymFunction,
+    from_expression,
     mellin,
     mellin_finite_part,
     reg_integral,
@@ -49,21 +50,29 @@ from .pushforward import (
 )
 from .quadrature import QuadratureError
 from .singular_expansion import (
-    HypothesisFailure,
     MissingExpansionData,
     SigmaFunction,
     SigmaTerm,
     asymptotic_expansion,
+    check_hypotheses,
     corollary_expansion,
     separable_expansion,
     sigma_from_expression,
     verify_expansion,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "from_json"]
 
 class SpecError(ValueError):
     """The problem spec does not validate."""
+
+
+class HypothesisFailure(RuntimeError):
+    """Sampled hypothesis diagnostics failed; carries the report."""
+
+    def __init__(self, diagnostics):
+        super().__init__("sampled hypothesis diagnostics failed")
+        self.diagnostics = diagnostics
 
 
 def _cnum(v) -> list[float]:
@@ -97,12 +106,27 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _function(value, what: str):
-    """A function spec, checked to be an object with object sides, as an AsymFunction."""
+def _pair(value, what: str) -> tuple:
+    """A JSON pair such as [re, im] as a tuple; SpecError for anything else."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise SpecError(f"{what} must be a pair, not {value!r}")
+    return tuple(value)
+
+
+def from_json(value, what: str = "function") -> AsymFunction:
+    """A function spec: 'expr' in x, sides 'zero' and 'infinity' of 'terms' and 'order', an optional 'support'."""
     _object(value, what)
+    sides = []
     for side in ("zero", "infinity"):
-        _object(value.get(side, {}), f"{what} {side!r}")
-    return from_json(value)
+        d = _object(value.get(side, {}), f"{what} {side!r}")
+        sides.append([
+            (complex(*_pair(t["exponent"], "term exponent")),
+             [complex(*_pair(c, "logCoeffs entry")) for c in t["logCoeffs"]])
+            for t in d.get("terms", ())
+        ])
+        sides.append(float(d.get("order", 1.0)))
+    support = _pair(value["support"], "support") if value.get("support") else None
+    return from_expression(value["expr"], *sides, support=support)
 
 
 def _parse_grid(spec, flag: str | None):
@@ -134,16 +158,16 @@ def _parse_grid(spec, flag: str | None):
 
 
 def _run_reginteg(payload, args):
-    f = _function(_require(payload, "function", "reginteg"), "function")
+    f = from_json(_require(payload, "function", "reginteg"))
     value = reg_integral(f)
     return {"kind": "reginteg", "value": _cnum(value)}, None
 
 
 def _run_mellin(payload, args):
-    f = _function(_require(payload, "function", "mellin"), "function")
+    f = from_json(_require(payload, "function", "mellin"))
     report = {"kind": "mellin", "points": []}
     for pt in payload.get("points", []):
-        z = complex(pt[0], pt[1]) if isinstance(pt, list) else complex(pt)
+        z = complex(*_pair(pt, "mellin point")) if isinstance(pt, list) else complex(pt)
         r = mellin(f, z)
         report["points"].append(
             {
@@ -159,7 +183,7 @@ def _run_mellin(payload, args):
 
 
 def _run_substitution(payload, args):
-    f = _function(_require(payload, "function", "substitution"), "function")
+    f = from_json(_require(payload, "function", "substitution"))
     ts = [float(t) for t in _require(payload, "t", "substitution")]
     base = reg_integral(f) if ts else None
     rows = []
@@ -182,18 +206,17 @@ def _sigma_from_json(d: dict) -> SigmaFunction:
         raise SpecError("sigma spec needs an 'expr' in variables x, zeta")
     terms = []
     for item in d.get("terms", []):
-        expo = complex(item["exponent"][0], item["exponent"][1])
-        coeffs = tuple(_function(c, "term coefficient") for c in item["coeffs"])
+        expo = complex(*_pair(item["exponent"], "term exponent"))
+        coeffs = tuple(from_json(c, "term coefficient") for c in item["coeffs"])
         terms.append(SigmaTerm(expo, coeffs))
-    sig = sigma_from_expression(
+    return sigma_from_expression(
         d["expr"],
         order=int(_require(d, "order", "sigma")),
         terms=terms,
         log_bound=int(d.get("logBound", 0)),
-        x_support=tuple(d["xSupport"]) if "xSupport" in d else None,
+        x_support=_pair(d["xSupport"], "xSupport") if "xSupport" in d else None,
         zeta_vanishes_below=d.get("zetaVanishesBelow"),
     )
-    return sig
 
 
 def _diagnostics_json(diag) -> dict:
@@ -211,10 +234,13 @@ def _diagnostics_json(diag) -> dict:
 
 def _run_sal(payload, args):
     sigma = _sigma_from_json(_require(payload, "sigma", "sal"))
-    rep = asymptotic_expansion(sigma, run_diagnostics=bool(payload.get("diagnostics", False)))
+    rep = asymptotic_expansion(sigma)
     report = {"kind": "sal", "expansion": _expansion_json(rep.expansion), "notes": list(rep.notes)}
-    if rep.diagnostics is not None:
-        report["diagnostics"] = _diagnostics_json(rep.diagnostics)
+    if payload.get("diagnostics", False):  # after the expansion, before the verification
+        diagnostics = check_hypotheses(sigma)
+        if not diagnostics.ok:
+            raise HypothesisFailure(diagnostics)
+        report["diagnostics"] = _diagnostics_json(diagnostics)
     if payload.get("verifyGrid"):
         vr = verify_expansion(rep.expansion, sigma, [float(z) for z in payload["verifyGrid"]])
         report["verification"] = {
@@ -228,7 +254,7 @@ def _run_sal(payload, args):
 
 def _run_separable(payload, args):
     phi = _require(payload, "phi", "separable")
-    f = _function(_require(payload, "f", "separable"), "f")
+    f = from_json(_require(payload, "f", "separable"), "f")
     q = float(_require(payload, "q", "separable"))
     mode = payload.get("mode", "scale")
     if mode == "scale":
@@ -265,7 +291,7 @@ def _run_pushforward(payload, args):
     if "fitBasis" in payload:
         fit = fit_asymptotics(
             [(t, v) for t, v, _, _ in rows],
-            [(b[0], int(b[1])) for b in payload["fitBasis"]],
+            [(a, int(k)) for a, k in (_pair(b, "fitBasis entry") for b in payload["fitBasis"])],
         )
         report["fit"] = {
             "basis": [list(b) for b in fit.basis],
@@ -276,16 +302,11 @@ def _run_pushforward(payload, args):
     return report, rows
 
 
-def _index_set_from_json(triples, truncation: float) -> IndexSet:
-    entries = [IndexEntry(float(a), float(b), int(k)) for a, b, k in triples]
-    return IndexSet.from_entries(entries, truncation)
-
-
 def _run_indexset(payload, args):
     N = float(args.truncate if args.truncate is not None else payload.get("truncation", DEFAULT_TRUNCATION))
     op = _require(payload, "operation", "indexset")
     sets = {
-        name: _index_set_from_json(triples, N)
+        name: IndexSet.from_entries([IndexEntry(float(a), float(b), int(k)) for a, b, k in triples], N)
         for name, triples in _object(payload.get("sets", {}), "sets").items()
     }
     report = {"kind": "indexset", "operation": op, "truncation": N}

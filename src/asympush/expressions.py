@@ -37,6 +37,7 @@ __all__ = [
     "EvalError",
     "DiffError",
     "parse",
+    "parse_in",
     "unparse",
     "evaluate",
     "compile_expr",
@@ -299,6 +300,15 @@ def parse(text: str) -> Expr:
     kind, lit, offset = tokens[i]
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {lit!r}", offset)
+    return node
+
+
+def parse_in(expr: str | Expr, names: Sequence[str], what: str = "expression") -> Expr:
+    """The tree of expr, parsed if it is text; ValueError if it has a variable outside names."""
+    node = parse(expr) if isinstance(expr, str) else expr
+    extra = free_vars(node) - set(names)
+    if extra:
+        raise ValueError(f"{what} has free variables besides {', '.join(names)}: {sorted(extra)}")
     return node
 
 

@@ -69,18 +69,18 @@ class IndexEntry(Record):
         alpha = complex(alpha)
         return IndexEntry(alpha.real, alpha.imag, k)
 
-    def matches(self, other: "IndexEntry", tol: float = EXPONENT_TOL) -> bool:
+    def matches(self, other: "IndexEntry") -> bool:
         return (
-            abs(self.re - other.re) <= tol
-            and abs(self.im - other.im) <= tol
+            abs(self.re - other.re) <= EXPONENT_TOL
+            and abs(self.im - other.im) <= EXPONENT_TOL
             and self.k == other.k
         )
 
 
-def _dedup(entries, tol: float) -> tuple[IndexEntry, ...]:
+def _dedup(entries) -> tuple[IndexEntry, ...]:
     out: list[IndexEntry] = []
     for e in sorted(entries):
-        if not any(e.matches(kept, tol) for kept in out):
+        if not any(e.matches(kept) for kept in out):
             out.append(e)
     return tuple(out)
 
@@ -92,17 +92,16 @@ class IndexSet(NamedTuple):
     truncation: float
 
     @staticmethod
-    def from_entries(entries, truncation: float, tol: float = EXPONENT_TOL) -> "IndexSet":
-        kept = [e for e in entries if e.re < truncation]
-        return IndexSet(_dedup(kept, tol), truncation)
+    def from_entries(entries, truncation: float) -> "IndexSet":
+        return IndexSet(_dedup([e for e in entries if e.re < truncation]), truncation)
 
     @property
     def is_empty(self) -> bool:
         return not self.entries
 
-    def contains(self, alpha: complex, k: int, tol: float = EXPONENT_TOL) -> bool:
+    def contains(self, alpha: complex, k: int) -> bool:
         probe = IndexEntry.of(alpha, k)
-        return any(e.matches(probe, tol) for e in self.entries)
+        return any(e.matches(probe) for e in self.entries)
 
     def min_re(self) -> float:
         if self.is_empty:
@@ -112,14 +111,14 @@ class IndexSet(NamedTuple):
     def as_triples(self) -> list[tuple[float, float, int]]:
         return [(e.re, e.im, e.k) for e in self.entries]
 
-    def check_closure(self, tol: float = EXPONENT_TOL) -> list[str]:
+    def check_closure(self) -> list[str]:
         """Return violations of the closure conditions on the materialized set."""
         problems = []
         for e in self.entries:
-            if e.re + 1 < self.truncation and not self.contains(e.alpha + 1, e.k, tol):
+            if e.re + 1 < self.truncation and not self.contains(e.alpha + 1, e.k):
                 problems.append(f"missing integer shift of ({e.alpha}, {e.k})")
             for p in range(e.k):
-                if not self.contains(e.alpha, p, tol):
+                if not self.contains(e.alpha, p):
                     problems.append(f"missing log-power {p} below ({e.alpha}, {e.k})")
         return problems
 
@@ -142,9 +141,9 @@ def complete(generators, truncation: float = DEFAULT_TRUNCATION) -> IndexSet:
     return IndexSet.from_entries(out, truncation)
 
 
-def extended_union(K: IndexSet, I: IndexSet, tol: float = EXPONENT_TOL) -> IndexSet:
+def extended_union(K: IndexSet, I: IndexSet) -> IndexSet:
     """K union I union {(z, p'+p''+1) : (z,p') in K, (z,p'') in I}, re-completed."""
-    if abs(K.truncation - I.truncation) > tol:
+    if abs(K.truncation - I.truncation) > EXPONENT_TOL:
         raise ValueError(
             f"mismatched truncation bounds: {K.truncation} vs {I.truncation}"
         )
@@ -152,7 +151,7 @@ def extended_union(K: IndexSet, I: IndexSet, tol: float = EXPONENT_TOL) -> Index
     out = list(K.entries) + list(I.entries)
     for a in K.entries:
         for b in I.entries:
-            if abs(a.re - b.re) <= tol and abs(a.im - b.im) <= tol:
+            if abs(a.re - b.re) <= EXPONENT_TOL and abs(a.im - b.im) <= EXPONENT_TOL:
                 out.append(IndexEntry(a.re, a.im, a.k + b.k + 1))
     if not out:
         return IndexSet.from_entries([], N)
@@ -198,6 +197,12 @@ def nullfaces(matrix: ExponentMatrix) -> set[str]:
     }
 
 
+def _require_faces(family: IndexFamily, matrix: ExponentMatrix) -> None:
+    missing = [G for G in matrix.faces_x if G not in family]
+    if missing:
+        raise ValueError(f"index family misses source faces {missing}")
+
+
 class PushForwardResult(NamedTuple):
     family: IndexFamily
     notes: tuple[str, ...] = ()
@@ -214,9 +219,7 @@ def push_index_family(
     extended union in declared source-face order, each contribution being the
     source index set with exponents divided by the matrix entry.
     """
-    missing = [G for G in matrix.faces_x if G not in family]
-    if missing:
-        raise ValueError(f"index family misses source faces {missing}")
+    _require_faces(family, matrix)
     if not matrix.is_b_normal():
         raise ValueError("exponent matrix fails the b-normality check")
 
@@ -251,9 +254,7 @@ class IntegrabilityReport(NamedTuple):
 
 def check_integrability(family: IndexFamily, matrix: ExponentMatrix) -> IntegrabilityReport:
     """True iff every entry on every nullface has Re alpha > 0."""
-    missing = [G for G in matrix.faces_x if G not in family]
-    if missing:
-        raise ValueError(f"index family misses source faces {missing}")
+    _require_faces(family, matrix)
     bad = []
     for G in sorted(nullfaces(matrix)):
         for e in family[G].entries:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 from . import expressions as ex
 from ._record import Record
-from .asymfun import from_expression
+from .asymfun import RAPID_DECAY_ORDER, from_expression
 from .expansions import Expansion, in_t
 from .indexsets import (
     ExponentMatrix,
@@ -26,7 +26,7 @@ from .indexsets import (
     IntegrabilityReport,
     check_integrability,
 )
-from .quadrature import DEFAULT_TOL, dyadic_shells, quad_interval
+from .quadrature import DEFAULT_TOL, SHELL_LEVELS, dyadic_shells, quad_interval
 from .singular_expansion import SigmaFunction, SigmaTerm, asymptotic_expansion
 
 __all__ = [
@@ -61,13 +61,11 @@ class Density2D(Record):
 
     __slots__ = ("ast", "box", "_fn")
 
-    def __init__(self, ast: ex.Expr, box: tuple[float, float] = (1.0, 1.0)):
+    def __init__(self, ast: str | ex.Expr, box: tuple[float, float] = (1.0, 1.0)):
+        ast = ex.parse_in(ast, ("x", "y"), "density")
         X, Y = box
         if not (X > 0 and Y > 0):
             raise ValueError("support box must have positive side lengths")
-        extra = ex.free_vars(ast) - {"x", "y"}
-        if extra:
-            raise ValueError(f"density has free variables besides x, y: {sorted(extra)}")
         object.__setattr__(self, "ast", ast)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "_fn", ex.compile_expr(ast, ("x", "y")))
@@ -88,8 +86,7 @@ class Density2D(Record):
 
 
 def density_from_expression(text: str | ex.Expr, box: tuple[float, float] = (1.0, 1.0)) -> Density2D:
-    ast = ex.parse(text) if isinstance(text, str) else text
-    return Density2D(ast, box)
+    return Density2D(text, box)
 
 
 def push_xy(u: Density2D, t: float, tol: float = DEFAULT_TOL) -> float:
@@ -198,7 +195,7 @@ class BlowupDensity(Density2D):
 
     __slots__ = ("family",)
 
-    def __init__(self, ast: ex.Expr, box: tuple[float, float] = (1.0, math.inf), *, family: IndexFamily):
+    def __init__(self, ast: str | ex.Expr, box: tuple[float, float] = (1.0, math.inf), *, family: IndexFamily):
         super().__init__(ast, box)
         missing = [G for G in ("G1", "G2", "G3") if G not in family]
         if missing:
@@ -215,8 +212,7 @@ def blowup_density_from_expression(
     family: IndexFamily,
     box: tuple[float, float] = (1.0, math.inf),
 ) -> BlowupDensity:
-    ast = ex.parse(text) if isinstance(text, str) else text
-    return BlowupDensity(ast, box, family=family)
+    return BlowupDensity(text, box, family=family)
 
 
 def blowup_matrix() -> ExponentMatrix:
@@ -248,7 +244,7 @@ def _axis_terms(u: Density2D, other: str, order: int) -> tuple[SigmaTerm, ...]:
         c = ex.BinOp("/", c, ex.Num(float(factorial(m))))
         c = ex.BinOp("/", c, ex.Var("x")) if lead else c
         terms = [(k + lead, [v]) for k, v in enumerate(cs)]
-        f = from_expression(c, terms, depth + 1.0 + lead, order_inf=40.0, support=(0.0, upper))
+        f = from_expression(c, terms, depth + 1.0 + lead, order_inf=RAPID_DECAY_ORDER, support=(0.0, upper))
         out.append(SigmaTerm(complex(-m if lead else m - 1), (f,)))
     return tuple(out)
 
@@ -300,9 +296,6 @@ def F_pushforward(d: BlowupDensity, t: float, tol: float = DEFAULT_TOL) -> float
     return push_xy(d, t, tol)
 
 
-CONDC_LEVELS = 26  # dyadic shells of condition_C_check toward the front face
-
-
 class ConditionCReport(NamedTuple):
     """Sampled front-face boundedness check next to the index-set verdict."""
 
@@ -320,7 +313,7 @@ def condition_C_check(
     """Evaluate int_0^1 zeta^p |d_x^p sigma(zeta t, zeta)| dzeta on a t grid.
 
     Divergence at zeta = 0 is decided by the dyadic-shell monitor
-    (:func:`quadrature.dyadic_shells`) over [2^-CONDC_LEVELS, 1].  The verdict is
+    (:func:`quadrature.dyadic_shells`) over [2^-SHELL_LEVELS, 1].  The verdict is
     reported next to the combinatorial one (positive real parts on the
     nullface index set).
     """
@@ -331,7 +324,7 @@ def condition_C_check(
     for p in range(p_max + 1):
         dp = sigma.x_deriv(p)
         for t in t_grid:
-            values[(p, t)], _ = dyadic_shells(lambda z: z**p * abs(dp(z * t, z)), 1.0, CONDC_LEVELS, 1e-9)
+            values[(p, t)], _ = dyadic_shells(lambda z: z**p * abs(dp(z * t, z)), 1.0, SHELL_LEVELS, 1e-9)
     bounded = not any(map(math.isinf, values.values()))
     integ = check_integrability(d.family, blowup_matrix())
     return ConditionCReport(values, bounded, integ, bounded == integ.ok)

@@ -33,7 +33,7 @@ from operator import add, mul, not_, sub
 
 __all__ = [
     "QuadratureError", "quad_interval", "quad_01", "quad_1inf",
-    "dyadic_shells", "grows", "DEFAULT_TOL",
+    "dyadic_shells", "grows", "DEFAULT_TOL", "SHELL_LEVELS",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -510,6 +510,7 @@ SHELL_RATIO = 0.1
 SHELL_WINDOW = 6
 SHELL_FLOOR = 1e-12
 SHELL_STOP = 1e-14
+SHELL_LEVELS = 26  # shells toward a face of the sampled hypothesis checks, down to 2^-26
 
 
 def _outgrows(values, combine, ratio: float) -> bool:
@@ -538,7 +539,7 @@ def dyadic_shells(f, b: float, levels: int, tol: float, points=()):
     the first window starts at the first shell that is not zero.
 
     The rule's known limit: x^a with a just above -1 shrinks by 2^-(a+1)
-    per shell, 2^-0.1 for a = -0.9, so 26 shells cannot tell it from a
+    per shell, 2^-0.1 for a = -0.9, so SHELL_LEVELS shells cannot tell it from a
     divergent integrand and it reads as divergent.
     """
     if levels < 2 * SHELL_WINDOW:

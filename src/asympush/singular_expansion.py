@@ -39,8 +39,10 @@ from . import expressions as ex
 from ._record import Record
 from .asymfun import (
     ORDER_EPS,
+    RAPID_DECAY_ORDER,
     AsymFunction,
     MissingExpansionData,
+    _check_support,
     _evaluator,
     power_log_multiply,
     reg_integral,
@@ -48,7 +50,7 @@ from .asymfun import (
 )
 from .expansions import Expansion, in_t, make_side
 from .logpoly import EXPONENT_TOL, LogPolynomial
-from .quadrature import DEFAULT_TOL, QuadratureError, dyadic_shells, grows, quad_interval
+from .quadrature import DEFAULT_TOL, SHELL_LEVELS, QuadratureError, dyadic_shells, grows, quad_interval
 
 __all__ = [
     "SigmaTerm",
@@ -58,21 +60,13 @@ __all__ = [
     "HypothesisDiagnostics",
     "ResidualReport",
     "MissingExpansionData",
-    "HypothesisFailure",
     "asymptotic_expansion",
     "separable_expansion",
     "corollary_expansion",
     "check_hypotheses",
     "verify_expansion",
+    "fit_decay",
 ]
-
-
-class HypothesisFailure(RuntimeError):
-    """Sampled hypothesis diagnostics failed; carries the report."""
-
-    def __init__(self, diagnostics: "HypothesisDiagnostics"):
-        super().__init__("sampled hypothesis diagnostics failed")
-        self.diagnostics = diagnostics
 
 
 class SigmaTerm(NamedTuple):
@@ -173,7 +167,7 @@ class SigmaFunction(Record):
                 zero_terms.append((-term.exponent, LogPolynomial(poly)))
 
         if self.zeta_vanishes_below is not None and self.zeta_vanishes_below > 0:
-            inf_side = make_side([], 40.0, "infinity")
+            inf_side = make_side([], RAPID_DECAY_ORDER, "infinity")
             support = (0.0, 1.0 / self.zeta_vanishes_below)
         else:
             try:
@@ -197,11 +191,8 @@ def sigma_from_expression(
     x_support: tuple[float, float] | None = None,
     zeta_vanishes_below: float | None = None,
 ) -> SigmaFunction:
-    ast = ex.parse(text) if isinstance(text, str) else text
-    extra = ex.free_vars(ast) - {"x", "zeta"}
-    if extra:
-        raise ValueError(f"expression has free variables besides x, zeta: {sorted(extra)}")
-
+    ast = ex.parse_in(text, ("x", "zeta"))
+    _check_support(x_support, "x_support")
     return SigmaFunction(
         fn=ex.compile_expr(ast, ("x", "zeta")),
         order=order,
@@ -219,7 +210,6 @@ def sigma_from_expression(
 
 class ExpansionReport(NamedTuple):
     expansion: Expansion
-    diagnostics: "HypothesisDiagnostics | None" = None
     notes: tuple[str, ...] = ()
 
 
@@ -284,12 +274,11 @@ def _moments(cs: Sequence[AsymFunction], gamma: complex, sign: int, tol: float) 
 CORNER_RTOL = 1e-9  # relative gap at which the two sides' corner coefficients disagree
 
 
-def asymptotic_expansion(
-    sigma: SigmaFunction,
-    tol: float = DEFAULT_TOL,
-    run_diagnostics: bool = False,
-) -> ExpansionReport:
-    """Expansion of int_0^inf sigma(x, x z) dx in the large variable z."""
+def asymptotic_expansion(sigma: SigmaFunction, tol: float = DEFAULT_TOL) -> ExpansionReport:
+    """Expansion of int_0^inf sigma(x, x z) dx in the large variable z.
+
+    The expansion only: :func:`check_hypotheses` samples the hypotheses it rests on.
+    """
     p = sigma.order
     terms = []
     notes: list[str] = []
@@ -334,11 +323,7 @@ def asymptotic_expansion(
             _corner_log(terms, alpha, LogPolynomial(own), k, -1)
             _corner_log(terms, alpha, q.exp_inf.poly_at(-alpha).scale(-1), k, -1)
 
-    expansion = make_side(terms, float(p), "infinity", sigma.log_bound + 1)
-    diagnostics = check_hypotheses(sigma) if run_diagnostics else None
-    if diagnostics is not None and not diagnostics.ok:
-        raise HypothesisFailure(diagnostics)
-    return ExpansionReport(expansion, diagnostics, tuple(notes))
+    return ExpansionReport(make_side(terms, float(p), "infinity", sigma.log_bound + 1), tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +442,7 @@ def check_hypotheses(sigma: SigmaFunction) -> HypothesisDiagnostics:
         probes = [lambda z, t=t: abs(z**t.exponent) * sum(abs(c(1.0 / z)) for c in t.coeffs) for t in xs]
     boundary: dict = {}
     for j, probe in enumerate(probes):
-        boundary[j], diverges = dyadic_shells(probe, 1.0, 26, 1e-8)
+        boundary[j], diverges = dyadic_shells(probe, 1.0, SHELL_LEVELS, 1e-8)
         if diverges:
             ok = False
             notes.append(f"boundary integral j={j} diverges")
@@ -466,7 +451,7 @@ def check_hypotheses(sigma: SigmaFunction) -> HypothesisDiagnostics:
     if p == 0:
         vals = []
         for k in range(11):
-            v, diverges = dyadic_shells(lambda s: abs(sigma(2.0**-k * s, s)), 1.0, 26, 1e-8)
+            v, diverges = dyadic_shells(lambda s: abs(sigma(2.0**-k * s, s)), 1.0, SHELL_LEVELS, 1e-8)
             if diverges:
                 growth_model, growth_T, ok = "power", math.inf, False
                 notes.append("theta-scan integral diverges")
@@ -514,8 +499,6 @@ def verify_expansion(
     tol: float = DEFAULT_TOL,
 ) -> ResidualReport:
     """Compare the truncated expansion against direct quadrature on a z grid."""
-    import numpy as np
-
     if list(z_grid) != sorted(z_grid) or (z_grid and z_grid[0] < 2.0):
         raise ValueError("z grid must be increasing with entries >= 2")
     rows = []
@@ -531,10 +514,16 @@ def verify_expansion(
     usable = [(z, r) for z, _, _, r in rows if math.isfinite(r) and r > 1e-13]
     exponent = log_power = None
     if len(usable) >= 3:
-        lz = np.log([z for z, _ in usable])
-        lr = np.log([r for _, r in usable])
-        A = np.vstack([np.ones_like(lz), lz, np.log(lz)]).T
-        coef, *_ = np.linalg.lstsq(A, lr, rcond=None)
-        exponent, log_power = float(coef[1]), float(coef[2])
+        exponent, log_power = fit_decay(*zip(*usable))
     max_res = max((r for *_, r in rows if math.isfinite(r)), default=0.0)
     return ResidualReport(tuple(rows), exponent, log_power, max_res)
+
+
+def fit_decay(points: Sequence[float], residuals: Sequence[float]) -> tuple[float, float]:
+    """(e, k) of the least-squares fit ln r = c + e L + k ln|L|, L = ln of each point."""
+    import numpy as np
+
+    L = np.log(points)
+    A = np.column_stack([np.ones_like(L), L, np.log(np.abs(L))])
+    coef, *_ = np.linalg.lstsq(A, np.log(residuals), rcond=None)
+    return float(coef[1]), float(coef[2])

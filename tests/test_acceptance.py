@@ -18,3 +18,12 @@ def test_criterion(number, name):
     assert r.seconds <= TIME_LIMITS[number], (
         f"criterion {number} took {r.seconds:.2f}s, limit {TIME_LIMITS[number]}s"
     )
+
+
+def test_residual_decay_fits_read_their_selftest_values():
+    # criteria 5 and 6 share one fit of ln r = c + e ln z + k ln|ln z|; criterion 6's
+    # points lie below 1, where ln z < 0 and only |ln z| has a logarithm
+    details5 = run_criterion(5).details
+    decay = float(details5.split("residual decay exponent ")[1].split()[0])
+    assert decay == pytest.approx(-4.080813382867932, rel=1e-12)
+    assert "residual decay exponent 3.944 " in run_criterion(6).details

@@ -11,7 +11,6 @@ from asympush.asymfun import (
     AsymFunction,
     MissingExpansionData,
     from_expression,
-    from_json,
     lim_inf,
     lim_zero,
     mellin,
@@ -24,6 +23,7 @@ from asympush.asymfun import (
     scale_reg_integral,
     schwartz,
 )
+from asympush.cli import from_json
 from asympush.expansions import Expansion, Term, make_side
 from asympush.logpoly import LogPolynomial
 from asympush.quadrature import quad_01, quad_1inf, quad_interval
@@ -313,6 +313,13 @@ def test_support_clips_evaluator():
     assert f(0.5) == 1.0
     assert f(2.0) == 0.0
     assert reg_integral(f) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("support", [(2.0, 1.0), (1.0, 1.0), (-1.0, 1.0), (0.0, math.nan)])
+def test_support_outside_0_le_a_lt_b_is_rejected(support):
+    # a reversed support clipped every x and read 0 as the regularized integral
+    with pytest.raises(ValueError, match=r"support must satisfy 0 <= a < b"):
+        from_expression("exp(-x)", order_inf=40.0, support=support)
 
 
 def test_from_json_roundtrip():

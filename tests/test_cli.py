@@ -10,8 +10,8 @@ import pytest
 
 import asympush
 from asympush import asymfun, cli
-from asympush.asymfun import from_json, scale_reg_integral
-from asympush.cli import main
+from asympush.asymfun import scale_reg_integral
+from asympush.cli import from_json, main
 
 
 def write_spec(path, payload):
@@ -387,6 +387,54 @@ def test_nested_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, payload):
     spec = write_spec(tmp_path / "nested.json", payload)
     assert main(["run", spec]) == 2
     assert "must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"kind": "mellin", "function": EXP_FUNCTION, "points": [[0.5]]}, "mellin point must be a pair, not [0.5]"),
+        (
+            {"kind": "sal", "sigma": {"expr": "exp(-x)*exp(-zeta)", "order": 1,
+                                      "terms": [{"exponent": [0.0], "coeffs": []}]}},
+            "term exponent must be a pair, not [0.0]",
+        ),
+        (
+            {"kind": "pushforward", "density": {"expr": "exp(-x-y)"}, "tGrid": [0.1, 0.2], "fitBasis": [[0.0]]},
+            "fitBasis entry must be a pair, not [0.0]",
+        ),
+        (
+            {"kind": "reginteg", "function": {"expr": "exp(-x)", "infinity": {"order": 40},
+                                              "zero": {"terms": [{"exponent": [0, 0], "logCoeffs": [[1.0]]}]}}},
+            "logCoeffs entry must be a pair, not [1.0]",
+        ),
+        (
+            {"kind": "reginteg", "function": {"expr": "exp(-x)", "infinity": {"order": 40}, "support": [2, 1]}},
+            "support must satisfy 0 <= a < b, not (2, 1)",
+        ),
+        (
+            {"kind": "sal", "sigma": {"expr": "exp(-x)*exp(-zeta)", "order": 2, "xSupport": [5, 0]}},
+            "x_support must satisfy 0 <= a < b, not (5, 0)",
+        ),
+    ],
+    ids=["mellin point", "sal exponent", "fitBasis", "logCoeffs", "reversed support", "reversed xSupport"],
+)
+def test_malformed_pair_or_reversed_support_exits_2(tmp_path, capsys, payload, message):
+    # a short pair was read by index and crashed with an IndexError (exit 1); a reversed
+    # support clipped every x and exited 0 with a wrong value
+    spec = write_spec(tmp_path / "pair.json", payload)
+    assert main(["run", spec, "--json-only"]) == 2
+    assert f"invalid spec: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "pair.report.json").exists()
+
+
+def test_diagnostics_run_before_the_verification(tmp_path):
+    # a verify grid that verification rejects (z < 2) does not hide a failed diagnostics
+    spec = write_spec(
+        tmp_path / "diag.json",
+        {"kind": "sal", "sigma": {"expr": "1/(x+zeta)", "order": 0}, "diagnostics": True, "verifyGrid": [1.0]},
+    )
+    assert main(["run", spec, "--json-only"]) == 4
+    assert read_report(tmp_path, "diag")["diagnostics"]["ok"] is False
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asympush.asymfun import from_expression, from_json, power_log_multiply, rescale, schwartz
+from asympush.asymfun import from_expression, power_log_multiply, rescale, schwartz
+from asympush.cli import from_json
 from asympush.expansions import Expansion, Term, make_side
 from asympush.logpoly import EXPONENT_TOL, LogPolynomial
 from asympush.singular_expansion import _multiple

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asympush import expressions as ex
+from asympush.asymfun import from_expression
 from asympush.pushforward import density_from_expression
+from asympush.singular_expansion import sigma_from_expression
 
 
 def test_parse_precedence_and_unparse():
@@ -812,3 +814,26 @@ def test_passes_on_deep_chains(build):
     again = build()
     assert node == again and hash(node) == hash(again)
     assert node != ex.substitute(again, "x", ex.Var("y"))
+
+
+@pytest.mark.parametrize(
+    "names, what, text, build, message",
+    [
+        (("x",), "expression", "exp(-x)*y", from_expression,
+         "expression has free variables besides x: ['y']"),
+        (("x", "zeta"), "expression", "x*zeta*w", lambda t: sigma_from_expression(t, order=1),
+         "expression has free variables besides x, zeta: ['w']"),
+        (("x", "y"), "density", "x*y*z", density_from_expression,
+         "density has free variables besides x, y: ['z']"),
+    ],
+)
+def test_parse_in_names_the_variables_outside_the_list(names, what, text, build, message):
+    # one reader for every constructor of expression text, word for word the same message
+    tree = ex.parse("x*2")
+    assert ex.parse_in("x*2", names, what) == tree
+    assert ex.parse_in(tree, names, what) is tree  # a tree is checked, not parsed again
+    for run in (lambda: ex.parse_in(text, names, what), lambda: build(text)):
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == message
+

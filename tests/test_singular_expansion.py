@@ -5,11 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from asympush.asymfun import AsymFunction, from_expression, from_json, pure_power, schwartz
+from asympush.asymfun import AsymFunction, from_expression, pure_power, schwartz
+from asympush.cli import from_json
 from asympush.expansions import make_side
 from asympush.pushforward import density_from_expression, sigma_from_density
 from asympush.singular_expansion import (
-    HypothesisFailure,
     MissingExpansionData,
     SigmaFunction,
     SigmaTerm,
@@ -88,8 +88,9 @@ def test_expansion_through_an_overflowing_power():
     # the 5th x-derivative holds (1+x+zeta)^-6, whose power passes the float
     # range near y = 1/zeta = 0, where exp(-zeta) has made the term 0
     text = "exp(-x-zeta)/(1+x+zeta)"
-    rep = asymptotic_expansion(sigma_from_expression(text, order=5), run_diagnostics=True)
-    assert rep.diagnostics.ok
+    sig = sigma_from_expression(text, order=5)
+    rep = asymptotic_expansion(sig)
+    assert check_hypotheses(sig).ok
     vr = verify_expansion(rep.expansion, sigma_from_expression(text, order=5), [16.0, 32.0, 64.0, 128.0, 256.0])
     assert vr.decay_exponent <= -5.7
 
@@ -158,8 +159,6 @@ def test_remainder_constant_that_grows_with_zeta_fails():
     assert diag.remainder_constants[(0, 0)] == pytest.approx(99.9, abs=0.01)
     assert not diag.ok
     assert "remainder constant J=0 K=0 grows with zeta" in diag.notes
-    with pytest.raises(HypothesisFailure):
-        asymptotic_expansion(sig, run_diagnostics=True)
     # zero below zeta = 8, then decaying: the octaves before the support are
     # skipped, so the first nonzero peak is not read as growth
     late = sigma_from_expression("exp(-x)*exp(-zeta)", order=2, zeta_vanishes_below=8.0)
@@ -194,9 +193,9 @@ def test_step_in_x_has_no_x_derivative():
         sig(1).x_deriv(1)
     # order 1 needs no derivative for its z^-1 term, but its remainder sampler does
     assert asymptotic_expansion(sig(1)).expansion.coefficient(-1.0, 0).real == pytest.approx(math.exp(-0.001), abs=1e-9)
-    for order, diagnostics in ((1, True), (2, False)):
+    for run in (lambda: check_hypotheses(sig(1)), lambda: asymptotic_expansion(sig(2))):
         with pytest.raises(MissingExpansionData, match="x-derivative of order 1"):
-            asymptotic_expansion(sig(order), run_diagnostics=diagnostics)
+            run()
 
 
 def test_sigma_without_an_expression_has_no_x_derivative():
@@ -234,8 +233,13 @@ def test_hypothesis_diagnostics_detect_scaling_divergence():
     sig = sigma_from_expression("1/(x+zeta)", order=0)
     diag = check_hypotheses(sig)
     assert not diag.ok
-    with pytest.raises(HypothesisFailure):
-        asymptotic_expansion(sig, run_diagnostics=True)
+
+
+@pytest.mark.parametrize("x_support", [(5.0, 0.0), (1.0, 1.0), (-1.0, 1.0)])
+def test_x_support_outside_0_le_a_lt_b_is_rejected(x_support):
+    # (5, 0) clipped every x: the expansion predicted 3.5e-12 at z = 4, where the integral is 0.2
+    with pytest.raises(ValueError, match=r"x_support must satisfy 0 <= a < b"):
+        sigma_from_expression("exp(-x)*exp(-zeta)", order=2, x_support=x_support)
 
 
 def test_missing_small_argument_data_raises():
@@ -337,7 +341,7 @@ def test_boundary_integrals_read_the_declared_x_side_terms():
     # the probe of d_x^j sigma(0, zeta) divided by x = 0
     mp = pytest.importorskip("mpmath")
     sigma = sigma_from_density(density_from_expression("exp(-x-y)", (1.0, 2.0)), 1)
-    diag = asymptotic_expansion(sigma, run_diagnostics=True).diagnostics
+    diag = check_hypotheses(sigma)
     assert diag.ok
     for j, want in enumerate([mp.quad(lambda y: mp.exp(-y) / y ** (1 + j), [1, 2]) for j in (0, 1)]):
         assert diag.boundary_integrals[j] == pytest.approx(float(want), rel=1e-7)

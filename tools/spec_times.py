@@ -14,7 +14,10 @@ process puts both checkouts under the same drift.
 Prints, per seed, the median wall time of each spec on each side and their
 ratio, the spec at the median of a pass (the p50 of the benchmark's
 operation latencies, taken over the specs' medians) on each side, and per
-spec kind the summed medians and their ratio.
+spec kind the summed medians, their ratio and the quartiles of the per-pass
+ratios (the kind's summed times in one pass, new over old).  A ratio whose
+quartiles straddle 1 is not resolved; on a 2-core VM 10 passes spread a few
+percent either way, hence the default of 30.
 """
 
 import argparse
@@ -76,13 +79,16 @@ def report(label: str, times: dict) -> None:
         print(f"  {side} p50 {p50 * 1e3:.3f} ms, at {' / '.join(names)}")
     kinds: dict = {}
     for path in old:
-        kind = Path(path).stem.rstrip("0123456789")
-        sums = kinds.setdefault(kind, [0.0, 0.0])
-        sums[0] += old[path]
-        sums[1] += new[path]
-    print(f"  {'kind (summed)':<16} {'old ms':>9} {'new ms':>9} {'new/old':>8}")
-    for kind, (a, b) in sorted(kinds.items()):
-        print(f"  {kind:<16} {a * 1e3:>9.3f} {b * 1e3:>9.3f} {b / a:>8.3f}")
+        kinds.setdefault(Path(path).stem.rstrip("0123456789"), []).append(path)
+    print(f"  {'kind (summed)':<16} {'old ms':>9} {'new ms':>9} {'new/old':>8} {'per-pass IQR':>12}")
+    for kind, paths in sorted(kinds.items()):
+        a, b = sum(old[p] for p in paths), sum(new[p] for p in paths)
+        per_pass = [
+            sum(times["new"][p][n] for p in paths) / sum(times["old"][p][n] for p in paths)
+            for n in range(len(times["old"][paths[0]]))
+        ]
+        q1, _, q3 = statistics.quantiles(per_pass, n=4, method="inclusive")
+        print(f"  {kind:<16} {a * 1e3:>9.3f} {b * 1e3:>9.3f} {b / a:>8.3f} {q1:>6.3f}-{q3:.3f}")
 
 
 def main(argv: list[str]) -> int:
@@ -90,7 +96,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("old")
     parser.add_argument("new")
     parser.add_argument("seeds", nargs="*", type=int)
-    parser.add_argument("--passes", type=int, default=20)
+    parser.add_argument("--passes", type=int, default=30)
     args = parser.parse_args(argv)
     clis = {"old": load_cli(args.old, "asympush_old"), "new": load_cli(args.new, "asympush_new")}
     with tempfile.TemporaryDirectory() as tmp:
