@@ -310,13 +310,18 @@ def _run_indexset(payload, args):
         for name, triples in _object(payload.get("sets", {}), "sets").items()
     }
     report = {"kind": "indexset", "operation": op, "truncation": N}
+
+    def named(name):
+        if name not in sets:
+            raise SpecError(f"indexset args name the set {name!r}, but sets defines only {sorted(sets)}")
+        return sets[name]
+
     if op == "complete":
         (name,) = _require(payload, "args", "indexset")
-        out = complete(sets[name].entries, N)
-        report["result"] = out.as_triples()
+        report["result"] = complete(named(name).entries, N).as_triples()
     elif op == "extendedUnion":
         a, b = _require(payload, "args", "indexset")
-        report["result"] = extended_union(sets[a], sets[b]).as_triples()
+        report["result"] = extended_union(named(a), named(b)).as_triples()
     elif op in ("push", "integrability"):
         mspec = _require(payload, "matrix", "indexset")
         matrix = ExponentMatrix(

@@ -331,8 +331,8 @@ def _kids(nd: Expr) -> tuple:
 
 # the latest tree walked and its list, so that passes over one tree in a row
 # (free_vars, then compile_expr, of a density) walk it once; a tree is
-# immutable, and the tuple is replaced whole
-_last_walk: tuple = (None, [])
+# immutable, the tuple is replaced whole, and no caller passes its first root
+_last_walk: tuple = (object(), [])
 
 
 def _postorder(node: Expr, follow: Callable[[Expr], tuple] | None = None) -> list[Expr]:
@@ -756,10 +756,12 @@ def _div(a: Expr, b: Expr) -> Expr:
     return BinOp("/", a, b)
 
 
-def _diff_rule(nd: BinOp | Call, du: Expr, dv: Expr | None, var: str) -> Expr:
+def _diff_rule(nd: BinOp | Call, du: Expr, dv: Expr | None, var: str, first: bool = True) -> Expr:
     """The derivative of nd from those of its operands: the sum, product, quotient or chain rule.
 
-    For a call, du is the derivative of its argument, which holds var.
+    For a call, du is the derivative of its argument, which holds var.  A
+    quotient u/v takes (u'v - uv')/v^2 at the first order, and past it
+    (u' - (u/v)v')/v, which reads nd itself and squares no denominator.
     """
     if type(nd) is Call:
         if nd.func == "exp":
@@ -784,47 +786,80 @@ def _diff_rule(nd: BinOp | Call, du: Expr, dv: Expr | None, var: str) -> Expr:
         return _sub(du, dv)
     if nd.op == "*":
         return _add(_mul(du, nd.right), _mul(nd.left, dv))
-    return _div(_sub(_mul(du, nd.right), _mul(nd.left, dv)), BinOp("^", nd.right, Num(2.0)))
+    if first:
+        return _div(_sub(_mul(du, nd.right), _mul(nd.left, dv)), BinOp("^", nd.right, Num(2.0)))
+    return _div(_sub(du, _mul(nd, dv)), nd.right)
 
 
-def diff(node: Expr, var: str) -> Expr:
-    """The derivative of node in var, built rule by rule from the derivatives of its operands.
+def _merge(node: Expr, shapes: dict) -> Expr:
+    """node with each subtree replaced by the first node of its shape in shapes, which gains the new shapes.
+
+    A shape is a node's class, its operator, function, value or name, and the
+    ids of its children's nodes; a number is keyed by its bits, so Num(0.0)
+    and Num(-0.0) stay apart.
+    """
+    out: dict[int, Expr] = {}  # id of each node of node -> the node of its shape
+    for nd in _postorder(node):
+        cls, kids = type(nd), tuple(out[id(kid)] for kid in _kids(nd))
+        if cls is Num or cls is Var:
+            head = (float(nd.value).hex() if cls is Num else nd.name,)
+        else:
+            head = (nd.op,) if cls is BinOp else (nd.func,) if cls is Call else ()
+        shape = (cls, *head, *map(id, kids))
+        if shape not in shapes:
+            shapes[shape] = nd if all(map(operator.is_, kids, _kids(nd))) else cls(*head, *kids)
+        out[id(nd)] = shapes[shape]
+    return out[id(node)]
+
+
+def diff(node: Expr, var: str, n: int = 1) -> Expr:
+    """The n-th derivative of node in var (node itself for n = 0), built rule by rule from the derivatives of its operands.
 
     A subtree shared by identity is differentiated once, and its derivative
     is shared too.  Neither the argument of a call free of var nor the
     exponent of '^' is differentiated: the first call gives 0, the second
-    is evaluated.
+    is evaluated.  For n > 1, equal subtrees are merged before each order and
+    after the last, and a node keeps the derivative it got at a lower order,
+    so every order shares the subtrees of the orders below.
     """
-    holds = _holds(node, var)
+    shapes: dict = {}  # shape -> its one node, for n > 1; it keeps every key of d alive
+    d: dict[int, Expr] = {}  # id of each node differentiated at any order -> its derivative
+    for order in range(n):
+        node = _merge(node, shapes) if n > 1 else node
+        holds = _holds(node, var)
 
-    def operands(nd: Expr) -> tuple:  # the nodes whose derivatives the rule of nd reads
-        if type(nd) is BinOp and nd.op == "^":
-            return (nd.left,)
-        return () if type(nd) is Call and not holds[id(nd.arg)] else _kids(nd)
+        def operands(nd: Expr) -> tuple:  # the nodes whose derivatives the rule of nd reads
+            if id(nd) in d:
+                return ()
+            if type(nd) is BinOp and nd.op == "^":
+                return (nd.left,)
+            return () if type(nd) is Call and not holds[id(nd.arg)] else _kids(nd)
 
-    d: dict[int, Expr] = {}  # id of each node reached -> its derivative
-    for nd in _postorder(node, operands):
-        cls = type(nd)
-        if cls is Num:
-            out = Num(0.0)
-        elif cls is Var:
-            out = Num(1.0) if nd.name == var else Num(0.0)
-        elif cls is Neg:
-            out = _neg(d[id(nd.arg)])
-        elif cls is Call:
-            out = _diff_rule(nd, d[id(nd.arg)], None, var) if holds[id(nd.arg)] else Num(0.0)
-        elif nd.op == "^":
-            # the exponent is constant by the parser's invariant
-            if holds[id(nd.right)]:
-                raise DiffError("'^' exponent depends on the differentiation variable")
-            c = evaluate(nd.right)
-            out = _mul(_mul(Num(c), BinOp("^", nd.left, Num(c - 1.0))), d[id(nd.left)])
-        elif nd.op in _BINOPS:
-            out = _diff_rule(nd, d[id(nd.left)], d[id(nd.right)], var)
-        else:
-            raise TypeError(f"not an expression node: {nd!r}")
-        d[id(nd)] = out
-    return d[id(node)]
+        for nd in _postorder(node, operands):
+            if id(nd) in d:
+                continue
+            cls = type(nd)
+            if cls is Num:
+                out = Num(0.0)
+            elif cls is Var:
+                out = Num(1.0) if nd.name == var else Num(0.0)
+            elif cls is Neg:
+                out = _neg(d[id(nd.arg)])
+            elif cls is Call:
+                out = _diff_rule(nd, d[id(nd.arg)], None, var) if holds[id(nd.arg)] else Num(0.0)
+            elif nd.op == "^":
+                # the exponent is constant by the parser's invariant
+                if holds[id(nd.right)]:
+                    raise DiffError("'^' exponent depends on the differentiation variable")
+                c = evaluate(nd.right)
+                out = _mul(_mul(Num(c), BinOp("^", nd.left, Num(c - 1.0))), d[id(nd.left)])
+            elif nd.op in _BINOPS:
+                out = _diff_rule(nd, d[id(nd.left)], d[id(nd.right)], var, order == 0)
+            else:
+                raise TypeError(f"not an expression node: {nd!r}")
+            d[id(nd)] = out
+        node = d[id(node)]
+    return _merge(node, shapes) if n > 1 else node
 
 
 def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = None) -> list[float]:

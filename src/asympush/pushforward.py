@@ -130,8 +130,6 @@ def sal_prediction_smooth(u: Density2D, J: int, tol: float = DEFAULT_TOL) -> Exp
     d_x^j d_y^j u(0, 0) gives its t^j ln t term.  A density without that
     Taylor data at an axis raises EvalError, or DiffError for a step there.
     """
-    if J > 6:
-        raise ValueError("prediction depth J must be at most 6")
     in_z = asymptotic_expansion(sigma_from_density(u, J), tol).expansion
     return in_t([(t.exponent, t.poly.coeffs) for t in in_z.terms], J + 2.0, log_power=in_z.log_power)
 
@@ -234,9 +232,9 @@ def _axis_terms(u: Density2D, other: str, order: int) -> tuple[SigmaTerm, ...]:
     is left out: x^12 has no Taylor data to depth 9, yet its moment is 1/12.
     """
     lead, upper = (-1, u.box[0]) if other == "y" else (0, u.box[1])
-    out, node, depth = [], u.ast, order + 9
+    out, depth = [], order + 9
     for m in range(order + 1):
-        node = ex.diff(node, other) if m else node
+        node = ex.diff(u.ast, other, m)
         c = ex.substitute(ex.substitute(node, other, ex.Num(0.0)), "y", ex.Var("x"))
         if ex.vanishes(c):
             continue
@@ -317,8 +315,6 @@ def condition_C_check(
     reported next to the combinatorial one (positive real parts on the
     nullface index set).
     """
-    if p_max > 4:
-        raise ValueError("p_max must be at most 4")
     sigma = _fiber_integrand(d, p_max)  # only its x-derivatives are read
     values: dict = {}
     for p in range(p_max + 1):

@@ -122,12 +122,11 @@ class SigmaFunction(Record):
         cache = self._xderiv_cache
         if self.ast is None:
             raise MissingExpansionData(f"x-derivative of order {j}: sigma has no expression")
-        for i in range(j + 1):  # each order the cached one below, differentiated once
-            if i not in cache:
-                try:
-                    cache[i] = [ex.diff(cache[i - 1][0], "x") if i else self.ast, None]
-                except ex.DiffError as e:
-                    raise MissingExpansionData(f"x-derivative of order {j}: {e}") from e
+        if j not in cache:
+            try:
+                cache[j] = [ex.diff(self.ast, "x", j), None]
+            except ex.DiffError as e:
+                raise MissingExpansionData(f"x-derivative of order {j}: {e}") from e
         return cache[j][0]
 
     def x_deriv(self, j: int) -> Callable[[float, float], float]:

@@ -427,6 +427,31 @@ def test_malformed_pair_or_reversed_support_exits_2(tmp_path, capsys, payload, m
     assert not (tmp_path / "pair.report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "op, args",
+    [("complete", ["B"]), ("extendedUnion", ["A", "B"])],
+)
+def test_indexset_args_naming_a_missing_set_exit_2(tmp_path, capsys, op, args):
+    # the bare KeyError was printed as "invalid spec: 'B'"
+    payload = {"kind": "indexset", "operation": op, "sets": {"A": [[0, 0, 0]]}, "args": args}
+    spec = write_spec(tmp_path / "missing.json", payload)
+    assert main(["run", spec, "--json-only"]) == 2
+    assert "invalid spec: indexset args name the set 'B', but sets defines only ['A']" in capsys.readouterr().err
+
+
+def test_sal_spec_without_an_expression_exits_2(tmp_path):
+    # in a fresh process, where no tree has been walked yet, a null expr was
+    # printed as the id of None
+    spec = write_spec(tmp_path / "null.json", {"kind": "sal", "sigma": {"expr": None, "order": 1}})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(asympush.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "asympush.cli", "run", spec, "--json-only"], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 2
+    assert "invalid spec: not an expression node: None" in run.stderr
+
+
 def test_diagnostics_run_before_the_verification(tmp_path):
     # a verify grid that verification rejects (z < 2) does not hide a failed diagnostics
     spec = write_spec(

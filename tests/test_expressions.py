@@ -4,6 +4,7 @@ import math
 import sys
 import weakref
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -194,11 +195,83 @@ def test_taylor_cases_outside_the_strategy():
     assert ex.taylor(ex.parse("x*step(1-y)"), "x", 0.5, 2, {"y": 0.0}) == [0.5, 1.0, 0.0]
 
 
+def _grammar_text(rng, depth: int) -> str:
+    """A random text of the grammar in x and y: every operator and function but step."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(["x", "y", "x", "y", repr(round(rng.uniform(0.25, 3.0), 3))])
+    kind, a = rng.randrange(7), _grammar_text(rng, depth - 1)
+    if kind < 3:
+        return f"({a}){rng.choice('+-*/')}({_grammar_text(rng, depth - 1)})"
+    if kind == 3:
+        return f"-({a})"
+    if kind == 4:
+        return f"({a})^{rng.choice(['2', '3', '0.5', '(-1)', '(-1.5)'])}"
+    return f"{rng.choice(['exp', 'log', 'sin', 'cos', 'sqrt'])}({a})"
+
+
+def _first_derivatives_digest(monkeypatch, count: int = 3000) -> str:
+    """sha256 of the text and the compiled source of diff(node, v), v = x, y, for count seeded grammar texts."""
+    import hashlib
+    import random
+
+    rng, h = random.Random(2026), hashlib.sha256()
+    stub = compile("def compiled(*a): pass", "<stub>", "exec")
+    sources = []
+    monkeypatch.setattr(ex, "_code", lambda src: sources.append(src) or stub)
+    for _ in range(count):
+        node = ex.parse(_grammar_text(rng, 5))
+        for var in "xy":
+            d = ex.diff(node, var)
+            ex.compile_expr(d, ("x", "y"))
+            h.update(f"{ex.unparse(d)}\n{sources.pop()}\n".encode())
+    monkeypatch.undo()
+    return h.hexdigest()
+
+
+FIRST_DERIVATIVES_DIGEST = "093de709b13e05dfd218ade9c6060aaa5dbfec0383970aca246c790fb5aef441"
+
+
+def test_first_derivatives_are_unchanged(monkeypatch):
+    # diff(node, v) node for node, sharing included, as diff built it before
+    # it took an order n: the digest was recorded from that version
+    assert _first_derivatives_digest(monkeypatch) == FIRST_DERIVATIVES_DIGEST
+
+
 def test_iterated_diff_stays_small():
     node = ex.parse("exp(-x-y)")
     for _ in range(12):
         node = ex.diff(node, "x")
     assert ex.evaluate(node, {"x": 0.0, "y": 0.0}) == 1.0
+
+
+@pytest.mark.parametrize(
+    "text, bound, mp_fn",
+    [
+        ("1/(1+x+y)", 300, lambda x, y: 1 / (1 + x + y)),
+        ("sqrt(1+x+y)", 800, lambda x, y: mp.sqrt(1 + x + y)),
+        ("exp(-x^2-y)*cos(x*y)", 300, lambda x, y: mp.exp(-x * x - y) * mp.cos(x * y)),
+    ],
+)
+def test_deep_derivatives_stay_small(text, bound, mp_fn):
+    # each order shares the subtrees of the orders below, and no quotient
+    # squares its denominator past the first order, so the tree grows with the
+    # order; iterated first derivatives had 9528 nodes at order 10 for 1/(1+x+y)
+    node = ex.parse(text)
+    d = ex.diff(node, "y", 14)
+    size = _distinct_nodes(d)  # not in the assert, whose message would print d
+    assert size <= bound
+    x, y = mp.mpf("0.3"), mp.mpf("0.2")
+    with mp.workdps(40):
+        want = mp.diff(lambda v: mp_fn(x, v), y, 14)
+    assert ex.compile_expr(d, ("x", "y"))(0.3, 0.2) == pytest.approx(float(want), rel=1e-12)
+    assert ex.diff(node, "y", 0) is node
+    assert ex.unparse(ex.diff(node, "y", 1)) == ex.unparse(ex.diff(node, "y"))
+    # equal subtrees are merged into one node, and numbers by their bits, so
+    # that 0.0 and -0.0, equal as floats, stay apart
+    square = ex._merge(ex.parse("(x+1)*(x+1)"), {})
+    assert square.left is square.right and square == ex.parse("(x+1)*(x+1)")
+    zeros = ex._merge(ex.BinOp("+", ex.Num(-0.0), ex.Num(0.0)), {})
+    assert zeros.left is not zeros.right and math.copysign(1.0, zeros.left.value) == -1.0
 
 
 _leaf = st.one_of(
@@ -383,6 +456,23 @@ def test_reimported_module_is_freed():
         sys.modules.update(saved)
     gc.collect()
     assert ref() is None
+
+
+def test_none_is_not_a_tree_before_the_first_walk():
+    # the cache of the last walk started as (None, []), so until the first
+    # whole walk None read as a tree with no variables
+    saved = {k: m for k, m in sys.modules.items() if k.split(".")[0] == "asympush"}
+    try:
+        for k in saved:
+            del sys.modules[k]
+        fresh = importlib.import_module("asympush.expressions")
+        for run in (lambda: fresh.parse_in(None, ["x"]), lambda: fresh.compile_expr(None, ("x",))):
+            with pytest.raises(TypeError, match="not an expression node: None"):
+                run()
+    finally:
+        for k in [k for k in sys.modules if k.split(".")[0] == "asympush"]:
+            del sys.modules[k]
+        sys.modules.update(saved)
 
 
 # (text, message, offset) of every kind of ExprSyntaxError, as the tokenizer

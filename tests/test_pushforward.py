@@ -126,6 +126,24 @@ def test_prediction_rational_density_meets_decay_gate():
     assert residual_decay("1/(1+x+y)", 3, 12) >= 3.7
 
 
+DEEP_DENSITIES = ["1/(1+x+y)", "1/(2+x+y)", "sqrt(1+x+y)", "exp(-x^2-y)*cos(x*y)"]
+
+
+@pytest.mark.parametrize("text", DEEP_DENSITIES)
+def test_deep_predictions_match_quadrature(text):
+    # past order 6 the squared denominators of iterated quotient rules read
+    # 1.1e-5 off push_xy for 1/(1+x+y) at J = 8, and overflowed at J = 10
+    u = density_from_expression(text)
+    want = {t: push_xy(u, t, 1e-13) for t in (0.005, 0.01, 0.02)}
+    for J in (10, 14):
+        pred = sal_prediction_smooth(u, J)
+        for t, v in want.items():
+            assert abs(pred(t).real - v) <= 1e-12, (J, t)
+    if text == "1/(1+x+y)":  # d_x^j d_y^j u(0, 0)/j!^2 = C(2j, j), exactly
+        for j in range(15):
+            assert pred.coefficient(float(j), 1) == pytest.approx(-math.comb(2 * j, j), rel=1e-12), j
+
+
 def axis_moment_formula(u, J):
     """The small-t expansion of push_xy written out by hand: the oracle of the SAL route.
 
@@ -376,6 +394,30 @@ def test_condition_check_agreement_both_ways():
     )
     assert not bad.bounded and not bad.integrability.ok and bad.agree
     assert math.isinf(bad.values[(0, 1.0)])
+
+
+@pytest.mark.parametrize("p_max", [6, 8])
+def test_deep_condition_check_matches_quadrature(p_max):
+    # sigma = e^(-a x) e^(-b/zeta), so each value is
+    # a^p int zeta^p e^(-a zeta t - b/zeta) over [2^-SHELL_LEVELS, 1]
+    import mpmath as mp
+
+    from asympush.quadrature import SHELL_LEVELS
+
+    a, b = 0.9, 1.1
+    d = blowup_density_from_expression(f"x*exp(-{a}*x)*exp(-{b}*y)", smooth_family((1, 0)))
+    rep = condition_C_check(d, p_max, (1.0, 0.5))  # the benchmark's t grid
+    assert rep.bounded and rep.agree
+    for (p, t), got in rep.values.items():
+        want = a**p * mp.quad(lambda z: z**p * mp.exp(-a * z * t - b / z), [2.0**-SHELL_LEVELS, 0.1, 1])
+        assert got == pytest.approx(float(want), rel=1e-8), (p, t)
+
+
+def test_criterion_8_densities_at_depth_8():
+    for text, gen, bounded in (("x", (1, 0), True), ("x*y", (0, 0), False)):
+        rep = condition_C_check(blowup_density_from_expression(text, smooth_family(gen)), 8)
+        assert rep.bounded is bounded and rep.integrability.ok is bounded and rep.agree
+        assert len(rep.values) == 27
 
 
 @pytest.mark.parametrize("amplitude", ["", "0.1*"])

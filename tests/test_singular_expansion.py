@@ -206,21 +206,27 @@ def test_sigma_without_an_expression_has_no_x_derivative():
             sig.x_deriv(j)
 
 
-def test_x_derivatives_differentiate_the_cached_lower_order_once(monkeypatch):
+def test_x_derivatives_take_one_diff_call_per_order(monkeypatch):
+    import mpmath as mp
+
     from asympush import expressions as ex
 
     text = "exp(-x)*exp(-zeta)/(1+x*zeta)"
     calls = []
     diff = ex.diff
-    monkeypatch.setattr(ex, "diff", lambda node, var: calls.append(var) or diff(node, var))
+    monkeypatch.setattr(ex, "diff", lambda node, var, n=1: calls.append((var, n)) or diff(node, var, n))
     sig = sigma_from_expression(text, order=4)
     got = [sig.x_deriv(j)(0.3, 1.7) for j in range(1, 5)]
-    assert len(calls) == 4  # one diff per order, not j for order j
+    assert calls == [("x", j) for j in range(1, 5)]  # one diff per order asked for
+    assert sig.x_deriv(3)(0.3, 1.7) == got[2] and len(calls) == 4  # each order is kept
     node = ex.parse(text)
-    for j in range(1, 5):
-        node = diff(node, "x")
-        assert sig._x_deriv_ast(j) == node
-        assert got[j - 1] == ex.evaluate(node, {"x": 0.3, "zeta": 1.7})
+    with mp.workdps(30):
+        for j in range(1, 5):
+            want = diff(node, "x", j)
+            assert sig._x_deriv_ast(j) == want
+            assert got[j - 1] == ex.evaluate(want, {"x": 0.3, "zeta": 1.7})
+            oracle = mp.diff(lambda x: mp.exp(-x) * mp.exp(-mp.mpf("1.7")) / (1 + x * mp.mpf("1.7")), mp.mpf("0.3"), j)
+            assert got[j - 1] == pytest.approx(float(oracle), rel=1e-12)
     # step(x) blocks differentiation at every order from the first
     blocked = sigma_from_expression("exp(-zeta)*step(x-0.5)", order=2)
     assert blocked._x_deriv_ast(0) is blocked.ast
