@@ -759,9 +759,8 @@ def _div(a: Expr, b: Expr) -> Expr:
 def _diff_rule(nd: BinOp | Call, du: Expr, dv: Expr | None, var: str, first: bool = True) -> Expr:
     """The derivative of nd from those of its operands: the sum, product, quotient or chain rule.
 
-    For a call, du is the derivative of its argument, which holds var.  A
-    quotient u/v takes (u'v - uv')/v^2 at the first order, and past it
-    (u' - (u/v)v')/v, which reads nd itself and squares no denominator.
+    For a call, du is the derivative of its argument, which holds var.  A quotient u/v
+    takes (u'v - uv')/v^2 at the first order, past it (u' - (u/v)v')/v, which squares no v.
     """
     if type(nd) is Call:
         if nd.func == "exp":
@@ -794,39 +793,41 @@ def _diff_rule(nd: BinOp | Call, du: Expr, dv: Expr | None, var: str, first: boo
 def _merge(node: Expr, shapes: dict) -> Expr:
     """node with each subtree replaced by the first node of its shape in shapes, which gains the new shapes.
 
-    A shape is a node's class, its operator, function, value or name, and the
-    ids of its children's nodes; a number is keyed by its bits, so Num(0.0)
-    and Num(-0.0) stay apart.
+    A shape is as in _shape_number, but numbers are keyed by their bits: Num(0.0) is not Num(-0.0).
     """
     out: dict[int, Expr] = {}  # id of each node of node -> the node of its shape
     for nd in _postorder(node):
-        cls, kids = type(nd), tuple(out[id(kid)] for kid in _kids(nd))
-        if cls is Num or cls is Var:
-            head = (float(nd.value).hex() if cls is Num else nd.name,)
+        cls = type(nd)
+        if cls is BinOp:
+            left, right = out[id(nd.left)], out[id(nd.right)]
+            shape, same = (nd.op, id(left), id(right)), left is nd.left and right is nd.right
+        elif cls is Neg or cls is Call:
+            arg = out[id(nd.arg)]
+            shape, same = (nd.func if cls is Call else "-", id(arg)), arg is nd.arg
         else:
-            head = (nd.op,) if cls is BinOp else (nd.func,) if cls is Call else ()
-        shape = (cls, *head, *map(id, kids))
-        if shape not in shapes:
-            shapes[shape] = nd if all(map(operator.is_, kids, _kids(nd))) else cls(*head, *kids)
-        out[id(nd)] = shapes[shape]
+            shape, same = (cls, float(nd.value).hex() if cls is Num else nd.name), True
+        m = shapes.get(shape)
+        if m is None:
+            m = shapes[shape] = nd if same else (
+                BinOp(nd.op, left, right) if cls is BinOp else Call(nd.func, arg) if cls is Call else Neg(arg))
+        out[id(nd)] = m
     return out[id(node)]
 
 
 def diff(node: Expr, var: str, n: int = 1) -> Expr:
-    """The n-th derivative of node in var (node itself for n = 0), built rule by rule from the derivatives of its operands.
+    """The n-th derivative of node in var (node for n = 0), built rule by rule from those of its operands.
 
     A subtree shared by identity is differentiated once, and its derivative
     is shared too.  Neither the argument of a call free of var nor the
     exponent of '^' is differentiated: the first call gives 0, the second
-    is evaluated.  For n > 1, equal subtrees are merged before each order and
-    after the last, and a node keeps the derivative it got at a lower order,
-    so every order shares the subtrees of the orders below.
+    is evaluated.  For n > 1, equal subtrees are merged after each order, and a
+    node keeps the derivative it got at a lower order, which later orders share.
     """
-    shapes: dict = {}  # shape -> its one node, for n > 1; it keeps every key of d alive
+    shapes: dict = {}  # shape -> its one node; with node, it keeps every key of d alive
     d: dict[int, Expr] = {}  # id of each node differentiated at any order -> its derivative
+    root = node
     for order in range(n):
-        node = _merge(node, shapes) if n > 1 else node
-        holds = _holds(node, var)
+        holds = _holds(root, var)
 
         def operands(nd: Expr) -> tuple:  # the nodes whose derivatives the rule of nd reads
             if id(nd) in d:
@@ -835,7 +836,7 @@ def diff(node: Expr, var: str, n: int = 1) -> Expr:
                 return (nd.left,)
             return () if type(nd) is Call and not holds[id(nd.arg)] else _kids(nd)
 
-        for nd in _postorder(node, operands):
+        for nd in _postorder(root, operands):
             if id(nd) in d:
                 continue
             cls = type(nd)
@@ -858,8 +859,8 @@ def diff(node: Expr, var: str, n: int = 1) -> Expr:
             else:
                 raise TypeError(f"not an expression node: {nd!r}")
             d[id(nd)] = out
-        node = d[id(node)]
-    return _merge(node, shapes) if n > 1 else node
+        root = _merge(d[id(root)], shapes) if n > 1 else d[id(root)]
+    return root
 
 
 def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = None) -> list[float]:

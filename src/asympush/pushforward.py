@@ -234,8 +234,7 @@ def _axis_terms(u: Density2D, other: str, order: int) -> tuple[SigmaTerm, ...]:
     lead, upper = (-1, u.box[0]) if other == "y" else (0, u.box[1])
     out, depth = [], order + 9
     for m in range(order + 1):
-        node = ex.diff(u.ast, other, m)
-        c = ex.substitute(ex.substitute(node, other, ex.Num(0.0)), "y", ex.Var("x"))
+        c = ex.substitute(ex.substitute(ex.diff(u.ast, other, m), other, ex.Num(0.0)), "y", ex.Var("x"))
         if ex.vanishes(c):
             continue
         cs = [v / factorial(m) for v in ex.taylor(c, "x", 0.0, depth)]

@@ -6,7 +6,7 @@ Writes the spec-mix specs of each seed (default 777 and 901) with
 ``perfbench.workloads.spec_mix``, runs each spec, and each SPEC.json given
 (for instance ``tools/log_term_specs/*.json``, which reach the log-term paths
 spec-mix does not, and ``tools/deep_taylor_specs/*.json``, which take Taylor
-data and x-derivatives to orders 5 and 6), through every checkout's
+data and x-derivatives to orders 5, 6 and 12), through every checkout's
 ``asympush.cli.main`` in one subprocess per checkout (that checkout's ``src``
 first on ``sys.path``), prints each spec whose report bytes or exit code
 differ, with the largest relative difference |a - b| / max(|a|, |b|) over the
