@@ -132,7 +132,7 @@ DEEP_DENSITIES = ["1/(1+x+y)", "1/(2+x+y)", "sqrt(1+x+y)", "exp(-x^2-y)*cos(x*y)
 @pytest.mark.parametrize("text", DEEP_DENSITIES)
 def test_deep_predictions_match_quadrature(text):
     # past order 6 the squared denominators of iterated quotient rules read
-    # 1.1e-5 off push_xy for 1/(1+x+y) at J = 8, and overflowed at J = 10
+    # 1.1e-5 off push_xy for 1/(1+x+y) at J = 8, and raised at J = 10
     u = density_from_expression(text)
     want = {t: push_xy(u, t, 1e-13) for t in (0.005, 0.01, 0.02)}
     for J in (10, 14):
