@@ -44,6 +44,7 @@ from .pushforward import (
     push_xy,
     sal_prediction_smooth,
 )
+from .quadrature import geometric_grid
 from .singular_expansion import (
     asymptotic_expansion,
     fit_decay,
@@ -90,12 +91,8 @@ def _criterion_1() -> tuple[bool, str]:
 
 
 def _criterion_2() -> tuple[bool, str]:
-    import numpy as np
-
     u0 = density_from_expression("1")
-    worst = max(
-        abs(push_xy(u0, t) + math.log(t)) for t in np.geomspace(1e-4, 0.5, 20)
-    )
+    worst = max(abs(push_xy(u0, t) + math.log(t)) for t in geometric_grid(1e-4, 0.5, 20))
     return worst <= 1e-8, f"|push_xy(u0,t) + ln t| worst {worst:.2e} (<=1e-8)"
 
 
@@ -176,11 +173,9 @@ def _criterion_5() -> tuple[bool, str]:
 
 
 def _criterion_6() -> tuple[bool, str]:
-    import numpy as np
-
     u = density_from_expression("exp(-x-y)")
     pred = sal_prediction_smooth(u, 3)
-    ts = np.geomspace(1e-3, 1e-1, 12)
+    ts = geometric_grid(1e-3, 1e-1, 12)
     slope, _ = fit_decay(ts, [abs(push_xy(u, t, 1e-12) - pred(t).real) for t in ts])
     return slope >= 3.7, f"residual decay exponent {slope:.3f} (>=3.7, one log factor allowed)"
 
@@ -246,12 +241,8 @@ def _criterion_9() -> tuple[bool, str]:
 
 
 def _criterion_10() -> tuple[bool, str]:
-    import numpy as np
-
     u = density_from_expression("x")
-    worst = max(
-        abs(push_xy(u, t) - (1.0 - t)) for t in np.geomspace(1e-4, 0.9, 15)
-    )
+    worst = max(abs(push_xy(u, t) - (1.0 - t)) for t in geometric_grid(1e-4, 0.9, 15))
     pred = sal_prediction_smooth(u, 1)
     c0 = pred.coefficient(0.0, 0)
     c1 = pred.coefficient(1.0, 0)

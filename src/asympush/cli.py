@@ -48,7 +48,7 @@ from .pushforward import (
     push_xy,
     sal_prediction_smooth,
 )
-from .quadrature import QuadratureError
+from .quadrature import QuadratureError, geometric_grid
 from .singular_expansion import (
     MissingExpansionData,
     SigmaFunction,
@@ -140,8 +140,7 @@ def _parse_grid(spec, flag: str | None):
         if n < 2 or a <= 0 or b <= a:
             raise SpecError("--grid needs 0 < a < b and at least two points")
         if mode == "geometric":
-            r = (b / a) ** (1.0 / (n - 1))
-            return [a * r**i for i in range(n)]
+            return geometric_grid(a, b, n)
         if mode == "linear":
             return [a + (b - a) * i / (n - 1) for i in range(n)]
         raise SpecError(f"unknown grid mode {mode!r}")
@@ -304,6 +303,8 @@ def _run_pushforward(payload, args):
 
 def _run_indexset(payload, args):
     N = float(args.truncate if args.truncate is not None else payload.get("truncation", DEFAULT_TRUNCATION))
+    if not math.isfinite(N):
+        raise SpecError(f"indexset truncation must be finite, got {N}")
     op = _require(payload, "operation", "indexset")
     sets = {
         name: IndexSet.from_entries([IndexEntry(float(a), float(b), int(k)) for a, b, k in triples], N)

@@ -70,13 +70,36 @@ class DiffError(ValueError):
 
 
 class _Node(Record):
-    """Structural == and hash of expression nodes, as loops over _postorder.
+    """Structural ==, hash and repr of expression nodes, as loops.
 
-    A subtree shared by identity is compared and hashed once, and a tree of
-    any depth is walked without recursion.
+    A subtree shared by identity is compared, hashed and written once, and a
+    tree of any depth is walked without recursion.
     """
 
     __slots__ = ()
+
+    def __repr__(self):
+        """A frozen dataclass's text, written from a stack; a non-leaf subtree met again is
+        written #n#, and its first text gets the label #n=."""
+        starts, labels, parts, stack = {}, {}, [], [self]  # starts: id of a node written -> its first part
+        while stack:
+            nd = stack.pop()
+            if type(nd) is str:
+                parts.append(nd)
+            elif id(nd) in starts:
+                if id(nd) not in labels:
+                    labels[id(nd)] = len(labels) + 1
+                    parts[starts[id(nd)]] = f"#{len(labels)}=" + parts[starts[id(nd)]]
+                parts.append(f"#{labels[id(nd)]}#")
+            else:
+                if _kids(nd):
+                    starts[id(nd)] = len(parts)
+                pieces = [f"{type(nd).__qualname__}("]
+                for i, name in enumerate(nd._fields):  # a field that is not a node is text already
+                    value = getattr(nd, name)
+                    pieces += [f"{', ' if i else ''}{name}=", value if isinstance(value, _Node) else repr(value)]
+                stack += reversed([*pieces, ")"])
+        return "".join(parts)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -85,26 +108,17 @@ class _Node(Record):
         return _shape_number(self, shapes) == _shape_number(other, shapes)
 
     def __hash__(self):
-        hashes: dict[int, int] = {}  # id of each node -> its hash
-        for nd in _postorder(self):
-            cls = type(nd)
-            if cls is BinOp:
-                h = hash((nd.op, hashes[id(nd.left)], hashes[id(nd.right)]))
-            elif cls is Neg or cls is Call:
-                h = hash((nd.func if cls is Call else "-", hashes[id(nd.arg)]))
-            else:
-                h = hash(nd.value if cls is Num else nd.name)
-            hashes[id(nd)] = h
-        return hashes[id(self)]
+        return _shape_number(self, None)
 
 
-def _shape_number(node: "Expr", shapes: dict) -> int:
+def _shape_number(node: "Expr", shapes: dict | None) -> int:
     """The number shapes gives the shape of node, after numbering every new shape met in the walk.
 
     A shape is a node's class or operator, its value or name, and the numbers
     of its children, so two trees are equal exactly when their roots get one
     number.  Number values compare as a tuple of fields does: Num(0.0) is
-    Num(-0.0), and a NaN equals only itself.
+    Num(-0.0), and a NaN equals only itself.  Without shapes, the number of
+    a shape is its hash, and that of the root is the structural hash.
     """
     number: dict[int, int] = {}  # id of each node -> the number of its shape
     for nd in _postorder(node):
@@ -115,7 +129,7 @@ def _shape_number(node: "Expr", shapes: dict) -> int:
             shape = (nd.func if cls is Call else cls, number[id(nd.arg)])
         else:
             shape = (cls, nd.value if cls is Num else nd.name)
-        number[id(nd)] = shapes.setdefault(shape, len(shapes))
+        number[id(nd)] = hash(shape) if shapes is None else shapes.setdefault(shape, len(shapes))
     return number[id(node)]
 
 
@@ -315,11 +329,11 @@ def parse_in(expr: str | Expr, names: Sequence[str], what: str = "expression") -
 # ---------------------------------------------------------------------------
 # tree walks
 #
-# Every pass over a tree but parse is a loop over _postorder(node) that fills
-# a dict keyed by the id of each node (unparse uses it to find the shared
-# nodes, then writes the text from a stack).  So a subtree shared by
-# identity, as diff builds them, is visited once, and a tree of any depth is
-# walked without recursion.
+# Every pass over a tree but parse and repr is a loop over _postorder(node)
+# that fills a dict keyed by the id of each node (unparse uses it to find the
+# shared nodes, then writes the text from a stack; repr writes from a stack
+# alone).  So a subtree shared by identity, as diff builds them, is visited
+# once, and a tree of any depth is walked without recursion.
 
 
 def _kids(nd: Expr) -> tuple:

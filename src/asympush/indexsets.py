@@ -13,6 +13,7 @@ this module needs.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from typing import NamedTuple
 
@@ -128,6 +129,8 @@ IndexFamily = dict[str, IndexSet]
 
 def complete(generators, truncation: float = DEFAULT_TRUNCATION) -> IndexSet:
     """Smallest index set containing the generators, truncated at Re alpha < N."""
+    if not math.isfinite(truncation):
+        raise ValueError(f"truncation must be finite, got {truncation}")
     gens = [g if isinstance(g, IndexEntry) else IndexEntry.of(g[0], g[1]) for g in generators]
     if not gens:
         raise ValueError("generator list must be non-empty")

@@ -27,7 +27,7 @@ from .indexsets import (
     check_integrability,
 )
 from .quadrature import DEFAULT_TOL, SHELL_LEVELS, dyadic_shells, quad_interval
-from .singular_expansion import SigmaFunction, SigmaTerm, asymptotic_expansion
+from .singular_expansion import SigmaFunction, SigmaTerm, _least_squares, asymptotic_expansion
 
 __all__ = [
     "Density2D",
@@ -97,6 +97,8 @@ def push_xy(u: Density2D, t: float, tol: float = DEFAULT_TOL) -> float:
     x = t, 1, sqrt(t).
     """
     X, Y = u.box
+    if not (math.isfinite(X) and math.isfinite(Y)):
+        raise ValueError(f"push_xy needs a finite support box, got {u.box}")
     if not 0 < t < X * Y:
         if t <= 0:
             raise ValueError("push-forward is defined for t > 0")
@@ -154,28 +156,21 @@ def fit_asymptotics(
     basis: Sequence[tuple[float, int]],
 ) -> FitResult:
     """Least squares of sampled values against the basis {t^a ln^b t}; warns above CONDITION_WARN."""
-    import numpy as np
-
     basis = tuple((float(a), int(b)) for a, b in basis)
     if len(samples) < 2 * len(basis):
         raise ValueError("need at least twice as many samples as basis elements")
-    ts = np.array([t for t, _ in samples], dtype=float)
-    vals = np.array([v for _, v in samples], dtype=float)
-    if np.any(ts <= 0):
+    ts = tuple(float(t) for t, _ in samples)
+    if any(t <= 0 for t in ts):
         raise ValueError("sample points must be positive")
-    L = np.log(ts)
-    A = np.column_stack([ts**a * L**b for a, b in basis])
-    # one SVD gives the rank (lstsq's default cutoff), the 2-norm condition
-    # number and the least-squares coefficients
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if np.count_nonzero(s > s[0] * np.finfo(float).eps * max(A.shape)) < len(basis):
+    L = [math.log(t) for t in ts]
+    columns = [[t**a * l**b for t, l in zip(ts, L)] for a, b in basis]
+    coef, rank, s, rms = _least_squares(columns, [float(v) for _, v in samples])
+    if rank < len(basis):
         raise ValueError("design matrix is rank deficient for this grid")
-    coef = Vt.T @ ((U.T @ vals) / s)
-    cond = float(s[0] / s[-1])
+    cond = s[0] / s[-1]
     if cond > CONDITION_WARN:
         warnings.warn(f"ill-conditioned design matrix (condition {cond:.2e})")
-    rms = float(np.sqrt(np.mean((A @ coef - vals) ** 2)))
-    return FitResult(basis, tuple(float(c) for c in coef), rms, cond, tuple(ts))
+    return FitResult(basis, tuple(coef), rms, cond, ts)
 
 
 # ---------------------------------------------------------------------------

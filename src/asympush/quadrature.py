@@ -565,3 +565,10 @@ def grows(peaks) -> bool:
     times the peak of the first SHELL_WINDOW and SHELL_FLOOR.
     """
     return _outgrows(peaks, max, 1.0 / SHELL_RATIO)
+
+
+def geometric_grid(a: float, b: float, n: int) -> list[float]:
+    """n >= 2 points from a to b > a > 0, spaced evenly in log10 by numpy's formula, both ends exact."""
+    start = math.log10(a)
+    step = (math.log10(b) - start) / (n - 1)
+    return [a, *[10.0 ** (i * step + start) for i in range(1, n - 1)], b]

@@ -50,7 +50,7 @@ from .asymfun import (
 )
 from .expansions import Expansion, in_t, make_side
 from .logpoly import EXPONENT_TOL, LogPolynomial
-from .quadrature import DEFAULT_TOL, SHELL_LEVELS, QuadratureError, dyadic_shells, grows, quad_interval
+from .quadrature import DEFAULT_TOL, SHELL_LEVELS, QuadratureError, dyadic_shells, geometric_grid, grows, quad_interval
 
 __all__ = [
     "SigmaTerm",
@@ -381,8 +381,6 @@ def check_hypotheses(sigma: SigmaFunction) -> HypothesisDiagnostics:
     to min(MAX_JK, max(p, 1)) and K up to min(MAX_JK, p), at ten zeta from 1
     to 100 and six x from 1e-3 to zeta at each, both geometrically spaced.
     """
-    import numpy as np
-
     p, r = sigma.order, sigma.log_bound
     notes: list[str] = []
     ok = True
@@ -395,7 +393,7 @@ def check_hypotheses(sigma: SigmaFunction) -> HypothesisDiagnostics:
         return ex.taylor(c.ast, "x", x, K)[K] * factorial(K)
 
     terms = [term for term in sigma.terms if term.exponent.real > -p - 1]
-    samples = [(zeta, x) for zeta in np.geomspace(1.0, 100.0, 10) for x in np.geomspace(1e-3, zeta, 6)]
+    samples = [(zeta, x) for zeta in geometric_grid(1.0, 100.0, 10) for x in geometric_grid(1e-3, zeta, 6)]
     rems = []  # per K, d_x^K of the remainder at each sample; None where it cannot be evaluated
     for K in range(min(MAX_JK, max(p, 0)) + 1):
         dK, row = sigma.x_deriv(K), []
@@ -432,10 +430,10 @@ def check_hypotheses(sigma: SigmaFunction) -> HypothesisDiagnostics:
                 ok = False
                 notes.append(f"remainder constant J={J} K={K} grows with zeta")
 
-    # the integrands of the x-side moments toward zeta = 0: zeta^beta q(1/zeta) of the
-    # declared terms, else zeta^j d_x^j sigma(0, zeta)
+    # the integrands of the x-side moments toward zeta = 0: zeta^beta q_beta(1/zeta) of the
+    # declared terms, else of q_j(1/zeta) = d_x^j sigma(0, zeta)/j!, as boundary_function has them
     if sigma.x_terms is None:
-        probes = [lambda z, j=j, dj=sigma.x_deriv(j): abs(z**j * dj(0.0, z)) for j in range(p)]
+        probes = [lambda z, j=j, dj=sigma.x_deriv(j): abs(z**j * dj(0.0, z)) / factorial(j) for j in range(p)]
     else:
         xs = [t for t in sigma.x_terms if t.exponent.real < p - EXPONENT_TOL]
         probes = [lambda z, t=t: abs(z**t.exponent) * sum(abs(c(1.0 / z)) for c in t.coeffs) for t in xs]
@@ -520,9 +518,20 @@ def verify_expansion(
 
 def fit_decay(points: Sequence[float], residuals: Sequence[float]) -> tuple[float, float]:
     """(e, k) of the least-squares fit ln r = c + e L + k ln|L|, L = ln of each point."""
+    L = [math.log(z) for z in points]
+    coef = _least_squares([[1.0] * len(L), L, [math.log(abs(v)) for v in L]], [math.log(r) for r in residuals])[0]
+    return coef[1], coef[2]
+
+
+def _least_squares(columns: list, values: list) -> tuple[list[float], int, list[float], float]:
+    """(c, rank, singular values, rms residual) of the c minimizing |sum_j c_j columns[j] - values|.
+
+    By numpy.linalg.lstsq, whose rank counts the singular values above eps * max(M, N)
+    times the largest: the package's one use of numpy, imported by the first fit.
+    """
     import numpy as np
 
-    L = np.log(points)
-    A = np.column_stack([np.ones_like(L), L, np.log(np.abs(L))])
-    coef, *_ = np.linalg.lstsq(A, np.log(residuals), rcond=None)
-    return float(coef[1]), float(coef[2])
+    A, b = np.array(columns, dtype=float).T, np.array(values, dtype=float)
+    coef, _, rank, s = np.linalg.lstsq(A, b, rcond=None)
+    r = A @ coef - b
+    return coef.tolist(), int(rank), s.tolist(), math.sqrt(float(r @ r) / len(r))

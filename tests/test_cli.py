@@ -439,6 +439,33 @@ def test_indexset_args_naming_a_missing_set_exit_2(tmp_path, capsys, op, args):
     assert "invalid spec: indexset args name the set 'B', but sets defines only ['A']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("box", [[1.0, math.inf], [math.inf, 1.0]], ids=["Y infinite", "X infinite"])
+def test_pushforward_on_a_box_with_an_infinite_side_exits_2(tmp_path, capsys, box):
+    # json reads Infinity; push_xy failed inside math ("math domain error", exit 2,
+    # or "math range error", exit 3) instead of naming the box
+    payload = {"kind": "pushforward", "density": {"expr": "exp(-x-y)", "box": box}, "tGrid": [0.1]}
+    spec = write_spec(tmp_path / "box.json", payload)
+    assert main(["run", spec, "--json-only"]) == 2
+    assert f"invalid spec: push_xy needs a finite support box, got {tuple(box)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "truncation, flag",
+    [(math.inf, []), (math.nan, []), (None, ["--truncate", "inf"])],
+    ids=["Infinity", "NaN", "--truncate inf"],
+)
+def test_indexset_truncation_that_is_not_finite_exits_2(tmp_path, capsys, truncation, flag):
+    # an infinite truncation made complete loop forever; NaN dropped every entry
+    # and then reported "generator list must be non-empty"
+    payload = {"kind": "indexset", "operation": "complete", "sets": {"A": [[0, 0, 0]]}, "args": ["A"]}
+    if truncation is not None:
+        payload["truncation"] = truncation
+    spec = write_spec(tmp_path / "trunc.json", payload)
+    assert main(["run", spec, "--json-only", *flag]) == 2
+    want = "inf" if truncation is None else str(truncation)
+    assert f"invalid spec: indexset truncation must be finite, got {want}" in capsys.readouterr().err
+
+
 def test_sal_spec_without_an_expression_exits_2(tmp_path):
     # in a fresh process, where no tree has been walked yet, a null expr was
     # printed as the id of None
@@ -534,6 +561,36 @@ def test_half_line_and_indexset_specs_load_no_numpy(tmp_path):
         "print(codes, 'numpy' in sys.modules)\n"
     )
     assert _python(code).strip() == "[0, 0, 0, 0] False"
+
+
+def test_diagnostics_only_sal_run_loads_no_numpy_and_a_fit_does(tmp_path):
+    # numpy is imported by the least-squares solver alone: the hypothesis
+    # checks sample on a pure-Python grid, and only a fit loads numpy
+    sal = write_spec(
+        tmp_path / "sal.json",
+        {"kind": "sal", "sigma": {"expr": "exp(-x)*exp(-zeta)", "order": 3}, "diagnostics": True},
+    )
+    fit = write_spec(
+        tmp_path / "fit.json",
+        {"kind": "pushforward", "density": {"expr": "exp(-x-y)"}, "tGrid": [1e-4 * 10 ** (k / 3.5) for k in range(8)],
+         "predictionOrder": 1, "fitBasis": [[0.0, 1], [0.0, 0], [1.0, 1], [1.0, 0]]},
+    )
+    out = str(tmp_path / "out")
+    code = (
+        "import contextlib, io, sys\n"
+        "from asympush.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['run', {sal!r}, '--out', {out!r}])]\n"
+        "    numpy = ['numpy' in sys.modules]\n"
+        f"    codes.append(main(['run', {fit!r}, '--out', {out!r}]))\n"
+        "print(codes, numpy + ['numpy' in sys.modules])\n"
+    )
+    assert _python(code).strip() == "[0, 0] [False, True]"
+    assert "diagnostics" in read_report(tmp_path / "out", "sal")
+    # the fit recovers the predicted t^0 ln t and t^0 coefficients
+    rep = read_report(tmp_path / "out", "fit")
+    (const, _), (log, _) = rep["prediction"]["terms"][0]["logCoeffs"]
+    assert rep["fit"]["coefficients"][:2] == pytest.approx([log, const], abs=1e-4)
 
 
 def test_mellin_spec_with_gapped_log_runs_matches_mpmath(tmp_path):

@@ -2,6 +2,7 @@ import gc
 import importlib
 import math
 import sys
+import time
 import weakref
 
 import mpmath as mp
@@ -576,6 +577,28 @@ def test_free_vars_of_long_sums():
     assert ex.free_vars(dag) == {"x"}
     with pytest.raises(TypeError):
         ex.free_vars(ex.BinOp("+", ex.Var("x"), 2.0))
+
+
+def test_repr_writes_a_shared_subtree_once_and_walks_in_a_loop():
+    # repr was the recursive one of the records: exponential in the depth of
+    # the sharing diff builds (29 MB at order 8), and a RecursionError on a
+    # long sum; pytest prints it on a failing assert
+    start = time.perf_counter()
+    text = repr(ex.diff(ex.parse("1/(1+x+y)"), "y", 14))
+    assert time.perf_counter() - start < 1.0 and len(text) < 100_000
+    assert "#1=BinOp(" in text and "#1#" in text
+    dag = ex.Var("x")
+    for _ in range(2):
+        dag = ex.BinOp("*", dag, ex.Neg(dag))
+    assert repr(dag) == (
+        "BinOp(op='*', left=#1=BinOp(op='*', left=Var(name='x'), right=Neg(arg=Var(name='x'))), right=Neg(arg=#1#))"
+    )
+    long_sum = "+".join(["x"] * 5000)
+    text = repr(ex.parse(long_sum))
+    assert text.count("BinOp(op='+', left=") == 4999 and text.count("Var(name='x')") == 5000
+    assert text in repr(from_expression(long_sum))
+    # a value that is not a node, in a malformed tree, is written by its own repr
+    assert repr(ex.BinOp("+", ex.Var("x"), 2.0)) == "BinOp(op='+', left=Var(name='x'), right=2.0)"
 
 
 def test_long_product_walks_in_a_loop():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +29,15 @@ def test_complete_is_closed():
 def test_complete_requires_generators():
     with pytest.raises(ValueError):
         complete([])
+
+
+@pytest.mark.parametrize("truncation", [math.inf, -math.inf, math.nan])
+def test_complete_rejects_a_truncation_that_is_not_finite(truncation):
+    # inf never ended the loop over integer shifts; nan dropped every entry.
+    # The check comes before the one on the generators
+    for gens in ([(0, 0)], []):
+        with pytest.raises(ValueError, match=f"truncation must be finite, got {truncation}"):
+            complete(gens, truncation)
 
 
 def test_negative_log_power_rejected():

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from asympush.asymfun import from_expression, power_log_multiply, reg_integral
 from asympush.expansions import make_side
 from asympush.indexsets import complete, nullfaces
 from asympush.pushforward import (
+    CONDITION_WARN,
     Density2D,
     DivergentIntegral,
     F_pushforward,
@@ -289,8 +291,18 @@ def test_fit_validation():
     with pytest.raises(ValueError):
         fit_asymptotics(samples, [(0.0, 0), (0.0, 1)])
     dup = [(t, 1.0) for t in (0.1,) * 8]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="design matrix is rank deficient for this grid"):
         fit_asymptotics(dup, [(0.0, 0), (1.0, 0)])
+    with pytest.raises(ValueError, match="sample points must be positive"):
+        fit_asymptotics([(t, 1.0) for t in (0.1, 0.2, 0.0, 0.3)], [(0.0, 0), (1.0, 0)])
+
+
+def test_fit_warns_on_an_ill_conditioned_basis():
+    # t^1e-8 = 1 + 1e-8 ln t + ...: two nearly parallel columns
+    samples = [(t, 1.0) for t in np.geomspace(0.1, 0.9, 10)]
+    with pytest.warns(UserWarning, match="ill-conditioned design matrix"):
+        fit = fit_asymptotics(samples, [(0.0, 0), (1e-8, 0)])
+    assert fit.condition > CONDITION_WARN
 
 
 def test_fit_basis_within_pushed_index_set():
@@ -485,6 +497,19 @@ def test_push_xy_is_the_quadrature_of_the_density(text, X, Y, frac):
     want, _ = quad_interval(lambda s: u(math.exp(s), t * math.exp(-s)), lo, hi, points=pts)
     assert push_xy(u, t) == want  # the same nodes, the same values, bit for bit
     assert F_pushforward(d, t) == push_xy(u, t)  # on a finite box, the same fiber integral
+
+
+@pytest.mark.parametrize("box", [(1.0, math.inf), (math.inf, 1.0)], ids=["Y infinite", "X infinite"])
+def test_push_xy_on_a_box_with_an_infinite_side_raises(box):
+    # the log-variable limits were log(t / inf), a math domain error, and log(inf),
+    # which overflowed exp inside the integrand
+    u = density_from_expression("exp(-x-y)", box)
+    with pytest.raises(ValueError, match=re.escape(f"push_xy needs a finite support box, got {box}")):
+        push_xy(u, 0.1)
+    if math.isinf(box[0]):  # a finite Y keeps F_pushforward off the front face, on push_xy
+        d = blowup_density_from_expression("exp(-x-y)", smooth_family((1, 0)), box=box)
+        with pytest.raises(ValueError, match="push_xy needs a finite support box"):
+            F_pushforward(d, 0.1)
 
 
 def test_push_xy_of_a_2000_term_density():

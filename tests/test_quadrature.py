@@ -15,6 +15,7 @@ from asympush.quadrature import (
     STOP_REASONS,
     QuadratureError,
     dyadic_shells,
+    geometric_grid,
     quad_01,
     quad_1inf,
     quad_interval,
@@ -215,3 +216,19 @@ def test_dyadic_shells_of_zero_and_of_supports_that_end_or_start_inside():
     # shells 0..7 are empty: the windows start at the first shell that is not
     val, diverges = dyadic_shells(lambda x: 1.0 if x <= 2.0**-8 else 0.0, 1.0, 60, 1e-10)
     assert not diverges and val == pytest.approx(2.0**-8, rel=1e-12)
+
+
+def test_geometric_grid_is_numpys_to_one_ulp():
+    # every grid the package samples: acceptance criteria 2, 6 and 10, and the
+    # zeta grid of check_hypotheses with the x grid at each of its points
+    zetas = geometric_grid(1.0, 100.0, 10)
+    grids = [(1e-4, 0.5, 20), (1e-3, 1e-1, 12), (1e-4, 0.9, 15), (1.0, 100.0, 10)]
+    grids += [(1e-3, zeta, 6) for zeta in zetas]
+    points = 0
+    for a, b, n in grids:
+        got, want = geometric_grid(a, b, n), np.geomspace(a, b, n).tolist()
+        assert len(got) == n and (got[0], got[-1]) == (a, b)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= math.ulp(w)
+        points += n
+    assert points == 117

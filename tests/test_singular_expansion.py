@@ -353,6 +353,28 @@ def test_boundary_integrals_read_the_declared_x_side_terms():
         assert diag.boundary_integrals[j] == pytest.approx(float(want), rel=1e-7)
 
 
+def test_boundary_integrals_are_the_same_for_smooth_and_declared_x_sides():
+    # the x-side moment integrand is zeta^j |q_j(1/zeta)|, q_j = d_x^j sigma(0, .)/j!,
+    # whether q_j comes from sigma's Taylor data or from its declared x-side terms
+    smooth = sigma_from_expression("(1+0.3*x+0.2*x^2)*exp(-0.7*x)*exp(-1.1*zeta)", order=3)
+    declared = SigmaFunction(
+        smooth.fn, smooth.order, ast=smooth.ast, x_terms=tuple(map(smooth.boundary_function, range(3)))
+    )
+    got, want = check_hypotheses(smooth).boundary_integrals, check_hypotheses(declared).boundary_integrals
+    assert sorted(got) == sorted(want) == [0, 1, 2]
+    for j in got:
+        assert got[j] == pytest.approx(want[j], rel=1e-12)
+    assert got[2] == pytest.approx(0.03516, abs=1e-5)
+
+
+def test_a_diverging_boundary_integral_fails_the_diagnostics():
+    # sigma(0, zeta) = exp(-zeta)/zeta: int_0^1 |q_0(1/zeta)| dzeta diverges at zeta = 0
+    diag = check_hypotheses(sigma_from_expression("exp(-x)*exp(-zeta)/zeta", order=1))
+    assert not diag.ok
+    assert diag.boundary_integrals[0] == math.inf
+    assert "boundary integral j=0 diverges" in diag.notes
+
+
 def test_theta_scan_of_a_bounded_integrand_is_constant():
     # int_0^1 e^(-theta s) e^-s ds tends to 1 - 1/e as theta -> 0
     diag = check_hypotheses(sigma_from_expression("exp(-x)*exp(-zeta)", order=0))
