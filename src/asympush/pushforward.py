@@ -270,11 +270,14 @@ def F_pushforward(d: BlowupDensity, t: float, tol: float = DEFAULT_TOL) -> float
     t * push_xy(u, t).  When the support reaches the front face (unbounded
     second argument), the integral is monitored on dyadic shells toward
     x = 0 and a structured error is raised when it diverges; the boundedness
-    criterion on the front-face index set predicts exactly this.
+    criterion on the front-face index set predicts exactly this.  An
+    infinite X raises ValueError.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     X, Y = d.box
+    if not math.isfinite(X):  # the shells would start at x = inf and sum to 0
+        raise ValueError(f"F_pushforward needs a finite x side, got box {d.box}")
     if not math.isfinite(Y):  # support up to the front face: dyadic shells x in (0, X]
         total, diverges = dyadic_shells(lambda x: d(x, t / x) / x, X, 60, max(tol, 1e-12), (t, 1.0))
         if diverges:

@@ -506,10 +506,16 @@ def test_push_xy_on_a_box_with_an_infinite_side_raises(box):
     u = density_from_expression("exp(-x-y)", box)
     with pytest.raises(ValueError, match=re.escape(f"push_xy needs a finite support box, got {box}")):
         push_xy(u, 0.1)
-    if math.isinf(box[0]):  # a finite Y keeps F_pushforward off the front face, on push_xy
-        d = blowup_density_from_expression("exp(-x-y)", smooth_family((1, 0)), box=box)
-        with pytest.raises(ValueError, match="push_xy needs a finite support box"):
-            F_pushforward(d, 0.1)
+
+
+@pytest.mark.parametrize("box", [(math.inf, 1.0), (math.inf, math.inf)], ids=["front face off", "front face on"])
+def test_F_pushforward_with_an_infinite_x_side_raises(box):
+    # with Y finite it reached push_xy's math domain error; with Y infinite the
+    # dyadic shells started at x = inf and returned 0.0 without an error, where
+    # the integral of (t/x) exp(-x - t/x) over x > 0 is 2 t K_0(2 sqrt t)
+    d = blowup_density_from_expression("x*y*exp(-x-y)", smooth_family((1, 0)), box=box)
+    with pytest.raises(ValueError, match=re.escape(f"F_pushforward needs a finite x side, got box {box}")):
+        F_pushforward(d, 0.5)
 
 
 def test_push_xy_of_a_2000_term_density():
