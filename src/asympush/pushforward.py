@@ -163,7 +163,10 @@ def fit_asymptotics(
     if any(t <= 0 for t in ts):
         raise ValueError("sample points must be positive")
     L = [math.log(t) for t in ts]
-    columns = [[t**a * l**b for t, l in zip(ts, L)] for a, b in basis]
+    try:
+        columns = [[t**a * l**b for t, l in zip(ts, L)] for a, b in basis]
+    except OverflowError:
+        raise ValueError("a basis function overflows the float range on this grid") from None
     coef, rank, s, rms = _least_squares(columns, [float(v) for _, v in samples])
     if rank < len(basis):
         raise ValueError("design matrix is rank deficient for this grid")

@@ -295,6 +295,8 @@ def test_fit_validation():
         fit_asymptotics(dup, [(0.0, 0), (1.0, 0)])
     with pytest.raises(ValueError, match="sample points must be positive"):
         fit_asymptotics([(t, 1.0) for t in (0.1, 0.2, 0.0, 0.3)], [(0.0, 0), (1.0, 0)])
+    with pytest.raises(ValueError, match="a basis function overflows the float range on this grid"):
+        fit_asymptotics([(t, 1.0) for t in (0.01, 0.02, 0.05, 0.1)], [(-1000.0, 0), (0.0, 0)])
 
 
 def test_fit_warns_on_an_ill_conditioned_basis():
