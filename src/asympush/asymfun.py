@@ -367,8 +367,8 @@ def mellin_finite_part(f: AsymFunction, z0: complex = 1.0, tol: float = DEFAULT_
 
 def rescale(f: AsymFunction, t: float) -> AsymFunction:
     """The function x -> f(t x), with mechanically rescaled expansions."""
-    if t <= 0:
-        raise ValueError("scale factor must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"scale factor must be a finite positive number, got {t}")
     lt = math.log(t)
 
     def remap(side: Expansion) -> list[tuple[complex, list[complex]]]:
@@ -397,8 +397,8 @@ def scaling_rule(f: AsymFunction, t: float, base: complex) -> complex:
     Callers that scale one function by many t compute ``reg_integral(f)``
     once and pass it here for each t.
     """
-    if t <= 0:
-        raise ValueError("scale factor must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"scale factor must be a finite positive number, got {t}")
     lt = math.log(t)
     q_anti = f.exp_inf.poly_at(-1).antiderivative()
     p_anti = f.exp0.poly_at(-1).antiderivative()
@@ -407,8 +407,8 @@ def scaling_rule(f: AsymFunction, t: float, base: complex) -> complex:
 
 def scale_reg_integral(f: AsymFunction, t: float, tol: float = DEFAULT_TOL) -> complex:
     """Regularized integral of x -> f(t x) via the closed-form scaling rule."""
-    if t <= 0:
-        raise ValueError("scale factor must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"scale factor must be a finite positive number, got {t}")
     return scaling_rule(f, t, reg_integral(f, tol))
 
 

@@ -137,8 +137,8 @@ def _parse_grid(spec, flag: str | None):
             raise SpecError("--grid must look like a:b:points[:geometric|linear]")
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
         mode = parts[3] if len(parts) == 4 else "geometric"
-        if n < 2 or a <= 0 or b <= a:
-            raise SpecError("--grid needs 0 < a < b and at least two points")
+        if n < 2 or not 0 < a < b < math.inf:
+            raise SpecError(f"--grid needs finite 0 < a < b and at least two points, got {flag!r}")
         if mode == "geometric":
             return geometric_grid(a, b, n)
         if mode == "linear":
@@ -147,8 +147,9 @@ def _parse_grid(spec, flag: str | None):
     if spec is None:
         raise SpecError("a t grid is required (spec key 'tGrid' or --grid)")
     grid = [float(t) for t in spec]
-    if any(t <= 0 for t in grid):
-        raise SpecError("grid entries must be positive")
+    for t in grid:
+        if not 0 < t < math.inf:
+            raise SpecError(f"grid entries must be positive and finite, got {t}")
     return grid
 
 

@@ -100,8 +100,8 @@ def push_xy(u: Density2D, t: float, tol: float = DEFAULT_TOL) -> float:
     if not (math.isfinite(X) and math.isfinite(Y)):
         raise ValueError(f"push_xy needs a finite support box, got {u.box}")
     if not 0 < t < X * Y:
-        if t <= 0:
-            raise ValueError("push-forward is defined for t > 0")
+        if not t > 0:  # NaN included
+            raise ValueError(f"push-forward is defined for t > 0, got {t}")
         warnings.warn(f"t={t} is above the support bound {X * Y}; value is exactly 0")
         return 0.0
     lo, hi = math.log(t / Y), math.log(X)
@@ -157,17 +157,25 @@ def fit_asymptotics(
 ) -> FitResult:
     """Least squares of sampled values against the basis {t^a ln^b t}; warns above CONDITION_WARN."""
     basis = tuple((float(a), int(b)) for a, b in basis)
+    if not basis:
+        raise ValueError("the fit basis is empty")
     if len(samples) < 2 * len(basis):
         raise ValueError("need at least twice as many samples as basis elements")
-    ts = tuple(float(t) for t, _ in samples)
+    samples = [(float(t), float(v)) for t, v in samples]
+    for t, v in samples:
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise ValueError(f"sample (t, value) = ({t}, {v}) is not finite")
+    ts = tuple(t for t, _ in samples)
     if any(t <= 0 for t in ts):
         raise ValueError("sample points must be positive")
     L = [math.log(t) for t in ts]
     try:
         columns = [[t**a * l**b for t, l in zip(ts, L)] for a, b in basis]
+        if not all(math.isfinite(x) for col in columns for x in col):  # the product overflowed
+            raise OverflowError
     except OverflowError:
         raise ValueError("a basis function overflows the float range on this grid") from None
-    coef, rank, s, rms = _least_squares(columns, [float(v) for _, v in samples])
+    coef, rank, s, rms = _least_squares(columns, [v for _, v in samples])
     if rank < len(basis):
         raise ValueError("design matrix is rank deficient for this grid")
     cond = s[0] / s[-1]
@@ -276,8 +284,8 @@ def F_pushforward(d: BlowupDensity, t: float, tol: float = DEFAULT_TOL) -> float
     criterion on the front-face index set predicts exactly this.  An
     infinite X raises ValueError.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
     X, Y = d.box
     if not math.isfinite(X):  # the shells would start at x = inf and sum to 0
         raise ValueError(f"F_pushforward needs a finite x side, got box {d.box}")

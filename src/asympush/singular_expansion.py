@@ -32,7 +32,9 @@ remainder constants and probe the integrability conditions numerically.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from math import comb, factorial
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from . import expressions as ex
@@ -496,6 +498,9 @@ def verify_expansion(
     tol: float = DEFAULT_TOL,
 ) -> ResidualReport:
     """Compare the truncated expansion against direct quadrature on a z grid."""
+    for z in z_grid:
+        if not math.isfinite(z):
+            raise ValueError(f"z grid entries must be finite, got {z}")
     if list(z_grid) != sorted(z_grid) or (z_grid and z_grid[0] < 2.0):
         raise ValueError("z grid must be increasing with entries >= 2")
     rows = []
@@ -524,14 +529,32 @@ def fit_decay(points: Sequence[float], residuals: Sequence[float]) -> tuple[floa
 
 
 def _least_squares(columns: list, values: list) -> tuple[list[float], int, list[float], float]:
-    """(c, rank, singular values, rms residual) of the c minimizing |sum_j c_j columns[j] - values|.
+    """(c, rank, singular values, rms residual) of the least-norm c minimizing |sum_j c_j columns[j] - values|.
 
-    By numpy.linalg.lstsq, whose rank counts the singular values above eps * max(M, N)
-    times the largest: the package's one use of numpy, imported by the first fit.
+    One-sided Jacobi SVD (Hestenes 1958; Demmel & Veselic 1992): the columns, scaled by a power of 2 so that
+    no square overflows, and those of V = I are rotated in pairs until orthogonal to within eps.  The singular
+    values are the column norms; the rank counts those above eps * max(M, N) times the largest, as lstsq does.
     """
-    import numpy as np
-
-    A, b = np.array(columns, dtype=float).T, np.array(values, dtype=float)
-    coef, _, rank, s = np.linalg.lstsq(A, b, rcond=None)
-    r = A @ coef - b
-    return coef.tolist(), int(rank), s.tolist(), math.sqrt(float(r @ r) / len(r))
+    n, eps, e = len(columns), 2.0**-52, math.frexp(max(abs(x) for col in columns for x in col))[1]
+    U, V = [[math.ldexp(x, -e) for x in col] for col in columns], [[float(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(30):  # LAPACK's dgesvj stops after 30 sweeps; a fit here takes under 10
+        rotated = False
+        for j, k in combinations(range(n), 2):
+            a, b, g = sum(map(mul, U[j], U[j])), sum(map(mul, U[k], U[k])), sum(map(mul, U[j], U[k]))
+            if abs(g) > eps * math.sqrt(a * b):  # norms recomputed: updating them can turn one negative
+                zeta = (b - a) / (2.0 * g)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c, rotated = 1.0 / math.sqrt(1.0 + t * t), True
+                for W in (U, V):
+                    x, y = W[j], W[k]
+                    W[j], W[k] = [c * (p - t * q) for p, q in zip(x, y)], [c * (t * p + q) for p, q in zip(x, y)]
+        if not rotated:
+            break
+    s = [math.sqrt(sum(map(mul, u, u))) for u in U]
+    cut, coef = eps * max(len(values), n) * max(s), [0.0] * n
+    for u, v, sj in zip(U, V, s):
+        if sj > cut:
+            w = math.ldexp(sum(map(mul, u, values)) / sj**2, -e)
+            coef = [ci + w * vi for ci, vi in zip(coef, v)]
+    rms = math.hypot(*(sum(map(mul, coef, row)) - y for row, y in zip(zip(*columns), values))) / math.sqrt(len(values))
+    return coef, sum(sj > cut for sj in s), sorted((math.ldexp(sj, e) for sj in s), reverse=True), rms

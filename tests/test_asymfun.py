@@ -167,6 +167,19 @@ def test_rescale_evaluator_and_consistency():
         assert reg_integral(g) == pytest.approx(scale_reg_integral(f, t), abs=1e-8)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "scale",
+    [rescale, lambda f, t: asymfun.scaling_rule(f, t, 0.0), scale_reg_integral],
+    ids=["rescale", "scaling_rule", "scale_reg_integral"],
+)
+def test_scaling_rejects_a_t_that_is_not_a_finite_positive_number(scale, t):
+    # a NaN passed the t <= 0 test: the substitution rows then ran the quadrature
+    # of a NaN integrand into its subdivision limit
+    with pytest.raises(ValueError, match=f"scale factor must be a finite positive number, got {t}"):
+        scale(one_over_one_plus_x(), t)
+
+
 def test_mellin_reflection_formula():
     f = one_over_one_plus_x(depth=12)
     for z in (0.5, 0.3, 1.5):

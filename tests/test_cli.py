@@ -161,21 +161,23 @@ def test_sal_spec_with_verification(tmp_path):
     assert rep["verification"]["decayExponent"] == pytest.approx(-4.0, abs=0.4)
 
 
+EXP_OVER_X = {
+    "expr": "exp(-x)/x",
+    "zero": {
+        "order": 7.0,
+        "terms": [
+            {"exponent": [m - 1.0, 0.0], "logCoeffs": [[(-1.0) ** m / math.factorial(m), 0.0]]}
+            for m in range(8)
+        ],
+    },
+    "infinity": {"order": 40.0, "terms": []},
+}
+
+
 def test_separable_spec(tmp_path):
-    f = {
-        "expr": "exp(-x)/x",
-        "zero": {
-            "order": 7.0,
-            "terms": [
-                {"exponent": [m - 1.0, 0.0], "logCoeffs": [[(-1.0) ** m / math.factorial(m), 0.0]]}
-                for m in range(8)
-            ],
-        },
-        "infinity": {"order": 40.0, "terms": []},
-    }
     spec = write_spec(
         tmp_path / "sep.json",
-        {"kind": "separable", "phi": "exp(-x)", "f": f, "q": 1.5},
+        {"kind": "separable", "phi": "exp(-x)", "f": EXP_OVER_X, "q": 1.5},
     )
     assert main(["run", spec, "--json-only"]) == 0
     rep = read_report(tmp_path, "sep")
@@ -449,6 +451,64 @@ def test_pushforward_on_a_box_with_an_infinite_side_exits_2(tmp_path, capsys, bo
     assert f"invalid spec: push_xy needs a finite support box, got {tuple(box)}" in capsys.readouterr().err
 
 
+GRID_FLAG_ERROR = "invalid spec: --grid needs finite 0 < a < b and at least two points, got "
+
+
+@pytest.mark.parametrize(
+    "t_grid, flag, want",
+    [
+        (None, "0.1:0.5:3:linear", [0.1, 0.30000000000000004, 0.5]),
+        (None, "0.1:0.5", "invalid spec: --grid must look like a:b:points[:geometric|linear]"),
+        (None, "0:1:3", GRID_FLAG_ERROR + "'0:1:3'"),
+        (None, "0.5:0.1:3", GRID_FLAG_ERROR + "'0.5:0.1:3'"),
+        (None, "0.1:0.5:1", GRID_FLAG_ERROR + "'0.1:0.5:1'"),
+        (None, "0.1:0.5:3:cubic", "invalid spec: unknown grid mode 'cubic'"),
+        (None, None, "invalid spec: a t grid is required (spec key 'tGrid' or --grid)"),
+        ([0.1, 0.0], None, "invalid spec: grid entries must be positive and finite, got 0.0"),
+        # a NaN or infinite t was valued 0.0 with exit 0, and an infinite t of a fit
+        # failed inside LAPACK
+        ([0.1, math.nan], None, "invalid spec: grid entries must be positive and finite, got nan"),
+        ([0.1, 0.2, 0.3, math.inf], None, "invalid spec: grid entries must be positive and finite, got inf"),
+        (None, "nan:0.5:4", GRID_FLAG_ERROR + "'nan:0.5:4'"),
+        (None, "0.001:inf:4", GRID_FLAG_ERROR + "'0.001:inf:4'"),
+    ],
+    ids=["linear", "two fields", "a = 0", "b < a", "one point", "cubic", "no grid", "t = 0", "t = nan",
+         "t = inf", "--grid a = nan", "--grid b = inf"],
+)
+def test_pushforward_grid_from_the_spec_or_the_flag(tmp_path, capsys, t_grid, flag, want):
+    payload = {"kind": "pushforward", "density": {"expr": "exp(-x-y)"}, "fitBasis": [[0.0, 0]]}
+    if t_grid is not None:
+        payload["tGrid"] = t_grid
+    spec = write_spec(tmp_path / "push.json", payload)
+    code = main(["run", spec, "--json-only"] + (["--grid", flag] if flag else []))
+    if isinstance(want, list):
+        assert code == 0 and read_report(tmp_path, "push")["grid"] == want
+    else:
+        assert code == 2 and want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            {"kind": "sal", "sigma": {"expr": "exp(-x)*exp(-zeta)", "order": 1}, "verifyGrid": [4, 8, math.nan]},
+            "z grid entries must be finite, got nan",
+        ),
+        (
+            {"kind": "substitution", "function": ONE_OVER_ONE_PLUS_X, "t": [0.5, math.nan]},
+            "scale factor must be a finite positive number, got nan",
+        ),
+    ],
+    ids=["sal verifyGrid", "substitution t"],
+)
+def test_a_z_or_t_that_is_not_finite_exits_2(tmp_path, capsys, payload, message):
+    # the verification wrote a row of NaN with exit 0; the substitution ran the
+    # rescaled quadrature into its subdivision limit, exit 3
+    spec = write_spec(tmp_path / "spec.json", payload)
+    assert main(["run", spec, "--json-only"]) == 2
+    assert f"invalid spec: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "truncation, flag",
     [(math.inf, []), (math.nan, []), (None, ["--truncate", "inf"])],
@@ -563,32 +623,53 @@ def test_half_line_and_indexset_specs_load_no_numpy(tmp_path):
     assert _python(code).strip() == "[0, 0, 0, 0] False"
 
 
-def test_diagnostics_only_sal_run_loads_no_numpy_and_a_fit_does(tmp_path):
-    # numpy is imported by the least-squares solver alone: the hypothesis
-    # checks sample on a pure-Python grid, and only a fit loads numpy
-    sal = write_spec(
-        tmp_path / "sal.json",
-        {"kind": "sal", "sigma": {"expr": "exp(-x)*exp(-zeta)", "order": 3}, "diagnostics": True},
-    )
-    fit = write_spec(
-        tmp_path / "fit.json",
-        {"kind": "pushforward", "density": {"expr": "exp(-x-y)"}, "tGrid": [1e-4 * 10 ** (k / 3.5) for k in range(8)],
-         "predictionOrder": 1, "fitBasis": [[0.0, 1], [0.0, 0], [1.0, 1], [1.0, 0]]},
-    )
-    out = str(tmp_path / "out")
+def test_selftest_and_every_spec_kind_run_without_numpy(tmp_path):
+    # numpy is no runtime dependency: with its import blocked, the selftest and a
+    # spec of each kind run, the least-squares fits of a pushforward fitBasis and
+    # of a sal verifyGrid included
+    specs = {
+        "reg": {"kind": "reginteg", "function": EXP_FUNCTION},
+        "mel": {"kind": "mellin", "function": EXP_FUNCTION, "points": [[0.5, 1.0]], "finitePartAt": 0.0},
+        "sub": {"kind": "substitution", "function": ONE_OVER_ONE_PLUS_X, "t": [0.5, 2.0]},
+        "sep": {"kind": "separable", "phi": "exp(-x)", "f": EXP_OVER_X, "q": 1.5},
+        "idx": {
+            "kind": "indexset",
+            "operation": "push",
+            "truncation": 5,
+            "sets": {"X0": [[0, 0, 0]], "Y0": [[0, 0, 0]]},
+            "matrix": {"facesX": ["X0", "Y0"], "facesY": ["T0"], "e": [[1], [1]]},
+        },
+        "sal": {
+            "kind": "sal",
+            "sigma": {"expr": "exp(-x)*exp(-zeta)", "order": 3},
+            "diagnostics": True,
+            "verifyGrid": [4, 8, 16, 32, 64],
+        },
+        "fit": {
+            "kind": "pushforward",
+            "density": {"expr": "exp(-x-y)"},
+            "tGrid": [1e-4 * 10 ** (k / 3.5) for k in range(8)],
+            "predictionOrder": 1,
+            "fitBasis": [[0.0, 1], [0.0, 0], [1.0, 1], [1.0, 0]],
+        },
+    }
+    paths = [write_spec(tmp_path / f"{stem}.json", payload) for stem, payload in specs.items()]
+    out = tmp_path / "out"
     code = (
         "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now raises ImportError\n"
         "from asympush.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [main(['run', {sal!r}, '--out', {out!r}])]\n"
-        "    numpy = ['numpy' in sys.modules]\n"
-        f"    codes.append(main(['run', {fit!r}, '--out', {out!r}]))\n"
-        "print(codes, numpy + ['numpy' in sys.modules])\n"
+        "    codes = [main(['selftest'])]\n"
+        f"    codes += [main(['run', p, '--out', {str(out)!r}]) for p in {paths!r}]\n"
+        "print(codes)\n"
     )
-    assert _python(code).strip() == "[0, 0] [False, True]"
-    assert "diagnostics" in read_report(tmp_path / "out", "sal")
+    assert _python(code).strip() == str([0] * 8)
+    sal = read_report(out, "sal")
+    assert "diagnostics" in sal
+    assert sal["verification"]["decayExponent"] == pytest.approx(-4.0, abs=0.4)
     # the fit recovers the predicted t^0 ln t and t^0 coefficients
-    rep = read_report(tmp_path / "out", "fit")
+    rep = read_report(out, "fit")
     (const, _), (log, _) = rep["prediction"]["terms"][0]["logCoeffs"]
     assert rep["fit"]["coefficients"][:2] == pytest.approx([log, const], abs=1e-4)
 

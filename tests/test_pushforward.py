@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +308,55 @@ def test_fit_warns_on_an_ill_conditioned_basis():
     assert fit.condition > CONDITION_WARN
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["point", "value"])
+def test_fit_rejects_a_non_finite_sample(where, bad):
+    # a non-finite value gave NaN coefficients without an error, and a NaN or +inf
+    # point passed the positivity check and failed inside the SVD
+    samples = [(t, 1.0 + t) for t in np.geomspace(0.01, 0.5, 12).tolist()]
+    t, v = samples[5]
+    samples[5] = (bad, v) if where == "point" else (t, bad)
+    message = f"sample (t, value) = ({samples[5][0]}, {samples[5][1]}) is not finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit_asymptotics(samples, [(0.0, 0), (1.0, 0)])
+
+
+def test_fit_rejects_an_empty_basis_and_a_column_that_overflows():
+    with pytest.raises(ValueError, match="the fit basis is empty"):
+        fit_asymptotics([(0.1, 1.0), (0.2, 2.0)], [])
+    # t^-102 is finite at t = 1e-3, but not its product with ln^3 t
+    with pytest.raises(ValueError, match="a basis function overflows the float range on this grid"):
+        fit_asymptotics([(t, 1.0) for t in (1e-3, 2e-3, 5e-3, 1e-2)], [(-102.0, 3), (0.0, 0)])
+
+
+def test_fit_matches_numpy_lstsq_on_the_push_sweep_fits(monkeypatch):
+    # the benchmark's 48 fits of seeds 777 and 901, 8 points by 4 basis functions
+    # each, with numpy.linalg.lstsq on the same design as the reference
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import push_sweep
+
+    fits = 0
+    for seed in (777, 901):
+        values = {}
+        for op in push_sweep(seed):
+            a = op.args
+            if op.kind == "push":
+                values[a["density"], a["index"]] = push_xy(density_from_expression(a["expr"], tuple(a["box"])), a["t"])
+                continue
+            basis = [tuple(b) for b in a["basis"]]
+            samples = [(t, values[a["density"], i]) for i, t in enumerate(a["grid"])]
+            fit = fit_asymptotics(samples, basis)  # raises below full rank
+            A = np.array([[t**p * math.log(t) ** k for p, k in basis] for t, _ in samples])
+            b = np.array([v for _, v in samples])
+            want, _, rank, s = np.linalg.lstsq(A, b, rcond=None)
+            assert rank == len(basis)
+            assert fit.coefficients == pytest.approx(want.tolist(), rel=1e-11, abs=0.0)
+            assert fit.condition == pytest.approx(s[0] / s[-1], rel=1e-12, abs=0.0)
+            assert abs(fit.residual - math.sqrt(np.mean((A @ want - b) ** 2))) <= 1e-14
+            fits += 1
+    assert fits == 48
+
+
 def test_fit_basis_within_pushed_index_set():
     # smooth-density samples need only exponents (n,0) and (n,1)
     u = density_from_expression("exp(-x-y)")
@@ -518,6 +568,17 @@ def test_F_pushforward_with_an_infinite_x_side_raises(box):
     d = blowup_density_from_expression("x*y*exp(-x-y)", smooth_family((1, 0)), box=box)
     with pytest.raises(ValueError, match=re.escape(f"F_pushforward needs a finite x side, got box {box}")):
         F_pushforward(d, 0.5)
+
+
+def test_push_xy_and_F_pushforward_reject_a_t_of_nan():
+    # NaN passed the t <= 0 test, and push_xy took the branch for t above the
+    # box: the value 0.0, with a warning
+    u = density_from_expression("exp(-x-y)")
+    with pytest.raises(ValueError, match="push-forward is defined for t > 0, got nan"):
+        push_xy(u, math.nan)
+    d = blowup_density_from_expression("x*y*exp(-x-y)", smooth_family((1, 0)), box=(1.0, 1.0))
+    with pytest.raises(ValueError, match="t must be positive, got nan"):
+        F_pushforward(d, math.nan)
 
 
 def test_push_xy_of_a_2000_term_density():

@@ -3,6 +3,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from asympush.asymfun import AsymFunction, from_expression, pure_power, schwartz
@@ -13,6 +14,7 @@ from asympush.singular_expansion import (
     MissingExpansionData,
     SigmaFunction,
     SigmaTerm,
+    _least_squares,
     asymptotic_expansion,
     check_hypotheses,
     corollary_expansion,
@@ -102,6 +104,33 @@ def test_verify_expansion_grid_validation():
         verify_expansion(rep.expansion, sig, [1.0, 4.0])
     with pytest.raises(ValueError):
         verify_expansion(rep.expansion, sig, [8.0, 4.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_verify_expansion_rejects_a_z_that_is_not_finite(bad):
+    # a NaN passed the order check and gave a row of NaN
+    sig = sigma_from_expression("exp(-x)*exp(-zeta)", order=1)
+    rep = asymptotic_expansion(sig)
+    with pytest.raises(ValueError, match=f"z grid entries must be finite, got {bad}"):
+        verify_expansion(rep.expansion, sig, [4.0, 8.0, bad])
+
+
+def test_least_squares_matches_numpy_lstsq_on_random_designs():
+    # t^a ln^k t columns on log-uniform grids in [1e-8, 1], as the fits build them;
+    # the minimum-norm solution of an SVD moves by about eps * condition
+    rng = random.Random(28)
+    exponents = [(a, k) for a in (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0) for k in range(3)]
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        ts = [10 ** rng.uniform(-8, 0) for _ in range(rng.randint(2 * n, 30))]
+        columns = [[t**a * math.log(t) ** k for t in ts] for a, k in rng.sample(exponents, n)]
+        values = [rng.gauss(0.0, 1.0) for _ in ts]
+        coef, rank, s, _ = _least_squares(columns, values)
+        want, _, want_rank, want_s = np.linalg.lstsq(np.array(columns).T, np.array(values), rcond=None)
+        kappa = want_s[0] / want_s[-1]
+        assert rank == want_rank
+        assert max(abs(c - w) for c, w in zip(coef, want)) <= 1e-12 * kappa * max(abs(want))
+        assert abs(s[0] / s[-1] - kappa) <= 1e-12 * kappa**2
 
 
 def test_log_term_of_a_declared_term_below_minus_one():
