@@ -1,6 +1,8 @@
 import cmath
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 import warnings
@@ -11,9 +13,14 @@ import pytest
 
 import asympush
 from asympush.quadrature import (
+    _WG,
+    _WGK,
+    _WGK0,
+    _XGK,
     DEFAULT_TOL,
     STOP_REASONS,
     QuadratureError,
+    _qk21,
     dyadic_shells,
     geometric_grid,
     quad_01,
@@ -114,6 +121,129 @@ def test_real_integrand_calls_are_unchanged():
         n = sum(counts.values())
         assert n % 21 == 0 and max(counts.values()) == 1 and isinstance(val, float)
         assert n == calls if calls is not None else n <= 609
+
+
+# QUADPACK's indices j - 1 of the node pairs in the rule's order: the Gauss
+# nodes xgk(2), xgk(4), ..., xgk(10), then the Kronrod nodes xgk(1), ..., xgk(9)
+_QK21_PAIRS = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+
+
+def _qk21_nodes():
+    """The rule's node offsets in call order: the centre, then -xgk(j) for
+    each pair, then +xgk(j) in the same order."""
+    half = [_XGK[j] for j in _QK21_PAIRS]
+    return [0.0] + [-x for x in half] + half
+
+
+def _qk21_reference(f, a, b):
+    """dqk21 as loops: node pair k is nodes 1 + k and 11 + k, with QUADPACK's
+    Kronrod weight wgk and, for the five Gauss pairs, Gauss weight wg; every
+    sum is accumulated left to right.  int |f| and int |f - mean| add node
+    by node in call order."""
+    wpair = [_WGK[j] for j in _QK21_PAIRS]
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fv = [f(c + h * x) for x in _qk21_nodes()]
+
+    def kronrod(fv):
+        resk = _WGK0 * fv[0]
+        for k in range(10):
+            resk = resk + wpair[k] * (fv[1 + k] + fv[11 + k])
+        return resk
+
+    resk = kronrod(fv)
+    if type(resk) is not float and type(resk) is not complex:
+        fv = [complex(v) for v in fv]  # numpy values are summed as Python complex
+        resk = kronrod(fv)
+    resg = 0.0
+    for k in range(5):
+        resg = resg + _WG[k] * (fv[1 + k] + fv[11 + k])
+    weights = [_WGK0] + wpair + wpair
+    resabs = resasc = 0.0
+    for w, v in zip(weights, fv):
+        resabs = resabs + w * abs(v)
+    for w, v in zip(weights, fv):
+        resasc = resasc + w * abs(v - resk * 0.5)
+    resabs *= abs(h)
+    resasc *= abs(h)
+    abserr = abs((resk - resg) * h)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    eps = sys.float_info.epsilon
+    if resabs > sys.float_info.min / (50.0 * eps):
+        abserr = max(eps * 50.0 * resabs, abserr)
+    return resk * h, abserr, resabs, resasc
+
+
+def _qk21_same(x, y):
+    """Same type and same bits, NaN equal to NaN."""
+    if type(x) is not type(y):
+        return False
+    if type(x) is complex:
+        return _qk21_same(x.real, y.real) and _qk21_same(x.imag, y.imag)
+    return struct.pack("<d", x) == struct.pack("<d", y) or (x != x and y != y)
+
+
+def _qk21_cases(n, seed, wraps):
+    """n seeded (f, a, b), a < b and a > b in turn, on intervals of length
+    1e-6 to 30 in [-10, 10].  f mixes terms of magnitude 1e-3 to 1e3, is
+    complex for a wrap flagged complex, and in one case in four is inf,
+    -inf or nan past a point of the interval; wrap turns each value into
+    the type f returns."""
+    rng = random.Random(seed)
+    for i in range(n):
+        wrap, is_complex = wraps[i % len(wraps)]
+        a = rng.uniform(-10.0, 10.0)
+        b = a + (-1.0) ** i * 10.0 ** rng.uniform(-6.0, 1.5)
+        p = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(5)]
+        special = rng.choice((None, None, None, math.inf, -math.inf, math.nan) if i % 2 else (None,))
+        cut = rng.uniform(min(a, b), max(a, b))
+
+        def f(x, p=p, wrap=wrap, is_complex=is_complex, special=special, cut=cut):
+            if special is not None and x > cut:
+                v = special
+            else:
+                v = p[0] * math.sin(p[1] * x) + p[2] * x * x + p[3]
+            return wrap(complex(v, p[4] * math.cos(x)) if is_complex else v)
+
+        yield f, a, b
+
+
+def _qk21_mismatches(rule, cases):
+    """How many cases rule answers other than _qk21_reference, bit for bit."""
+    return sum(
+        not all(map(_qk21_same, rule(f, a, b), _qk21_reference(f, a, b)))
+        for f, a, b in cases
+    )
+
+
+QK21_WRAPS = [
+    (float, False),
+    (complex, True),
+    (np.float64, False),
+    (np.complex64, True),
+    (np.array, False),
+    (np.array, True),
+]
+
+
+def test_rule_is_quadpacks_sums_node_for_node():
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in numpy values
+        assert _qk21_mismatches(_qk21, _qk21_cases(3000, 1009, QK21_WRAPS)) == 0
+        # a float integral for float values, a complex one for the rest
+        for (f, a, b), (wrap, _) in zip(_qk21_cases(6, 1, QK21_WRAPS), QK21_WRAPS):
+            value, *rest = _qk21(f, a, b)
+            assert type(value) is (float if wrap is float else complex)
+            assert [type(v) for v in rest] == [float, float, float]
+
+
+def test_rule_calls_f_once_per_node_in_order():
+    for f, a, b in _qk21_cases(50, 7, QK21_WRAPS[:2]):
+        calls = []
+        _qk21(lambda x: calls.append(x) or f(x), a, b)
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        assert len(calls) == 21
+        assert all(map(_qk21_same, calls, [c + h * x for x in _qk21_nodes()]))
 
 
 QUADPACK_CASES = {
