@@ -2,8 +2,9 @@
 
 ``asympush run spec.json`` loads a JSON problem description, dispatches to
 the engines and writes a ``*.report.json`` (plus a ``*.samples.csv`` for
-sampled push-forward grids) next to the spec or into ``--out``.  ``asympush
-selftest`` runs the acceptance suite and prints a pass/fail matrix.
+sampled push-forward grids) next to the spec or into ``--out``; a report
+depends on its spec alone.  ``asympush selftest`` runs the acceptance suite
+and prints a pass/fail matrix.
 
 Exit codes: 0 success, 2 invalid spec or unwritable report, 3 numerical
 failure, 4 failed hypothesis diagnostics (the report is still written).
@@ -48,7 +49,7 @@ from .pushforward import (
     push_xy,
     sal_prediction_smooth,
 )
-from .quadrature import QuadratureError, geometric_grid
+from .quadrature import QuadratureError
 from .singular_expansion import (
     MissingExpansionData,
     SigmaFunction,
@@ -62,6 +63,9 @@ from .singular_expansion import (
 )
 
 __all__ = ["main", "from_json"]
+
+CSV_DIGITS = 12  # significant digits of the samples CSV
+
 
 class SpecError(ValueError):
     """The problem spec does not validate."""
@@ -129,41 +133,17 @@ def from_json(value, what: str = "function") -> AsymFunction:
     return from_expression(value["expr"], *sides, support=support)
 
 
-def _parse_grid(spec, flag: str | None):
-    """Grid from the spec or the --grid flag 'a:b:n:geometric|linear'."""
-    if flag:
-        parts = flag.split(":")
-        if len(parts) not in (3, 4):
-            raise SpecError("--grid must look like a:b:points[:geometric|linear]")
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-        mode = parts[3] if len(parts) == 4 else "geometric"
-        if n < 2 or not 0 < a < b < math.inf:
-            raise SpecError(f"--grid needs finite 0 < a < b and at least two points, got {flag!r}")
-        if mode == "geometric":
-            return geometric_grid(a, b, n)
-        if mode == "linear":
-            return [a + (b - a) * i / (n - 1) for i in range(n)]
-        raise SpecError(f"unknown grid mode {mode!r}")
-    if spec is None:
-        raise SpecError("a t grid is required (spec key 'tGrid' or --grid)")
-    grid = [float(t) for t in spec]
-    for t in grid:
-        if not 0 < t < math.inf:
-            raise SpecError(f"grid entries must be positive and finite, got {t}")
-    return grid
-
-
 # ---------------------------------------------------------------------------
 # kind handlers: payload dict -> (report dict, csv rows or None)
 
 
-def _run_reginteg(payload, args):
+def _run_reginteg(payload):
     f = from_json(_require(payload, "function", "reginteg"))
     value = reg_integral(f)
     return {"kind": "reginteg", "value": _cnum(value)}, None
 
 
-def _run_mellin(payload, args):
+def _run_mellin(payload):
     f = from_json(_require(payload, "function", "mellin"))
     report = {"kind": "mellin", "points": []}
     for pt in payload.get("points", []):
@@ -182,7 +162,7 @@ def _run_mellin(payload, args):
     return report, None
 
 
-def _run_substitution(payload, args):
+def _run_substitution(payload):
     f = from_json(_require(payload, "function", "substitution"))
     ts = [float(t) for t in _require(payload, "t", "substitution")]
     base = reg_integral(f) if ts else None
@@ -232,7 +212,7 @@ def _diagnostics_json(diag) -> dict:
     }
 
 
-def _run_sal(payload, args):
+def _run_sal(payload):
     sigma = _sigma_from_json(_require(payload, "sigma", "sal"))
     rep = asymptotic_expansion(sigma)
     report = {"kind": "sal", "expansion": _expansion_json(rep.expansion), "notes": list(rep.notes)}
@@ -252,7 +232,7 @@ def _run_sal(payload, args):
     return report, None
 
 
-def _run_separable(payload, args):
+def _run_separable(payload):
     phi = _require(payload, "phi", "separable")
     f = from_json(_require(payload, "f", "separable"), "f")
     q = float(_require(payload, "q", "separable"))
@@ -266,11 +246,14 @@ def _run_separable(payload, args):
     return {"kind": "separable", "mode": mode, "expansion": _expansion_json(expn)}, None
 
 
-def _run_pushforward(payload, args):
+def _run_pushforward(payload):
     dspec = _object(_require(payload, "density", "pushforward"), "density")
     box = tuple(float(v) for v in dspec.get("box", (1.0, 1.0)))
     u = density_from_expression(_require(dspec, "expr", "density"), box)
-    grid = _parse_grid(payload.get("tGrid"), args.grid)
+    grid = [float(t) for t in _require(payload, "tGrid", "pushforward")]
+    for t in grid:
+        if not 0 < t < math.inf:
+            raise SpecError(f"grid entries must be positive and finite, got {t}")
     pred = None
     if "predictionOrder" in payload:
         pred = sal_prediction_smooth(u, int(payload["predictionOrder"]))
@@ -302,8 +285,8 @@ def _run_pushforward(payload, args):
     return report, rows
 
 
-def _run_indexset(payload, args):
-    N = float(args.truncate if args.truncate is not None else payload.get("truncation", DEFAULT_TRUNCATION))
+def _run_indexset(payload):
+    N = float(payload.get("truncation", DEFAULT_TRUNCATION))
     if not math.isfinite(N):
         raise SpecError(f"indexset truncation must be finite, got {N}")
     op = _require(payload, "operation", "indexset")
@@ -369,28 +352,20 @@ def _strict_json(v):
     return v
 
 
-def _write_report(report: dict, out_dir: Path, stem: str, rows, args) -> None:
+def _write_report(report: dict, out_dir: Path, stem: str, rows, json_only: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{stem}.report.json"
     # one encode and one write: json.dump would stream the indented text
     # through thousands of small writes
     path.write_text(json.dumps(_strict_json(report), indent=2, sort_keys=True, allow_nan=False) + "\n")
-    if rows is not None and not args.json_only:
-        digits = args.precision
+    if rows is not None and not json_only:
         csv_path = out_dir / f"{stem}.samples.csv"
         with csv_path.open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "value", "prediction", "residual"])
-            for t, v, p, r in rows:
-                w.writerow(
-                    [
-                        f"{t:.{digits}g}",
-                        f"{v:.{digits}g}",
-                        "" if p is None else f"{p:.{digits}g}",
-                        "" if r is None else f"{r:.{digits}g}",
-                    ]
-                )
-    if not args.json_only:
+            for row in rows:  # t and value are never None
+                w.writerow(["" if x is None else f"{x:.{CSV_DIGITS}g}" for x in row])
+    if not json_only:
         print(f"report written to {path}")
 
 
@@ -414,7 +389,7 @@ def _cmd_run(args) -> int:
         kind = spec.get("kind")
         if kind not in KINDS:
             raise SpecError(f"spec kind must be one of {KINDS}, got {kind!r}")
-        report, rows = _HANDLERS[kind](spec, args)
+        report, rows = _HANDLERS[kind](spec)
     except HypothesisFailure as e:
         report = {
             "kind": spec.get("kind"),
@@ -439,7 +414,7 @@ def _cmd_run(args) -> int:
         print(f"invalid spec: {e}", file=sys.stderr)
         return 2
     try:
-        _write_report(report, out_dir, stem, rows, args)
+        _write_report(report, out_dir, stem, rows, args.json_only)
     except OSError as e:
         print(f"cannot write report: {e}", file=sys.stderr)
         return 2
@@ -484,9 +459,6 @@ def _parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a JSON problem spec")
     p_run.add_argument("spec", help="path to the problem spec (JSON)")
     p_run.add_argument("--out", help="output directory (default: next to the spec)")
-    p_run.add_argument("--precision", type=int, default=12, help="CSV significant digits")
-    p_run.add_argument("--truncate", type=float, default=None, help="index-set truncation override")
-    p_run.add_argument("--grid", help="t grid a:b:points[:geometric|linear]")
     p_run.add_argument("--json-only", action="store_true", help="write only the JSON report")
     p_run.set_defaults(fn=_cmd_run)
 

@@ -887,19 +887,28 @@ def taylor(node: Expr, var: str, at: float, n: int, bindings: Bindings | None = 
     power of a series that vanishes at the point has coefficients only below
     its exponent, unless that is a non-negative integer, and a power or log
     whose value or argument overflows none past it.  Sums skip products with a zero factor, so
-    0 * inf, a NaN, never forms, and every finite sum keeps its bits.
+    0 * inf, a NaN, never forms, and every finite sum keeps its bits; they add left to right,
+    so the bits are the same on every Python (the built-in sum compensates floats since 3.12).
     """
     b = {**(bindings or {}), var: at}
     ks = range(1, n + 1)
 
     def conv(u, v, k, first=0):  # sum_{j=first..k} u_j v_{k-j}
-        return sum((u[j] * v[k - j] for j in range(first, k + 1) if u[j] and v[k - j]), 0.0)
+        s = 0.0
+        for j in range(first, k + 1):
+            if u[j] and v[k - j]:
+                s += u[j] * v[k - j]
+        return s
 
     def mul(u, v):
         return [conv(u, v, k) for k in range(n + 1)]
 
     def dot(u, v, k):  # (1/k) sum_j j u_j v_{k-j}, the chain rule on series
-        return sum((j * u[j] * v[k - j] for j in ks[:k] if u[j] and v[k - j]), 0.0) / k
+        s = 0.0
+        for j in ks[:k]:
+            if u[j] and v[k - j]:
+                s += j * u[j] * v[k - j]
+        return s / k
 
     def power(u, c):
         v = [_power(u[0], c) if u[0] else 1.0] + [0.0] * n

@@ -7,7 +7,8 @@ subinterval, bisection of the subinterval with the largest error estimate,
 the error list kept in order as ``dqpsrt`` keeps it, and Wynn's epsilon
 algorithm ``dqelg`` on the sequence of sums, which extrapolates through
 endpoint singularities.  Break points seed the list of subintervals; an
-infinite upper limit is mapped onto (0, 1] by x = a + (1 - s)/s.  On a
+infinite upper limit is mapped onto (0, 1] by x = a + (1 - s)/s, where break
+points would be lost and so raise ValueError.  On a
 finite interval without break points the routine makes QUADPACK's
 decisions and so calls the integrand at QUADPACK's nodes, 21 per
 subinterval.
@@ -471,8 +472,11 @@ def _check(val, err, ier, neval, tol, what):
 def quad_interval(f, a: float, b: float, tol: float = DEFAULT_TOL, points=None):
     """Integrate f over [a, b]; returns (value, error estimate).
 
-    ``b`` may be +inf; ``points`` (break points) apply to finite intervals.
+    ``b`` may be +inf; ``points`` (break points) apply to finite intervals
+    only, and raise ValueError with ``b`` = +inf, where they would be ignored.
     """
+    if points and b == math.inf:
+        raise ValueError("break points apply to finite intervals only; b is inf")
     if a == b:
         return 0.0, 0.0
     return _check(*_qags(f, float(a), float(b), tol, points), tol, f"[{a}, {b}]")
@@ -563,7 +567,7 @@ def dyadic_shells(f, b: float, levels: int, tol: float, points=()):
         total += val
         if k >= 2 * SHELL_WINDOW - 1 and abs(val) < SHELL_STOP * abs(total):
             break
-    if _outgrows(shells, sum, SHELL_RATIO):
+    if _outgrows(shells, lambda vs: reduce(add, vs, 0), SHELL_RATIO):  # sum(vs), left to right
         return math.inf, True
     return total, False
 

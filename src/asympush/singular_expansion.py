@@ -32,9 +32,10 @@ remainder constants and probe the integrability conditions numerically.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import combinations
 from math import comb, factorial
-from operator import mul
+from operator import add
 from typing import Callable, NamedTuple, Sequence
 
 from . import expressions as ex
@@ -269,7 +270,7 @@ def _moments(cs: Sequence[AsymFunction], gamma: complex, sign: int, tol: float) 
     """Coefficients of ln^m z in the regularized integral of v^gamma sum_i sign^i cs[i](v) (ln v + ln z)^i."""
     n = len(cs)
     moment = [[_moment(c, gamma, k, tol) for k in range(i + 1)] for i, c in enumerate(cs)]
-    return [sum(comb(i, m) * sign**i * moment[i][i - m] for i in range(m, n)) for m in range(n)]
+    return [reduce(add, (comb(i, m) * sign**i * moment[i][i - m] for i in range(m, n)), 0) for m in range(n)]
 
 
 CORNER_RTOL = 1e-9  # relative gap at which the two sides' corner coefficients disagree
@@ -308,7 +309,7 @@ def asymptotic_expansion(sigma: SigmaFunction, tol: float = DEFAULT_TOL) -> Expa
 
     def zeta_side(alpha: complex, n: int, i: int) -> complex:  # of x^(-1-alpha) ln^n x zeta^alpha ln^i zeta
         near = [t.coeffs for t in zeta_terms if abs(t.exponent - alpha) <= EXPONENT_TOL]
-        return sum(cs[i].exp0.poly_at(-1.0 - alpha).coefficient(n) for cs in near if i < len(cs))
+        return reduce(add, (cs[i].exp0.poly_at(-1.0 - alpha).coefficient(n) for cs in near if i < len(cs)), 0)
 
     # the x side's coefficients at y = 0 give (iii) the monomials the zeta side leaves out, with
     # ln y = -ln zeta, and at y = inf (iv), where the sign turns: (i) regularizes at y = 1, not x = 1
@@ -404,7 +405,7 @@ def check_hypotheses(sigma: SigmaFunction) -> HypothesisDiagnostics:
                 rem = dK(x, zeta)
                 for term in terms:
                     L = math.log(zeta)
-                    coeff = sum(coeff_deriv(c, K, x) * L**i for i, c in enumerate(term.coeffs))
+                    coeff = reduce(add, (coeff_deriv(c, K, x) * L**i for i, c in enumerate(term.coeffs)), 0)
                     rem -= (zeta**term.exponent * coeff).real
             except (ex.EvalError, ex.DiffError):
                 rem = None
@@ -438,7 +439,7 @@ def check_hypotheses(sigma: SigmaFunction) -> HypothesisDiagnostics:
         probes = [lambda z, j=j, dj=sigma.x_deriv(j): abs(z**j * dj(0.0, z)) / factorial(j) for j in range(p)]
     else:
         xs = [t for t in sigma.x_terms if t.exponent.real < p - EXPONENT_TOL]
-        probes = [lambda z, t=t: abs(z**t.exponent) * sum(abs(c(1.0 / z)) for c in t.coeffs) for t in xs]
+        probes = [lambda z, t=t: abs(z**t.exponent) * reduce(add, (abs(c(1.0 / z)) for c in t.coeffs), 0) for t in xs]
     boundary: dict = {}
     for j, probe in enumerate(probes):
         boundary[j], diverges = dyadic_shells(probe, 1.0, SHELL_LEVELS, 1e-8)
@@ -487,7 +488,7 @@ def direct_integral(sigma: SigmaFunction, z: float, tol: float = DEFAULT_TOL) ->
     v1, _ = quad_interval(g, 0.0, split, tol)
     if upper <= split:
         return v1
-    v2, _ = quad_interval(g, split, upper, tol, points=[1.0, split * 2.0])
+    v2, _ = quad_interval(g, split, upper, tol, points=[1.0, split * 2.0] if upper < math.inf else None)
     return v1 + v2
 
 
@@ -528,6 +529,14 @@ def fit_decay(points: Sequence[float], residuals: Sequence[float]) -> tuple[floa
     return coef[1], coef[2]
 
 
+def _dot(u, v):
+    """The dot product of u and v, added left to right from 0 as sum() was before Python 3.12 compensated floats."""
+    s = 0
+    for a, b in zip(u, v):
+        s += a * b
+    return s
+
+
 def _least_squares(columns: list, values: list) -> tuple[list[float], int, list[float], float]:
     """(c, rank, singular values, rms residual) of the least-norm c minimizing |sum_j c_j columns[j] - values|.
 
@@ -540,7 +549,7 @@ def _least_squares(columns: list, values: list) -> tuple[list[float], int, list[
     for _ in range(30):  # LAPACK's dgesvj stops after 30 sweeps; a fit here takes under 10
         rotated = False
         for j, k in combinations(range(n), 2):
-            a, b, g = sum(map(mul, U[j], U[j])), sum(map(mul, U[k], U[k])), sum(map(mul, U[j], U[k]))
+            a, b, g = _dot(U[j], U[j]), _dot(U[k], U[k]), _dot(U[j], U[k])
             if abs(g) > eps * math.sqrt(a * b):  # norms recomputed: updating them can turn one negative
                 zeta = (b - a) / (2.0 * g)
                 t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
@@ -550,11 +559,11 @@ def _least_squares(columns: list, values: list) -> tuple[list[float], int, list[
                     W[j], W[k] = [c * (p - t * q) for p, q in zip(x, y)], [c * (t * p + q) for p, q in zip(x, y)]
         if not rotated:
             break
-    s = [math.sqrt(sum(map(mul, u, u))) for u in U]
+    s = [math.sqrt(_dot(u, u)) for u in U]
     cut, coef = eps * max(len(values), n) * max(s), [0.0] * n
     for u, v, sj in zip(U, V, s):
         if sj > cut:
-            w = math.ldexp(sum(map(mul, u, values)) / sj**2, -e)
+            w = math.ldexp(_dot(u, values) / sj**2, -e)
             coef = [ci + w * vi for ci, vi in zip(coef, v)]
-    rms = math.hypot(*(sum(map(mul, coef, row)) - y for row, y in zip(zip(*columns), values))) / math.sqrt(len(values))
+    rms = math.hypot(*(_dot(coef, row) - y for row, y in zip(zip(*columns), values))) / math.sqrt(len(values))
     return coef, sum(sj > cut for sj in s), sorted((math.ldexp(sj, e) for sj in s), reverse=True), rms

@@ -12,6 +12,8 @@ import asympush
 from asympush import asymfun, cli
 from asympush.asymfun import scale_reg_integral
 from asympush.cli import from_json, main
+from asympush.quadrature import geometric_grid
+from asympush.singular_expansion import corollary_expansion
 
 
 def write_spec(path, payload):
@@ -47,9 +49,9 @@ def test_reginteg_spec(tmp_path):
 def test_pushforward_spec_csv(tmp_path, capsys):
     spec = write_spec(
         tmp_path / "push.json",
-        {"kind": "pushforward", "density": {"expr": "1", "box": [1, 1]}},
+        {"kind": "pushforward", "density": {"expr": "1", "box": [1, 1]}, "tGrid": geometric_grid(0.001, 0.5, 6)},
     )
-    assert main(["run", spec, "--grid", "0.001:0.5:6"]) == 0
+    assert main(["run", spec]) == 0
     rows = list(csv.DictReader((tmp_path / "push.samples.csv").open()))
     assert len(rows) == 6
     for row in rows:
@@ -187,6 +189,17 @@ def test_separable_spec(tmp_path):
     assert const[0]["logCoeffs"][0][0] == pytest.approx(-0.5772156649015329, abs=1e-8)
 
 
+def test_separable_inverse_mode_is_the_corollary_expansion(tmp_path):
+    spec = write_spec(
+        tmp_path / "inv.json",
+        {"kind": "separable", "phi": "exp(-x)", "f": EXP_OVER_X, "q": 1.5, "mode": "inverse"},
+    )
+    assert main(["run", spec, "--json-only"]) == 0
+    rep = read_report(tmp_path, "inv")
+    want = cli._expansion_json(corollary_expansion("exp(-x)", from_json(EXP_OVER_X), 1.5))
+    assert rep == {"kind": "separable", "mode": "inverse", "expansion": json.loads(json.dumps(want))}
+
+
 def test_finite_part_at_double_pole_is_reported(tmp_path):
     # x^0 ln x e^(-x): its Mellin transform Gamma'(z) has a double pole at 0
     log_exp = {
@@ -225,6 +238,44 @@ def test_stray_variable_exits_2(tmp_path, capsys, payload):
     spec = write_spec(tmp_path / "stray.json", payload)
     assert main(["run", spec]) == 2
     assert "invalid spec: expression has free variables besides x: ['y']" in capsys.readouterr().err
+
+
+def test_indexset_integrability_spec(tmp_path):
+    # the blow-up matrix: G2 is the null face, so its index set must lie in Re > 0
+    spec = write_spec(
+        tmp_path / "integ.json",
+        {
+            "kind": "indexset",
+            "operation": "integrability",
+            "sets": {"G1": [[0, 0, 0]], "G2": [[0, 0, 0]], "G3": [[0, 0, 0]]},
+            "matrix": {"facesX": ["G1", "G2", "G3"], "facesY": ["H"], "e": [[1], [0], [1]]},
+        },
+    )
+    assert main(["run", spec, "--json-only"]) == 0
+    assert read_report(tmp_path, "integ")["result"] == {"ok": False, "violations": [["G2", [0.0, 0.0, 0]]]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            {"kind": "separable", "phi": "exp(-x)", "f": EXP_OVER_X, "q": 1.5, "mode": "cubic"},
+            "separable mode must be 'scale' or 'inverse', not 'cubic'",
+        ),
+        (
+            {"kind": "indexset", "operation": "intersect", "sets": {"A": [[0, 0, 0]]}},
+            "unknown indexset operation 'intersect'",
+        ),
+        ({"kind": "reginteg"}, "reginteg spec needs the key 'function'"),
+        ({"kind": "sal", "sigma": {"order": 1}}, "sigma spec needs an 'expr' in variables x, zeta"),
+    ],
+    ids=["separable mode", "indexset operation", "missing key", "sigma without expr"],
+)
+def test_unknown_choice_or_missing_key_exits_2(tmp_path, capsys, payload, message):
+    spec = write_spec(tmp_path / "spec.json", payload)
+    assert main(["run", spec, "--json-only"]) == 2
+    assert f"invalid spec: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "spec.report.json").exists()
 
 
 def test_invalid_kind_exits_2(tmp_path, capsys):
@@ -266,6 +317,16 @@ def test_sal_with_a_step_in_x_exits_3(tmp_path, capsys):
     assert "x-derivative of order 1: cannot differentiate step()" in capsys.readouterr().err
 
 
+def test_sal_without_taylor_data_at_the_axis_exits_3(tmp_path, capsys):
+    # exp(-zeta)/zeta has no Taylor data at zeta = 0, so boundary_function(0)
+    # raises MissingExpansionData
+    payload = {"kind": "sal", "sigma": {"expr": "exp(-x)*exp(-zeta)/zeta", "order": 1}}
+    spec = write_spec(tmp_path / "axis.json", payload)
+    assert main(["run", spec, "--json-only"]) == 3
+    assert "numerical failure: small-argument Taylor data for boundary function j=0" in capsys.readouterr().err
+    assert not (tmp_path / "axis.report.json").exists()
+
+
 def test_pushforward_prediction_without_taylor_data_exits_3(tmp_path, capsys):
     # sqrt(x) has no x-derivative at the axis x = 0
     payload = {"kind": "pushforward", "density": {"expr": "sqrt(x)*exp(-y)"}, "tGrid": [0.1], "predictionOrder": 1}
@@ -296,6 +357,8 @@ def test_selftest_filter(capsys):
 
 def test_selftest_unknown_filter(capsys):
     assert main(["selftest", "--filter", "42"]) == 2
+    assert main(["selftest", "--filter", "1,x"]) == 2
+    assert "--filter takes a comma-separated list of criterion numbers" in capsys.readouterr().err
 
 
 def _schwartz_json(expr: str, scale: float, n: int = 8) -> dict:
@@ -451,40 +514,25 @@ def test_pushforward_on_a_box_with_an_infinite_side_exits_2(tmp_path, capsys, bo
     assert f"invalid spec: push_xy needs a finite support box, got {tuple(box)}" in capsys.readouterr().err
 
 
-GRID_FLAG_ERROR = "invalid spec: --grid needs finite 0 < a < b and at least two points, got "
-
-
 @pytest.mark.parametrize(
-    "t_grid, flag, want",
+    "t_grid, want",
     [
-        (None, "0.1:0.5:3:linear", [0.1, 0.30000000000000004, 0.5]),
-        (None, "0.1:0.5", "invalid spec: --grid must look like a:b:points[:geometric|linear]"),
-        (None, "0:1:3", GRID_FLAG_ERROR + "'0:1:3'"),
-        (None, "0.5:0.1:3", GRID_FLAG_ERROR + "'0.5:0.1:3'"),
-        (None, "0.1:0.5:1", GRID_FLAG_ERROR + "'0.1:0.5:1'"),
-        (None, "0.1:0.5:3:cubic", "invalid spec: unknown grid mode 'cubic'"),
-        (None, None, "invalid spec: a t grid is required (spec key 'tGrid' or --grid)"),
-        ([0.1, 0.0], None, "invalid spec: grid entries must be positive and finite, got 0.0"),
+        (None, "invalid spec: pushforward spec needs the key 'tGrid'"),
+        ([0.1, 0.0], "invalid spec: grid entries must be positive and finite, got 0.0"),
         # a NaN or infinite t was valued 0.0 with exit 0, and an infinite t of a fit
         # failed inside LAPACK
-        ([0.1, math.nan], None, "invalid spec: grid entries must be positive and finite, got nan"),
-        ([0.1, 0.2, 0.3, math.inf], None, "invalid spec: grid entries must be positive and finite, got inf"),
-        (None, "nan:0.5:4", GRID_FLAG_ERROR + "'nan:0.5:4'"),
-        (None, "0.001:inf:4", GRID_FLAG_ERROR + "'0.001:inf:4'"),
+        ([0.1, math.nan], "invalid spec: grid entries must be positive and finite, got nan"),
+        ([0.1, 0.2, 0.3, math.inf], "invalid spec: grid entries must be positive and finite, got inf"),
     ],
-    ids=["linear", "two fields", "a = 0", "b < a", "one point", "cubic", "no grid", "t = 0", "t = nan",
-         "t = inf", "--grid a = nan", "--grid b = inf"],
+    ids=["no grid", "t = 0", "t = nan", "t = inf"],
 )
-def test_pushforward_grid_from_the_spec_or_the_flag(tmp_path, capsys, t_grid, flag, want):
+def test_pushforward_grid_from_the_spec_or_the_flag(tmp_path, capsys, t_grid, want):
     payload = {"kind": "pushforward", "density": {"expr": "exp(-x-y)"}, "fitBasis": [[0.0, 0]]}
     if t_grid is not None:
         payload["tGrid"] = t_grid
     spec = write_spec(tmp_path / "push.json", payload)
-    code = main(["run", spec, "--json-only"] + (["--grid", flag] if flag else []))
-    if isinstance(want, list):
-        assert code == 0 and read_report(tmp_path, "push")["grid"] == want
-    else:
-        assert code == 2 and want in capsys.readouterr().err
+    assert main(["run", spec, "--json-only"]) == 2
+    assert want in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -509,21 +557,15 @@ def test_a_z_or_t_that_is_not_finite_exits_2(tmp_path, capsys, payload, message)
     assert f"invalid spec: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "truncation, flag",
-    [(math.inf, []), (math.nan, []), (None, ["--truncate", "inf"])],
-    ids=["Infinity", "NaN", "--truncate inf"],
-)
-def test_indexset_truncation_that_is_not_finite_exits_2(tmp_path, capsys, truncation, flag):
+@pytest.mark.parametrize("truncation", [math.inf, math.nan], ids=["Infinity", "NaN"])
+def test_indexset_truncation_that_is_not_finite_exits_2(tmp_path, capsys, truncation):
     # an infinite truncation made complete loop forever; NaN dropped every entry
     # and then reported "generator list must be non-empty"
-    payload = {"kind": "indexset", "operation": "complete", "sets": {"A": [[0, 0, 0]]}, "args": ["A"]}
-    if truncation is not None:
-        payload["truncation"] = truncation
+    payload = {"kind": "indexset", "operation": "complete", "sets": {"A": [[0, 0, 0]]}, "args": ["A"],
+               "truncation": truncation}
     spec = write_spec(tmp_path / "trunc.json", payload)
-    assert main(["run", spec, "--json-only", *flag]) == 2
-    want = "inf" if truncation is None else str(truncation)
-    assert f"invalid spec: indexset truncation must be finite, got {want}" in capsys.readouterr().err
+    assert main(["run", spec, "--json-only"]) == 2
+    assert f"invalid spec: indexset truncation must be finite, got {truncation}" in capsys.readouterr().err
 
 
 def test_sal_spec_without_an_expression_exits_2(tmp_path):
@@ -574,21 +616,42 @@ def _python(code: str) -> str:
     return out.stdout
 
 
+@pytest.mark.parametrize("flag", [["--grid", "0.1:0.5:3"], ["--truncate", "5"], ["--precision", "5"]],
+                         ids=["--grid", "--truncate", "--precision"])
+def test_run_takes_no_flag_that_overrides_the_spec(tmp_path, capsys, flag):
+    # a report depends on its spec alone: tGrid, truncation and the CSV digits
+    # have no command-line override
+    spec = write_spec(tmp_path / "reg.json", {"kind": "reginteg", "function": EXP_FUNCTION})
+    with pytest.raises(SystemExit) as err:
+        main(["run", spec, *flag])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "reg.report.json").exists()
+
+
+def test_run_help_lists_only_spec_out_and_json_only(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--help"])
+    assert err.value.code == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage == "usage: asympush run [-h] [--out OUT] [--json-only] spec"
+
+
 def test_main_shares_one_parser_across_calls(tmp_path, capsys):
     spec = write_spec(
         tmp_path / "push.json",
         {"kind": "pushforward", "density": {"expr": "exp(-x-y)", "box": [1, 1]}, "tGrid": [0.1, 0.3]},
     )
 
-    def check_value_column(digits):
+    def check_value_column():
         values = read_report(tmp_path, "push")["values"]
         rows = list(csv.DictReader((tmp_path / "push.samples.csv").open()))
-        assert [row["value"] for row in rows] == [f"{v:.{digits}g}" for v in values]
+        assert [row["value"] for row in rows] == [f"{v:.12g}" for v in values]
 
-    assert main(["run", spec, "--precision", "5"]) == 0
-    check_value_column(5)
+    assert main(["run", spec, "--json-only"]) == 0
+    assert not (tmp_path / "push.samples.csv").exists()
     assert main(["run", spec]) == 0  # the default is back: nothing carries over
-    check_value_column(12)
+    check_value_column()
     with pytest.raises(SystemExit) as err:
         main(["run", spec, "--no-such-flag"])
     assert err.value.code == 2

@@ -284,6 +284,15 @@ def test_break_points_and_infinite_range_against_mpmath():
     assert abs(val - float(inf_ref)) <= max(err, 1e-15) and err < 1e-10
 
 
+def test_break_points_on_an_infinite_range_raise():
+    # the map onto (0, 1] would drop them silently
+    calls = []
+    with pytest.raises(ValueError, match="break points apply to finite intervals only; b is inf"):
+        quad_interval(lambda x: calls.append(x) or math.exp(-x), 0.0, math.inf, points=[1.0, 2.0])
+    assert calls == []
+    assert quad_interval(lambda x: math.exp(-x), 0.0, math.inf, points=[])[0] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_quadrature_error_names_why_the_call_stopped():
     # QUADPACK (and scipy's quad) stop 1/x on (0, 1] at the subdivision limit
     with pytest.raises(QuadratureError) as exc:
