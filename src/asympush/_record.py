@@ -1,9 +1,13 @@
 """The frozen behaviour of the package's slotted value types, written once.
 
 A subclass lists its fields in ``__slots__`` and sets them in its own
-``__init__`` with ``object.__setattr__``.  Slots named with a leading "_" hold
-derived data, left out of repr, == and hash.  Nothing is generated when a
-class is defined, unlike ``dataclasses``, which costs milliseconds per class.
+``__init__`` with ``object.__setattr__``, or, in a constructor called in a hot
+loop, through the slot descriptors bound once after the class (``_set_value =
+Num.value.__set__``), which skips the attribute lookup; either way the
+instance stays immutable, as ``__setattr__`` raises.  Slots named with a
+leading "_" hold derived data, left out of repr, == and hash.  Nothing is
+generated when a class is defined, unlike ``dataclasses``, which costs
+milliseconds per class.
 """
 
 class Record:

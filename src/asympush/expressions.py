@@ -137,39 +137,46 @@ class Num(_Node):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        object.__setattr__(self, "value", value)
+        _set_value(self, value)
 
 
 class Var(_Node):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        _set_name(self, name)
 
 
 class Neg(_Node):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
+        _set_neg_arg(self, arg)
 
 
 class BinOp(_Node):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: Expr, right: Expr):  # op is one of + - * / ^
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _set_op(self, op)
+        _set_left(self, left)
+        _set_right(self, right)
 
 
 class Call(_Node):
     __slots__ = ("func", "arg")
 
     def __init__(self, func: str, arg: Expr):
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "arg", arg)
+        _set_func(self, func)
+        _set_call_arg(self, arg)
 
+
+# The constructors set their slots through the slot descriptors, bound once
+# here: a node is built at every operator of every parse, and this skips the
+# attribute lookup of object.__setattr__ (Record.__setattr__ still raises).
+_set_value, _set_name, _set_neg_arg = Num.value.__set__, Var.name.__set__, Neg.arg.__set__
+_set_op, _set_left, _set_right = BinOp.op.__set__, BinOp.left.__set__, BinOp.right.__set__
+_set_func, _set_call_arg = Call.func.__set__, Call.arg.__set__
 
 Expr = Num | Var | Neg | BinOp | Call
 Bindings = Mapping[str, float]
@@ -178,8 +185,10 @@ Bindings = Mapping[str, float]
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 #
-# A token is a tuple (kind, text, offset).  The kind of an operator or a
-# parenthesis is its own character; the others are "num", "name" and "end".
+# A token is a tuple (kind, text, offset, value).  The kind of an operator or
+# a parenthesis is its own character; the others are "num", "name" and "end".
+# The value of a number is its float, read once by the tokenizer, and that of
+# any other token None.
 
 MAX_NESTING = 100  # parentheses, unary minus signs and '^' exponents open inside one another
 
@@ -210,29 +219,33 @@ def _scanner(text: str):
     return re.compile(_TOKEN.format(d=r"\d" + digits, a="(?![" + re.escape(odd) + r"])[^\W\d]")).finditer
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, str, int, float | None]]:
     """The tokens of text, from one scan, and an "end" token."""
     tokens = []
     for m in _scanner(text)(text):
         kind, lit, i = m.lastindex, m[0], m.start()
         if kind == 1:
-            tokens.append((lit, lit, i))
+            tokens.append((lit, lit, i, None))
         elif kind == 2:
             try:
-                float(lit)
+                value = float(lit)
             except ValueError:
                 raise ExprSyntaxError(f"malformed number {lit!r}", i) from None
-            tokens.append(("num", lit, i))
+            tokens.append(("num", lit, i, value))
         elif kind == 3:
-            tokens.append(("name", lit, i))
+            tokens.append(("name", lit, i, None))
         elif kind == 4:
             raise ExprSyntaxError(f"unexpected character {lit!r}", i)
-    tokens.append(("end", "", len(text)))
+    tokens.append(("end", "", len(text), None))
     return tokens
 
 
-# Each rule takes the token list, the index of its first token and the
-# nesting depth, and returns its node and the index of the token after it.
+# Each rule takes the token list, the index of its first token, the nesting
+# depth and the list of the nodes created so far, to which it appends each
+# node it creates, and returns its node and the index of the token after it.
+# A rule creates a node after its children, the left child's before the right
+# child's, and never reuses one, so the list of a whole parse is _postorder's
+# list of its tree.
 
 
 def _nest(depth: int, tok: tuple) -> int:
@@ -242,78 +255,99 @@ def _nest(depth: int, tok: tuple) -> int:
 
 
 def _expect_rparen(tokens: list, i: int) -> int:
-    kind, lit, offset = tokens[i]
+    kind, lit, offset, _ = tokens[i]
     if kind != ")":
         raise ExprSyntaxError(f"expected ')', found {lit or 'end of input'!r}", offset)
     return i + 1
 
 
-def _parse_expr(tokens: list, i: int, depth: int) -> tuple[Expr, int]:
-    node, i = _parse_term(tokens, i, depth)
+def _parse_expr(tokens: list, i: int, depth: int, nodes: list) -> tuple[Expr, int]:
+    node, i = _parse_term(tokens, i, depth, nodes)
     op = tokens[i][0]
     while op == "+" or op == "-":
-        right, i = _parse_term(tokens, i + 1, depth)
+        right, i = _parse_term(tokens, i + 1, depth, nodes)
         node = BinOp(op, node, right)
+        nodes.append(node)
         op = tokens[i][0]
     return node, i
 
 
-def _parse_term(tokens: list, i: int, depth: int) -> tuple[Expr, int]:
-    node, i = _parse_factor(tokens, i, depth)
+def _parse_term(tokens: list, i: int, depth: int, nodes: list) -> tuple[Expr, int]:
+    node, i = _parse_factor(tokens, i, depth, nodes)
     op = tokens[i][0]
     while op == "*" or op == "/":
-        right, i = _parse_factor(tokens, i + 1, depth)
+        right, i = _parse_factor(tokens, i + 1, depth, nodes)
         node = BinOp(op, node, right)
+        nodes.append(node)
         op = tokens[i][0]
     return node, i
 
 
-def _parse_factor(tokens: list, i: int, depth: int) -> tuple[Expr, int]:
+def _parse_factor(tokens: list, i: int, depth: int, nodes: list) -> tuple[Expr, int]:
     tok = tokens[i]
     if tok[0] == "-":
-        arg, i = _parse_factor(tokens, i + 1, _nest(depth, tok))
-        return Neg(arg), i
-    return _parse_power(tokens, i, depth)
+        arg, i = _parse_factor(tokens, i + 1, _nest(depth, tok), nodes)
+        node = Neg(arg)
+        nodes.append(node)
+        return node, i
+    return _parse_power(tokens, i, depth, nodes)
 
 
-def _parse_power(tokens: list, i: int, depth: int) -> tuple[Expr, int]:
-    base, i = _parse_atom(tokens, i, depth)
+def _parse_power(tokens: list, i: int, depth: int, nodes: list) -> tuple[Expr, int]:
+    base, i = _parse_atom(tokens, i, depth, nodes)
     tok = tokens[i]
     if tok[0] != "^":
         return base, i
-    exponent, i = _parse_factor(tokens, i + 1, _nest(depth, tok))  # right-associative
-    if free_vars(exponent):
+    start = len(nodes)
+    exponent, i = _parse_factor(tokens, i + 1, _nest(depth, tok), nodes)  # right-associative
+    if any(type(nd) is Var for nd in nodes[start:]):  # the nodes of the exponent
         raise ExprSyntaxError("exponent of '^' must be a constant expression", tok[2])
-    return BinOp("^", base, exponent), i
+    node = BinOp("^", base, exponent)
+    nodes.append(node)
+    return node, i
 
 
-def _parse_atom(tokens: list, i: int, depth: int) -> tuple[Expr, int]:
-    kind, lit, offset = tokens[i]
+def _parse_atom(tokens: list, i: int, depth: int, nodes: list) -> tuple[Expr, int]:
+    kind, lit, offset, value = tokens[i]
     if kind == "num":
-        return Num(float(lit)), i + 1
+        node = Num(value)
+        nodes.append(node)
+        return node, i + 1
     if kind == "name":
         paren = tokens[i + 1]
         if paren[0] != "(":
-            return Var(lit), i + 1
+            node = Var(lit)
+            nodes.append(node)
+            return node, i + 1
         if lit not in FUNCTIONS:
             raise ExprSyntaxError(f"unknown function {lit!r}", offset)
-        arg, i = _parse_expr(tokens, i + 2, _nest(depth, paren))
-        return Call(lit, arg), _expect_rparen(tokens, i)
+        arg, i = _parse_expr(tokens, i + 2, _nest(depth, paren), nodes)
+        node = Call(lit, arg)
+        nodes.append(node)
+        return node, _expect_rparen(tokens, i)
     if kind == "(":
-        node, i = _parse_expr(tokens, i + 1, _nest(depth, tokens[i]))
+        node, i = _parse_expr(tokens, i + 1, _nest(depth, tokens[i]), nodes)
         return node, _expect_rparen(tokens, i)
     raise ExprSyntaxError(f"expected number, name or '(', found {lit or 'end of input'!r}", offset)
 
 
 def parse(text: str) -> Expr:
-    """The tree of text.  ExprSyntaxError, with the offset, for text outside the grammar."""
+    """The tree of text.  ExprSyntaxError, with the offset, for text outside the grammar.
+
+    The list of the nodes the rules created is installed as the last walk,
+    so the passes that follow a parse (parse_in's free_vars, then
+    compile_expr) walk nothing.  A syntax error installs nothing.
+    """
+    global _last_walk
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     tokens = _tokenize(text)
-    node, i = _parse_expr(tokens, 0, 0)
-    kind, lit, offset = tokens[i]
+    nodes: list[Expr] = []
+    node, i = _parse_expr(tokens, 0, 0, nodes)
+    kind, lit, offset, _ = tokens[i]
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {lit!r}", offset)
+    _last_walk = (node, nodes)
     return node
 
 
@@ -343,9 +377,11 @@ def _kids(nd: Expr) -> tuple:
     return (nd.arg,) if cls is Neg or cls is Call else ()
 
 
-# the latest tree walked and its list, so that passes over one tree in a row
-# (free_vars, then compile_expr, of a density) walk it once; a tree is
-# immutable, the tuple is replaced whole, and no caller passes its first root
+# the latest tree walked or parsed and its list, so that passes over one tree
+# in a row (free_vars, then compile_expr, of a density) walk it at most once,
+# and not at all after parse, which installs the list of the nodes it created;
+# a tree is immutable, the tuple is replaced whole, and no caller passes its
+# first root
 _last_walk: tuple = (object(), [])
 
 
@@ -354,15 +390,25 @@ def _postorder(node: Expr, follow: Callable[[Expr], tuple] | None = None) -> lis
 
     That is the order in which a recursive walk that skips the nodes it has
     seen finishes them.  With follow, the walk goes only into the children
-    follow(nd) gives, as a pass that reads only those would recurse.  An
-    explicit stack of (node, whether its children are done) pairs; TypeError
-    at anything that is not a node.  The list of a whole walk is shared with
-    the next whole walk of the same node: read it, do not change it.
+    follow(nd) gives, as a pass that reads only those would recurse.  The
+    list of a whole walk is shared with the next whole walk of the same node:
+    read it, do not change it.
     """
     global _last_walk
+    if follow is not None:
+        return _walk(node, follow)
     root, order = _last_walk
-    if root is node and follow is None:
-        return order
+    if root is not node:
+        order = _walk(node, None)
+        _last_walk = (node, order)
+    return order
+
+
+def _walk(node: Expr, follow: Callable[[Expr], tuple] | None) -> list[Expr]:
+    """_postorder's list, from an explicit stack of (node, whether its children are done) pairs.
+
+    TypeError at anything that is not a node.
+    """
     order = []
     seen: set[int] = set()  # ids of the nodes pushed with their children
     stack = [(node, False)]
@@ -392,8 +438,6 @@ def _postorder(node: Expr, follow: Callable[[Expr], tuple] | None = None) -> lis
             order.append(nd)
         else:
             raise TypeError(f"not an expression node: {nd!r}")
-    if follow is None:
-        _last_walk = (node, order)
     return order
 
 

@@ -506,6 +506,13 @@ SYNTAX_ERRORS = [
     ("()", "expected number, name or '(', found ')'", 1),
     ("exp()", "expected number, name or '(', found ')'", 4),
     ("x+", "expected number, name or '(', found 'end of input'", 2),
+    # a number token where a parenthesis or the end is expected, and an error
+    # inside a call or an exponent, as the parser has always reported them
+    ("(1 2)", "expected ')', found '2'", 3),
+    ("1 2", "trailing input '2'", 2),
+    ("x^1 2", "trailing input '2'", 4),
+    ("2^(1+x)", "exponent of '^' must be a constant expression", 1),
+    ("exp(1", "expected ')', found 'end of input'", 5),
 ]
 
 
@@ -950,3 +957,81 @@ def test_parse_in_names_the_variables_outside_the_list(names, what, text, build,
             run()
         assert str(err.value) == message
 
+
+
+# Texts of the grammar with long sums and products, chains of unary minus,
+# '^' chains with constant exponents, calls and parentheses.
+_text_leaf = st.one_of(
+    st.sampled_from(["x", "y", "z", "1", ".5", "2e-1", "3.", "0"]),
+    st.floats(min_value=0.25, max_value=3.0).map(lambda v: repr(round(v, 3))),
+)
+_exponent = st.sampled_from(["2", "3", "0.5", "-1", "(-1.5)", "(1+2)", "-(2*0.5)", "2^2"])
+
+
+def _text_combine(children):
+    chain = st.lists(st.tuples(st.sampled_from("+-*/"), children), min_size=2, max_size=30).map(
+        lambda ts: ts[0][1] + "".join(op + t for op, t in ts[1:])
+    )
+    minus = st.tuples(st.integers(1, 5), children).map(lambda t: "-" * t[0] + t[1])
+    power = st.tuples(children, st.lists(_exponent, min_size=1, max_size=4)).map(
+        lambda t: f"({t[0]})^" + "^".join(t[1])
+    )
+    call = st.tuples(st.sampled_from(ex.FUNCTIONS), children).map(lambda t: f"{t[0]}({t[1]})")
+    return st.one_of(chain, minus, power, call, children.map(lambda t: f"({t})"))
+
+
+_text = st.recursive(_text_leaf, _text_combine, max_leaves=40)
+
+
+def _outcomes(f, points):
+    """repr of each value of f, or the type and message of what it raised."""
+    out = []
+    for p in points:
+        try:
+            out.append(repr(f(*p)))
+        except (ArithmeticError, ValueError) as e:
+            out.append((type(e), str(e)))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_text)
+def test_parse_installs_the_walk_of_its_tree(text):
+    node = ex.parse(text)
+    root, installed = ex._last_walk
+    assert root is node
+    cold = ex._walk(node, None)  # the explicit-stack walk, outside the cache
+    assert len(installed) == len(cold) and all(a is b for a, b in zip(installed, cold))
+
+    # every pass that follows a parse reads the installed list; after another
+    # tree's walk evicts it, the same passes walk node cold and agree
+    points = [(0.7, -0.4, 1.3), (0.0, 2.0, -1.0), (3.5, 0.25, 0.0)]
+    names, text_of, f = ex.free_vars(node), ex.unparse(node), ex.compile_expr(node, ("x", "y", "z"))
+    ex.free_vars(ex.Var("w"))
+    assert ex._last_walk[0] is not node
+    assert ex.free_vars(node) == names and ex.unparse(node) == text_of
+    g = ex.compile_expr(node, ("x", "y", "z"))
+    assert g.__code__ is f.__code__  # one emitted source, so one code object
+    assert _outcomes(f, points) == _outcomes(g, points)
+
+    # a syntax error installs nothing: the last walk stays that of node
+    before = ex._last_walk
+    for bad in (text + ")", text + " 2", "(" + text, text + "^x", text + "+"):
+        with pytest.raises(ex.ExprSyntaxError):
+            ex.parse(bad)
+        assert ex._last_walk is before
+
+
+def test_density_from_text_walks_no_tree(monkeypatch):
+    # parse installs its node list, which parse_in's free_vars check and
+    # compile_expr read: building a density from text runs no stack walk
+    def walk(node, follow):
+        raise AssertionError("a tree was walked")
+
+    monkeypatch.setattr(ex, "_walk", walk)
+    text = "exp(-0.5*x-1.2*y)*(1+0.3*x+0.7*x*y+1.1*y^2)+sqrt(1+0.4*x+0.9*y)"
+    u = density_from_expression(text, (1.5, 2.0))
+    want = math.exp(-0.5 * 0.3 - 1.2 * 0.6) * (1 + 0.3 * 0.3 + 0.7 * 0.3 * 0.6 + 1.1 * 0.6**2)
+    assert u(0.3, 0.6) == want + math.sqrt(1 + 0.4 * 0.3 + 0.9 * 0.6)
+    with pytest.raises(ValueError, match=r"besides x, y: \['z'\]"):
+        density_from_expression("x*z")
